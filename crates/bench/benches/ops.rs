@@ -2,7 +2,6 @@
 //! the IR interpreter, and full-network inference. These measure genuine
 //! computation on the host (not simulated FPGA time).
 
-use fpgaccel_baseline::ReferenceEngine;
 use fpgaccel_bench::timing::bench;
 use fpgaccel_tensor::models::Model;
 use fpgaccel_tensor::ops::{self, Activation, Conv2dParams};
@@ -79,13 +78,13 @@ fn bench_interpreter_vs_native() {
 }
 
 fn bench_networks() {
-    let lenet = ReferenceEngine::new(Model::LeNet5);
+    let lenet = Model::LeNet5.build().fuse();
     let digit = data::synthetic_digit(3, 0);
-    bench("forward_pass/lenet5", 20, 5, || lenet.infer(&digit));
-    let mobilenet = ReferenceEngine::new(Model::MobileNetV1);
+    bench("forward_pass/lenet5", 20, 5, || lenet.execute(&digit));
+    let mobilenet = Model::MobileNetV1.build().fuse();
     let img = data::imagenet_input(0);
     bench("forward_pass/mobilenet_v1_224", 1, 3, || {
-        mobilenet.infer(&img)
+        mobilenet.execute(&img)
     });
 }
 

@@ -21,6 +21,7 @@ use crate::serving::{batched, build_pool_injected, mixed_trace};
 use crate::table::Table;
 use fpgaccel_fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultSpec};
 use fpgaccel_serve::{Request, RunResult, ServeConfig, Server};
+use fpgaccel_trace::json::Json;
 use fpgaccel_trace::{FlightRecorder, Tracer};
 
 /// Seed recorded on the committed plan (the schedule itself is
@@ -156,23 +157,6 @@ fn digest(offered: usize, r: &RunResult) -> String {
     )
 }
 
-/// Escapes a string for embedding in the JSON artifact.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// The machine-readable recovery summary written to
 /// `FPGACCEL_CHAOS_REPORT` for the CI smoke job.
 fn json_report(
@@ -181,38 +165,35 @@ fn json_report(
     baseline_completed: u64,
     deterministic: bool,
 ) -> String {
-    let events: Vec<String> = r
-        .recovery
-        .iter()
-        .map(|e| {
-            format!(
-                "{{\"t_s\":{:.9},\"subject\":{},\"action\":{},\"detail\":{}}}",
-                e.t_s,
-                json_str(&e.subject),
-                json_str(&e.action),
-                json_str(&e.detail)
-            )
-        })
-        .collect();
-    let lost: Vec<String> = r
-        .recovery
-        .iter()
-        .filter(|e| e.action == "lost")
-        .map(|e| json_str(&e.subject))
-        .collect();
-    format!(
-        "{{\n  \"seed\": {CHAOS_SEED},\n  \"offered\": {offered},\n  \"completed\": {},\n  \
-         \"shed\": {},\n  \"failed\": {},\n  \"retried\": {},\n  \"completion_rate\": {:.6},\n  \
-         \"baseline_completed\": {baseline_completed},\n  \"devices_lost\": [{}],\n  \
-         \"deterministic\": {deterministic},\n  \"recovery\": [{}]\n}}\n",
-        r.metrics.completed,
-        r.metrics.shed(),
-        r.failures.len(),
-        r.metrics.retried,
-        r.metrics.completed as f64 / offered as f64,
-        lost.join(", "),
-        events.join(", ")
-    )
+    let recovery = r.recovery.iter().map(|e| {
+        Json::obj([
+            ("t_s", e.t_s.into()),
+            ("subject", e.subject.as_str().into()),
+            ("action", e.action.as_str().into()),
+            ("detail", e.detail.as_str().into()),
+        ])
+    });
+    let lost = r.recovery.iter().filter(|e| e.action == "lost");
+    Json::obj([
+        ("seed", CHAOS_SEED.into()),
+        ("offered", offered.into()),
+        ("completed", r.metrics.completed.into()),
+        ("shed", r.metrics.shed().into()),
+        ("failed", r.failures.len().into()),
+        ("retried", r.metrics.retried.into()),
+        (
+            "completion_rate",
+            (r.metrics.completed as f64 / offered as f64).into(),
+        ),
+        ("baseline_completed", baseline_completed.into()),
+        (
+            "devices_lost",
+            Json::Arr(lost.map(|e| e.subject.as_str().into()).collect()),
+        ),
+        ("deterministic", deterministic.into()),
+        ("recovery", Json::Arr(recovery.collect())),
+    ])
+    .render()
 }
 
 /// The `chaos` experiment report.
@@ -356,9 +337,8 @@ pub fn chaos() -> String {
         .expect("chaos report artifact writes");
     }
     if let Ok(path) = std::env::var("FPGACCEL_CHAOS_POSTMORTEM") {
-        let pms: Vec<String> = faulted.postmortems.iter().map(|p| p.to_json()).collect();
-        std::fs::write(&path, format!("[\n{}]\n", pms.join(",\n")))
-            .expect("chaos postmortem artifact writes");
+        let pms = faulted.postmortems.iter().map(Json::from).collect();
+        std::fs::write(&path, Json::Arr(pms).render()).expect("chaos postmortem artifact writes");
     }
 
     format!(
@@ -466,7 +446,7 @@ mod tests {
             "window precedes the trigger"
         );
         // The snapshot renders as parseable, self-contained JSON.
-        let j = fpgaccel_trace::json::Json::parse(&pm.to_json()).expect("postmortem JSON parses");
+        let j = Json::parse(&pm.to_json()).expect("postmortem JSON parses");
         assert_eq!(
             j.get("trigger")
                 .and_then(|t| t.get("kind"))

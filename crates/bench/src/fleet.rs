@@ -28,7 +28,6 @@
 //! 64), `FPGACCEL_FLEET_REPORT` names a JSON file for the machine-readable
 //! summary.
 
-use crate::rollout::json_str;
 use crate::table::Table;
 use fpgaccel_core::bitstreams::optimized_config;
 use fpgaccel_core::{OptimizationConfig, TilingPreset};
@@ -40,6 +39,7 @@ use fpgaccel_fleet::{
 };
 use fpgaccel_serve::{AdmissionPolicy, DeploymentCache, RolloutPolicy, ServeConfig};
 use fpgaccel_tensor::models::Model;
+use fpgaccel_trace::json::Json;
 use fpgaccel_tune::TuningDb;
 
 /// Scenario seed (routers, tenant traces, routing keys).
@@ -290,69 +290,68 @@ fn json_report(
     serving_shards: usize,
     deterministic: bool,
 ) -> String {
-    let assignments: Vec<String> = r
-        .plan
-        .assignments
-        .iter()
-        .map(|a| {
-            format!(
-                "{{\"model\":{},\"class\":{},\"replicas\":{},\"device_rps\":{:.3}}}",
-                json_str(a.model.name()),
-                json_str(a.platform.label()),
-                a.replicas,
-                a.device_rate_rps,
-            )
-        })
-        .collect();
-    let tenants: Vec<String> = r
-        .tenants
-        .iter()
-        .map(|t| {
-            format!(
-                "{{\"name\":{},\"offered\":{},\"admitted_in_budget\":{},\
-                 \"admitted_over_budget\":{},\"shed_fleet\":{},\"shed_shard\":{},\
-                 \"completed\":{},\"completion_rate\":{:.6},\
-                 \"in_budget_completion_rate\":{:.6}}}",
-                json_str(&t.name),
-                t.offered,
-                t.admitted_in_budget,
-                t.admitted_over_budget,
-                t.shed_fleet,
-                t.shed_shard,
-                t.completed,
-                t.completion_rate(),
-                t.in_budget_completion_rate(),
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"seed\": {FLEET_SEED},\n  \"devices\": {},\n  \"shards\": {},\n  \
-         \"duration_s\": {:.6},\n  \
-         \"placement\": {{\"evaluations_cold\": {}, \"warm_reload\": {}, \
-         \"devices_used\": {}, \"capacity_rps\": {:.1}, \"assignments\": [{}]}},\n  \
-         \"tenants\": [{}],\n  \
-         \"rollout\": {{\"serving_shards\": {serving_shards}, \"rollbacks\": {}, \
-         \"promotions\": {}, \"postmortems\": {}, \"upgraded\": {}}},\n  \
-         \"router\": {{\"routed\": {}, \"overflowed\": {}, \"p50_ms\": {:.3}, \
-         \"p99_ms\": {:.3}}},\n  \"deterministic\": {deterministic}\n}}\n",
-        sc.devices,
-        sc.shards,
-        sc.duration_s,
-        cold.evaluations,
-        r.plan.from_cache,
-        r.plan.devices_used(),
-        r.plan.total_rate_rps,
-        assignments.join(", "),
-        tenants.join(", "),
-        r.rollbacks(),
-        r.promotions(),
-        r.postmortems(),
-        all_upgraded(r),
-        r.routed,
-        r.overflowed,
-        r.latency.quantile(0.50) * 1e3,
-        r.latency.quantile(0.99) * 1e3,
-    )
+    let assignments = r.plan.assignments.iter().map(|a| {
+        Json::obj([
+            ("model", a.model.name().into()),
+            ("class", a.platform.label().into()),
+            ("replicas", a.replicas.into()),
+            ("device_rps", a.device_rate_rps.into()),
+        ])
+    });
+    let tenants = r.tenants.iter().map(|t| {
+        Json::obj([
+            ("name", t.name.as_str().into()),
+            ("offered", t.offered.into()),
+            ("admitted_in_budget", t.admitted_in_budget.into()),
+            ("admitted_over_budget", t.admitted_over_budget.into()),
+            ("shed_fleet", t.shed_fleet.into()),
+            ("shed_shard", t.shed_shard.into()),
+            ("completed", t.completed.into()),
+            ("completion_rate", t.completion_rate().into()),
+            (
+                "in_budget_completion_rate",
+                t.in_budget_completion_rate().into(),
+            ),
+        ])
+    });
+    Json::obj([
+        ("seed", FLEET_SEED.into()),
+        ("devices", sc.devices.into()),
+        ("shards", sc.shards.into()),
+        ("duration_s", sc.duration_s.into()),
+        (
+            "placement",
+            Json::obj([
+                ("evaluations_cold", cold.evaluations.into()),
+                ("warm_reload", r.plan.from_cache.into()),
+                ("devices_used", r.plan.devices_used().into()),
+                ("capacity_rps", r.plan.total_rate_rps.into()),
+                ("assignments", Json::Arr(assignments.collect())),
+            ]),
+        ),
+        ("tenants", Json::Arr(tenants.collect())),
+        (
+            "rollout",
+            Json::obj([
+                ("serving_shards", serving_shards.into()),
+                ("rollbacks", r.rollbacks().into()),
+                ("promotions", r.promotions().into()),
+                ("postmortems", r.postmortems().into()),
+                ("upgraded", all_upgraded(r).into()),
+            ]),
+        ),
+        (
+            "router",
+            Json::obj([
+                ("routed", r.routed.into()),
+                ("overflowed", r.overflowed.into()),
+                ("p50_ms", (r.latency.quantile(0.50) * 1e3).into()),
+                ("p99_ms", (r.latency.quantile(0.99) * 1e3).into()),
+            ]),
+        ),
+        ("deterministic", deterministic.into()),
+    ])
+    .render()
 }
 
 /// Runs the full scenario at `devices` boards and renders the report.

@@ -36,7 +36,6 @@
 //! runs 64), `FPGACCEL_FLEETCHAOS_REPORT` names a JSON file for the
 //! machine-readable summary.
 
-use crate::rollout::json_str;
 use crate::table::Table;
 use fpgaccel_core::bitstreams::optimized_config;
 use fpgaccel_device::FpgaPlatform;
@@ -47,6 +46,7 @@ use fpgaccel_fleet::{
 };
 use fpgaccel_serve::{AdmissionPolicy, DeploymentCache, ServeConfig};
 use fpgaccel_tensor::models::Model;
+use fpgaccel_trace::json::Json;
 use fpgaccel_tune::TuningDb;
 
 /// Scenario seed (routers, tenant traces, routing keys).
@@ -301,76 +301,75 @@ fn json_report(
     outage_s: f64,
     deterministic: bool,
 ) -> String {
-    let tenants: Vec<String> = r
-        .tenants
-        .iter()
-        .map(|t| {
-            format!(
-                "{{\"name\":{},\"offered\":{},\"admitted_in_budget\":{},\
-                 \"admitted_over_budget\":{},\"shed_fleet\":{},\"shed_shard\":{},\
-                 \"completed\":{},\"in_budget_completion_rate\":{:.6}}}",
-                json_str(&t.name),
-                t.offered,
-                t.admitted_in_budget,
-                t.admitted_over_budget,
-                t.shed_fleet,
-                t.shed_shard,
-                t.completed,
-                t.in_budget_completion_rate(),
-            )
-        })
-        .collect();
-    let heals: Vec<String> = r
-        .heals
-        .iter()
-        .map(|h| {
-            format!(
-                "{{\"t_s\":{:.6},\"shard\":{},\"domain\":{},\"lost\":{},\
-                 \"adopted\":{},\"plan_evaluations\":{},\"restore_latency_s\":{:.6},\
-                 \"failed\":{}}}",
-                h.t_s,
-                h.shard,
-                json_str(&h.domain),
-                h.lost.len(),
-                h.adopted.len(),
-                h.plan_evaluations,
-                if h.restore_s.is_finite() {
-                    h.restore_s - h.t_s
-                } else {
-                    -1.0
-                },
-                h.error.is_some(),
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"seed\": {FLEET_SEED},\n  \"fault_seed\": {FAULT_SEED},\n  \
-         \"devices\": {},\n  \"shards\": {},\n  \"domains\": {},\n  \
-         \"duration_s\": {:.6},\n  \
-         \"outage\": {{\"domain\": \"dom-{}\", \"shard\": {victim}, \"at_s\": {:.6}}},\n  \
-         \"resilience\": {{\"hedges\": {}, \"hedge_wins\": {}, \"hedge_suppressed\": {}, \
-         \"replays\": {}, \"forced_routes\": {}, \
-         \"breaker\": {{\"open\": {}, \"half_open\": {}, \"closed\": {}}}, \
-         \"heals\": [{}], \"postmortems\": {}}},\n  \
-         \"tenants\": [{}],\n  \"deterministic\": {deterministic}\n}}\n",
-        sc.devices,
-        sc.shards,
-        sc.shards,
-        sc.duration_s,
-        victim % sc.shards,
-        outage_s,
-        r.hedges,
-        r.hedge_wins,
-        r.hedge_suppressed,
-        r.replays,
-        r.forced_routes,
-        r.breaker_transitions_to("open"),
-        r.breaker_transitions_to("half-open"),
-        r.breaker_transitions_to("closed"),
-        heals.join(", "),
-        r.postmortems(),
-        tenants.join(", "),
-    )
+    let tenants = r.tenants.iter().map(|t| {
+        Json::obj([
+            ("name", t.name.as_str().into()),
+            ("offered", t.offered.into()),
+            ("admitted_in_budget", t.admitted_in_budget.into()),
+            ("admitted_over_budget", t.admitted_over_budget.into()),
+            ("shed_fleet", t.shed_fleet.into()),
+            ("shed_shard", t.shed_shard.into()),
+            ("completed", t.completed.into()),
+            (
+                "in_budget_completion_rate",
+                t.in_budget_completion_rate().into(),
+            ),
+        ])
+    });
+    let heals = r.heals.iter().map(|h| {
+        let restore_latency_s = if h.restore_s.is_finite() {
+            h.restore_s - h.t_s
+        } else {
+            -1.0
+        };
+        Json::obj([
+            ("t_s", h.t_s.into()),
+            ("shard", h.shard.into()),
+            ("domain", h.domain.as_str().into()),
+            ("lost", h.lost.len().into()),
+            ("adopted", h.adopted.len().into()),
+            ("plan_evaluations", h.plan_evaluations.into()),
+            ("restore_latency_s", restore_latency_s.into()),
+            ("failed", h.error.is_some().into()),
+        ])
+    });
+    let breaker = Json::obj([
+        ("open", r.breaker_transitions_to("open").into()),
+        ("half_open", r.breaker_transitions_to("half-open").into()),
+        ("closed", r.breaker_transitions_to("closed").into()),
+    ]);
+    Json::obj([
+        ("seed", FLEET_SEED.into()),
+        ("fault_seed", FAULT_SEED.into()),
+        ("devices", sc.devices.into()),
+        ("shards", sc.shards.into()),
+        ("domains", sc.shards.into()),
+        ("duration_s", sc.duration_s.into()),
+        (
+            "outage",
+            Json::obj([
+                ("domain", format!("dom-{}", victim % sc.shards).into()),
+                ("shard", victim.into()),
+                ("at_s", outage_s.into()),
+            ]),
+        ),
+        (
+            "resilience",
+            Json::obj([
+                ("hedges", r.hedges.into()),
+                ("hedge_wins", r.hedge_wins.into()),
+                ("hedge_suppressed", r.hedge_suppressed.into()),
+                ("replays", r.replays.into()),
+                ("forced_routes", r.forced_routes.into()),
+                ("breaker", breaker),
+                ("heals", Json::Arr(heals.collect())),
+                ("postmortems", r.postmortems().into()),
+            ]),
+        ),
+        ("tenants", Json::Arr(tenants.collect())),
+        ("deterministic", deterministic.into()),
+    ])
+    .render()
 }
 
 /// Runs the full scenario at `devices` boards and renders the report.

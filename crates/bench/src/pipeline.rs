@@ -25,6 +25,7 @@ use fpgaccel_pipeline::{
     record_plan_metrics, FallbackReason, PipelineOpts, PipelinePlan, PlanItem,
 };
 use fpgaccel_tensor::models::Model;
+use fpgaccel_trace::json::Json;
 use fpgaccel_trace::{Registry, Tracer};
 use fpgaccel_tune::pipeline::policy_id;
 use fpgaccel_tune::TuningDb;
@@ -139,62 +140,46 @@ fn span_label(dep: &Deployment, ids: &[usize]) -> String {
     }
 }
 
-/// Escapes a string for embedding in the JSON artifact.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// The machine-readable summary written to `FPGACCEL_PIPELINE_REPORT` for
 /// the CI smoke job.
 fn json_report(outcomes: &[Outcome], warm_hits: usize, deterministic: bool) -> String {
-    let configs: Vec<String> = outcomes
-        .iter()
-        .map(|o| {
-            format!(
-                "{{\"model\":{},\"platform\":{},\"staged_seconds_per_image\":{:.9},\
-                 \"pipelined_seconds_per_image\":{:.9},\"staged_fps\":{:.3},\
-                 \"pipelined_fps\":{:.3},\"speedup\":{:.4},\"policy\":{},\"max_stages\":{},\
-                 \"pipelined_stages\":{},\"staged_nodes\":{},\"fallbacks\":{},\
-                 \"over_budget_fallbacks\":{},\"dram_elems_saved\":{}}}",
-                json_str(o.model.name()),
-                json_str(&format!("{:?}", o.platform)),
-                o.staged.seconds / BATCH as f64,
-                o.pipelined.seconds / BATCH as f64,
-                o.staged.fps,
-                o.pipelined.fps,
-                o.speedup(),
-                json_str(&policy_id(o.opts.depth)),
-                o.opts.max_stages,
-                o.summary.pipelined_nodes,
-                o.summary.staged_nodes,
-                o.summary.fallbacks.len(),
-                o.over_budget_fallbacks(),
-                o.summary.dram_elems_saved,
-            )
-        })
-        .collect();
+    let configs = outcomes.iter().map(|o| {
+        Json::obj([
+            ("model", o.model.name().into()),
+            ("platform", format!("{:?}", o.platform).into()),
+            (
+                "staged_seconds_per_image",
+                (o.staged.seconds / BATCH as f64).into(),
+            ),
+            (
+                "pipelined_seconds_per_image",
+                (o.pipelined.seconds / BATCH as f64).into(),
+            ),
+            ("staged_fps", o.staged.fps.into()),
+            ("pipelined_fps", o.pipelined.fps.into()),
+            ("speedup", o.speedup().into()),
+            ("policy", policy_id(o.opts.depth).into()),
+            ("max_stages", o.opts.max_stages.into()),
+            ("pipelined_stages", o.summary.pipelined_nodes.into()),
+            ("staged_nodes", o.summary.staged_nodes.into()),
+            ("fallbacks", o.summary.fallbacks.len().into()),
+            ("over_budget_fallbacks", o.over_budget_fallbacks().into()),
+            ("dram_elems_saved", o.summary.dram_elems_saved.into()),
+        ])
+    });
     let oversize: usize = outcomes.iter().map(Outcome::over_budget_fallbacks).sum();
     let all_faster = outcomes
         .iter()
         .all(|o| o.pipelined.seconds <= o.staged.seconds);
-    format!(
-        "{{\n  \"batch\": {BATCH},\n  \"configs\": [{}],\n  \
-         \"all_pipelined_not_slower\": {all_faster},\n  \"oversize_fallbacks\": {oversize},\n  \
-         \"warm_db_hits\": {warm_hits},\n  \"deterministic\": {deterministic}\n}}\n",
-        configs.join(", "),
-    )
+    Json::obj([
+        ("batch", BATCH.into()),
+        ("configs", Json::Arr(configs.collect())),
+        ("all_pipelined_not_slower", all_faster.into()),
+        ("oversize_fallbacks", oversize.into()),
+        ("warm_db_hits", warm_hits.into()),
+        ("deterministic", deterministic.into()),
+    ])
+    .render()
 }
 
 /// Runs the experiment and renders the report (see the module docs).

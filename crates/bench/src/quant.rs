@@ -20,6 +20,7 @@ use fpgaccel_core::{
 use fpgaccel_device::FpgaPlatform;
 use fpgaccel_tensor::models::Model;
 use fpgaccel_tensor::quant::{diff_outputs, DiffReport, QuantPrecision};
+use fpgaccel_trace::json::Json;
 use fpgaccel_trace::{Registry, Tracer};
 use fpgaccel_tune::TuningDb;
 
@@ -73,21 +74,6 @@ fn report_digest(r: &DiffReport) -> String {
         .iter()
         .map(|l| format!("{} {} {:.6e} {:.6e};", l.node_id, l.node, l.err, l.tol))
         .collect()
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::from("\"");
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Runs the quantized-inference experiment report.
@@ -169,14 +155,13 @@ pub fn quant() -> String {
             f(fps),
             format!("{:.2}x", fps / f32_fps),
         ]);
-        ladder_json.push(format!(
-            "{{\"rung\":{rung},\"precision\":{},\"dsp_pct\":{:.3},\"ram_pct\":{:.3},\
-             \"fps\":{:.3}}}",
-            json_str(name),
-            dsp,
-            ram,
-            fps
-        ));
+        ladder_json.push(Json::obj([
+            ("rung", rung.into()),
+            ("precision", name.into()),
+            ("dsp_pct", dsp.into()),
+            ("ram_pct", ram.into()),
+            ("fps", fps.into()),
+        ]));
     };
     ladder_row(0, "f32", &f32_deployment);
     for (i, r) in rungs.iter().enumerate() {
@@ -256,43 +241,36 @@ pub fn quant() -> String {
     let deterministic = report_digest(&rerun.report) == report_digest(&int8.report);
 
     if let Ok(path) = std::env::var("FPGACCEL_QUANT_REPORT") {
-        let precisions: Vec<String> = rungs
-            .iter()
-            .map(|r| {
-                let w = r.report.worst().expect("LeNet has layers");
-                format!(
-                    "{{\"precision\":{},\"layers\":{},\"worst_layer\":{},\
-                     \"worst_err\":{:.6e},\"worst_tol\":{:.6e},\"within\":{},\
-                     \"kernels_verified\":{}}}",
-                    json_str(r.precision.name()),
-                    r.report.layers.len(),
-                    json_str(&w.node),
-                    w.err,
-                    w.tol,
-                    r.report.pass(),
-                    r.kernels_verified
-                )
-            })
-            .collect();
-        let report = format!(
-            "{{\n  \"seed\": {},\n  \"deterministic\": {},\n  \"precisions\": [{}],\n  \
-             \"ladder\": [{}],\n  \"mixed\": {{\"baseline_dsps\":{},\"dsps\":{},\
-             \"demoted\":{},\"layers\":{},\"worst_error\":{:.6e},\"error_budget\":{},\
-             \"evaluations\":{},\"warm_from_cache\":{}}}\n}}\n",
-            spec.calibration_seed,
-            deterministic,
-            precisions.join(","),
-            ladder_json.join(","),
-            cold.record.baseline_dsps,
-            cold.record.dsps,
-            cold.record.demoted(),
-            cold.record.assignment.len(),
-            cold.record.worst_error,
-            cold.record.error_budget,
-            cold.record.evaluations,
-            warm.from_cache
-        );
-        std::fs::write(&path, report).expect("quant report artifact writes");
+        let precisions = rungs.iter().map(|r| {
+            let w = r.report.worst().expect("LeNet has layers");
+            Json::obj([
+                ("precision", r.precision.name().into()),
+                ("layers", r.report.layers.len().into()),
+                ("worst_layer", w.node.as_str().into()),
+                ("worst_err", f64::from(w.err).into()),
+                ("worst_tol", f64::from(w.tol).into()),
+                ("within", r.report.pass().into()),
+                ("kernels_verified", r.kernels_verified.into()),
+            ])
+        });
+        let mixed = Json::obj([
+            ("baseline_dsps", cold.record.baseline_dsps.into()),
+            ("dsps", cold.record.dsps.into()),
+            ("demoted", cold.record.demoted().into()),
+            ("layers", cold.record.assignment.len().into()),
+            ("worst_error", cold.record.worst_error.into()),
+            ("error_budget", cold.record.error_budget.into()),
+            ("evaluations", cold.record.evaluations.into()),
+            ("warm_from_cache", warm.from_cache.into()),
+        ]);
+        let report = Json::obj([
+            ("seed", spec.calibration_seed.into()),
+            ("deterministic", deterministic.into()),
+            ("precisions", Json::Arr(precisions.collect())),
+            ("ladder", Json::Arr(ladder_json)),
+            ("mixed", mixed),
+        ]);
+        std::fs::write(&path, report.render()).expect("quant report artifact writes");
     }
 
     format!(

@@ -30,8 +30,8 @@ use fpgaccel_serve::{
     RolloutPolicy, RolloutSpec, RunResult, ServeConfig, Server,
 };
 use fpgaccel_tensor::{data, models::Model};
+use fpgaccel_trace::json::Json;
 use fpgaccel_trace::Tracer;
-use fpgaccel_tune::TuningDb;
 
 /// Seed recorded on the committed plan (provenance only — the schedule is
 /// hand-written).
@@ -196,7 +196,7 @@ fn brownout_pool() -> DevicePool {
         let mut int8 = cfg.clone();
         int8.aoc = AocOptions::with_precision(Precision::Int8);
         int8.label = format!("{}-Int8", int8.label);
-        pool.deploy_brownout(d, Model::MobileNetV1, &TuningDb::new(), &int8)
+        pool.deploy_brownout_ladder(d, Model::MobileNetV1, &[int8])
             .unwrap();
     }
     pool
@@ -293,23 +293,6 @@ fn brownout_run(enabled: bool) -> BrownoutOutcome {
     }
 }
 
-/// Escapes a string for embedding in the JSON artifact.
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// The machine-readable summary written to `FPGACCEL_ROLLOUT_REPORT` for
 /// the CI smoke job.
 fn json_report(
@@ -319,54 +302,54 @@ fn json_report(
     off: &BrownoutOutcome,
     on: &BrownoutOutcome,
 ) -> String {
-    let rollouts: Vec<String> = r
-        .rollouts
-        .iter()
-        .map(|rep| {
-            format!(
-                "{{\"model\":{},\"to\":{},\"outcome\":{},\"waves\":{},\"converted\":{},\
-                 \"lost\":{},\"canary_failure\":{}}}",
-                json_str(rep.model.name()),
-                json_str(&rep.to_label),
-                json_str(rep.outcome.label()),
-                rep.waves,
-                rep.devices_converted,
-                rep.devices_lost,
+    let rollouts = r.rollouts.iter().map(|rep| {
+        Json::obj([
+            ("model", rep.model.name().into()),
+            ("to", rep.to_label.as_str().into()),
+            ("outcome", rep.outcome.label().into()),
+            ("waves", rep.waves.into()),
+            ("converted", rep.devices_converted.into()),
+            ("lost", rep.devices_lost.into()),
+            (
+                "canary_failure",
                 rep.canary_failure
                     .as_ref()
-                    .map(|f| json_str(f.label()))
-                    .unwrap_or_else(|| "null".into()),
-            )
-        })
-        .collect();
-    let rollbacks = r
-        .rollouts
-        .iter()
-        .filter(|rep| rep.outcome == RolloutOutcome::RolledBack)
-        .count();
-    let promoted = r
-        .rollouts
-        .iter()
-        .filter(|rep| rep.outcome == RolloutOutcome::Promoted)
-        .count();
-    format!(
-        "{{\n  \"seed\": {ROLLOUT_SEED},\n  \"offered\": {offered},\n  \"completed\": {},\n  \
-         \"shed\": {},\n  \"failed\": {},\n  \"completion_rate\": {:.6},\n  \
-         \"rollbacks\": {rollbacks},\n  \"promoted\": {promoted},\n  \
-         \"deterministic\": {deterministic},\n  \"rollouts\": [{}],\n  \
-         \"brownout\": {{\"sheds_disabled\": {}, \"sheds_enabled\": {}, \
-         \"brownout_served\": {:.0}, \"switches_enter\": {:.0}, \"switches_exit\": {:.0}}}\n}}\n",
-        r.metrics.completed,
-        r.metrics.shed(),
-        r.failures.len(),
-        r.metrics.completed as f64 / offered as f64,
-        rollouts.join(", "),
-        off.shed,
-        on.shed,
-        on.brownout_served,
-        on.switches_enter,
-        on.switches_exit,
-    )
+                    .map_or(Json::Null, |f| f.label().into()),
+            ),
+        ])
+    });
+    let count = |outcome| {
+        r.rollouts
+            .iter()
+            .filter(|rep| rep.outcome == outcome)
+            .count()
+    };
+    Json::obj([
+        ("seed", ROLLOUT_SEED.into()),
+        ("offered", offered.into()),
+        ("completed", r.metrics.completed.into()),
+        ("shed", r.metrics.shed().into()),
+        ("failed", r.failures.len().into()),
+        (
+            "completion_rate",
+            (r.metrics.completed as f64 / offered as f64).into(),
+        ),
+        ("rollbacks", count(RolloutOutcome::RolledBack).into()),
+        ("promoted", count(RolloutOutcome::Promoted).into()),
+        ("deterministic", deterministic.into()),
+        ("rollouts", Json::Arr(rollouts.collect())),
+        (
+            "brownout",
+            Json::obj([
+                ("sheds_disabled", off.shed.into()),
+                ("sheds_enabled", on.shed.into()),
+                ("brownout_served", on.brownout_served.into()),
+                ("switches_enter", on.switches_enter.into()),
+                ("switches_exit", on.switches_exit.into()),
+            ]),
+        ),
+    ])
+    .render()
 }
 
 /// The `rollout` experiment report.

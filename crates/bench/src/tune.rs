@@ -144,7 +144,7 @@ pub fn tune() -> String {
         space_size,
         budget(),
         100.0 * cold.seconds_per_image / hand_seconds,
-        reloaded.len(),
+        reloaded.tilings.len(),
         path.display(),
     )
 }

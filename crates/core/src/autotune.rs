@@ -208,7 +208,7 @@ impl Flow {
     pub fn with_tuned_config(&self, db: &TuningDb) -> Option<OptimizationConfig> {
         let graph = self.import_graph();
         let key = db_key(&graph, self.platform, Precision::F32);
-        let rec = db.lookup(&key)?;
+        let rec = db.tilings.lookup(&key)?;
         let mut cfg = OptimizationConfig::folded(TilingPreset::Custom1x1 { tile: rec.tile });
         cfg.label = "Folded-Tuned".into();
         cfg.aoc = AocOptions::with_precision(key.precision);
@@ -224,7 +224,7 @@ impl Flow {
         base: OptimizationConfig,
     ) -> Option<OptimizationConfig> {
         let key = db_key(&self.import_graph(), self.platform, Precision::F32);
-        let opts = db.lookup_pipeline(&key)?.opts()?;
+        let opts = db.pipeline.lookup(&key)?.opts()?;
         Some(base.with_pipeline(opts))
     }
 }
@@ -318,7 +318,7 @@ pub fn tune_pipeline(
         ("model", key.model.as_str()),
         ("platform", key.platform.as_str()),
     ][..];
-    if let Some(rec) = db.lookup_pipeline(&key) {
+    if let Some(rec) = db.pipeline.lookup(&key) {
         if let Some(opts) = rec.opts() {
             registry.counter_inc(
                 "pipeline_tune_db_hits_total",
@@ -360,7 +360,7 @@ pub fn tune_pipeline(
         m.seconds_per_image,
     );
     let record = record_of(&cands[best], m, cands.len());
-    db.insert_pipeline(key, record.clone());
+    db.pipeline.insert(key, record.clone());
     Ok(PipelineTuneOutcome {
         opts: cands[best],
         record,
@@ -505,7 +505,7 @@ pub fn tune_precision(
         ("model", key.model.as_str()),
         ("platform", key.platform.as_str()),
     ][..];
-    if let Some(rec) = db.lookup_mixed(&key) {
+    if let Some(rec) = db.mixed.lookup(&key) {
         if let Some(assignment) = rec.assignment_map() {
             registry.counter_inc(
                 "precision_tune_db_hits_total",
@@ -539,7 +539,7 @@ pub fn tune_precision(
         outcome.cost.dsps as f64,
     );
     let record = precision_record_of(&layers, &outcome, error_budget);
-    db.insert_mixed(key, record.clone());
+    db.mixed.insert(key, record.clone());
     Ok(PrecisionTuneOutcome {
         assignment: outcome.assignment,
         record,
@@ -554,7 +554,7 @@ impl Flow {
     /// no search — just a keyed lookup.
     pub fn with_tuned_precisions(&self, db: &TuningDb) -> Option<BTreeMap<String, Precision>> {
         let key = db_key(&self.import_graph(), self.platform, Precision::F32);
-        db.lookup_mixed(&key)?.assignment_map()
+        db.mixed.lookup(&key)?.assignment_map()
     }
 }
 
@@ -597,7 +597,7 @@ mod tests {
         let mut db = TuningDb::new();
         assert!(flow.with_tuned_config(&db).is_none());
         let key = db_key(&flow.import_graph(), flow.platform, Precision::F32);
-        db.insert(
+        db.tilings.insert(
             key,
             TuneRecord {
                 tile: (7, 8, 8),
@@ -625,7 +625,7 @@ mod tests {
         let cold =
             tune_pipeline(&flow, base.clone(), &mut db, &Tracer::disabled(), &registry).unwrap();
         assert!(!cold.from_cache);
-        assert_eq!(db.pipeline_len(), 1);
+        assert_eq!(db.pipeline.len(), 1);
         assert!(cold.record.seconds_per_image > 0.0);
         assert!(cold.record.dram_elems_saved > 0, "LeNet pipelines fully");
         let labels = &[("model", "lenet5"), ("platform", "Stratix10Sx")][..];
@@ -657,7 +657,7 @@ mod tests {
         let cold =
             tune_precision(&flow, &spec, 0.05, &mut db, &Tracer::disabled(), &registry).unwrap();
         assert!(!cold.from_cache);
-        assert_eq!(db.mixed_len(), 1);
+        assert_eq!(db.mixed.len(), 1);
         assert!(
             cold.record.dsps < cold.record.baseline_dsps,
             "mixed assignment must save modeled DSPs ({} vs {})",

@@ -450,10 +450,10 @@ mod tests {
         let d = Flow::new(Model::LeNet5, FpgaPlatform::Arria10Gx)
             .compile(&OptimizationConfig::tvm_autorun())
             .unwrap();
-        let engine = fpgaccel_baseline::ReferenceEngine::new(Model::LeNet5);
+        let reference = Model::LeNet5.build().fuse();
         for i in 0..5 {
             let x = data::synthetic_digit(i, 42);
-            assert_eq!(d.classify(&x), engine.classify(&x));
+            assert_eq!(d.classify(&x), reference.execute(&x).argmax());
         }
     }
 }

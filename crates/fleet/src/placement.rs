@@ -304,7 +304,7 @@ pub fn plan_placement(
         evaluations,
         from_cache: false,
     };
-    db.insert_placement(digest, plan.record());
+    db.placements.insert(digest, plan.record());
     Ok(plan)
 }
 
@@ -318,7 +318,7 @@ fn reload(
     db: &TuningDb,
     cache: &mut DeploymentCache,
 ) -> Option<PlacementPlan> {
-    let rec = db.lookup_placement(digest)?;
+    let rec = db.placements.lookup(digest)?;
     let mut assignments = Vec::with_capacity(rec.replicas.len());
     for (model, platform, replicas) in &rec.replicas {
         let model = *Model::ALL.iter().find(|m| m.name() == model)?;
@@ -418,7 +418,7 @@ mod tests {
             assert!(placed >= d.rate_rps, "{}: {placed}", d.model.name());
         }
         assert!(plan.devices_used() <= 10);
-        assert_eq!(db.placements_len(), 1);
+        assert_eq!(db.placements.len(), 1);
 
         // Warm: reloaded from the record, zero probes.
         let warm = plan_placement(&spec(), &mut db, &mut DeploymentCache::new()).unwrap();

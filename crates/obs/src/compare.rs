@@ -9,7 +9,8 @@
 //! (present in the baseline, absent now) fail the run — silently dropping
 //! coverage must not read as "still fast".
 
-use crate::record::{json_num, json_str, BenchRecord, Direction};
+use crate::record::{BenchRecord, Direction};
+use fpgaccel_trace::json::Json;
 
 /// Verdict for one metric.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -87,34 +88,26 @@ impl BenchVerdict {
 
     /// Machine-readable verdict for CI (`jq '.pass'`).
     pub fn to_json(&self) -> String {
-        let deltas: Vec<String> = self
-            .deltas
-            .iter()
-            .map(|d| {
-                format!(
-                    "    {{\"id\": {}, \"baseline\": {}, \"current\": {}, \"rel_change\": {}, \
-                     \"tolerance\": {}, \"status\": {}}}",
-                    json_str(&d.id),
-                    json_num(d.baseline),
-                    json_num(d.current),
-                    json_num(d.rel_change),
-                    json_num(d.tolerance),
-                    json_str(d.status.label())
-                )
-            })
-            .collect();
-        let names = |v: &[String]| v.iter().map(|s| json_str(s)).collect::<Vec<_>>().join(", ");
-        format!(
-            "{{\n  \"schema_version\": 1,\n  \"pass\": {},\n  \"regressions\": {},\n  \
-             \"improvements\": {},\n  \"missing\": [{}],\n  \"added\": [{}],\n  \
-             \"deltas\": [\n{}\n  ]\n}}\n",
-            self.pass(),
-            self.regressions().len(),
-            self.improvements().len(),
-            names(&self.missing),
-            names(&self.added),
-            deltas.join(",\n")
-        )
+        let deltas = self.deltas.iter().map(|d| {
+            Json::obj([
+                ("id", d.id.as_str().into()),
+                ("baseline", d.baseline.into()),
+                ("current", d.current.into()),
+                ("rel_change", d.rel_change.into()),
+                ("tolerance", d.tolerance.into()),
+                ("status", d.status.label().into()),
+            ])
+        });
+        Json::obj([
+            ("schema_version", 1u64.into()),
+            ("pass", self.pass().into()),
+            ("regressions", self.regressions().len().into()),
+            ("improvements", self.improvements().len().into()),
+            ("missing", self.missing.clone().into()),
+            ("added", self.added.clone().into()),
+            ("deltas", Json::Arr(deltas.collect())),
+        ])
+        .render()
     }
 }
 

@@ -76,34 +76,6 @@ pub struct BenchRecord {
     pub metrics: Vec<BenchMetric>,
 }
 
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Renders a finite f64 deterministically (shortest round-trip form; a
-/// non-finite value would poison the artifact, so it becomes 0).
-pub(crate) fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
-}
-
 impl BenchRecord {
     /// Pushes one metric.
     pub fn push(&mut self, id: &str, value: f64, unit: &str, direction: Direction, tolerance: f64) {
@@ -124,27 +96,21 @@ impl BenchRecord {
     /// Renders the schema-versioned JSON artifact. Byte-identical across
     /// reruns of the same source tree.
     pub fn to_json(&self) -> String {
-        let metrics: Vec<String> = self
-            .metrics
-            .iter()
-            .map(|m| {
-                format!(
-                    "    {{\"id\": {}, \"value\": {}, \"unit\": {}, \"direction\": {}, \
-                     \"tolerance\": {}}}",
-                    json_str(&m.id),
-                    json_num(m.value),
-                    json_str(&m.unit),
-                    json_str(m.direction.label()),
-                    json_num(m.tolerance)
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"schema_version\": {},\n  \"workload\": {},\n  \"metrics\": [\n{}\n  ]\n}}\n",
-            SCHEMA_VERSION,
-            json_str(&self.workload),
-            metrics.join(",\n")
-        )
+        let metrics = self.metrics.iter().map(|m| {
+            Json::obj([
+                ("id", m.id.as_str().into()),
+                ("value", m.value.into()),
+                ("unit", m.unit.as_str().into()),
+                ("direction", m.direction.label().into()),
+                ("tolerance", m.tolerance.into()),
+            ])
+        });
+        Json::obj([
+            ("schema_version", SCHEMA_VERSION.into()),
+            ("workload", self.workload.as_str().into()),
+            ("metrics", Json::Arr(metrics.collect())),
+        ])
+        .render()
     }
 
     /// Parses a record, rejecting unknown schema versions (the comparator

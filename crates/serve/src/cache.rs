@@ -231,7 +231,7 @@ mod tests {
         // A tuned record switches the deployment to the database tiling.
         let mut db = TuningDb::new();
         let graph = Flow::new(model, platform).import_graph();
-        db.insert(
+        db.tilings.insert(
             db_key(&graph, platform, Precision::F32),
             TuneRecord {
                 tile: (7, 8, 4),

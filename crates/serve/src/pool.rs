@@ -420,35 +420,9 @@ impl DevicePool {
         Ok(())
     }
 
-    /// Stages a single-rung brownout (relaxed-precision) ladder of `model`
-    /// on device `device`: compiled through the shared cache with the
-    /// tuning-database fallback ([`DeploymentCache::get_or_compile_tuned`]),
-    /// calibrated, and held ready so an overloaded server can switch to it
-    /// without a reprogram. Replaces any previously staged ladder.
-    pub fn deploy_brownout(
-        &mut self,
-        device: usize,
-        model: Model,
-        db: &fpgaccel_tune::TuningDb,
-        fallback: &OptimizationConfig,
-    ) -> Result<(), FlowError> {
-        let platform = self.devices[device].platform;
-        let d = self
-            .cache
-            .get_or_compile_tuned(model, platform, db, fallback)?;
-        let lm = self.cache.calibration(&d, CALIBRATION_PROBE);
-        let dev = &mut self.devices[device];
-        dev.brownout_deployments.insert(model, vec![d]);
-        dev.brownout_lms.insert(model, vec![lm]);
-        dev.batch_seconds
-            .retain(|&(m, _, r), _| m != model || r == 0);
-        self.invalidate_index();
-        Ok(())
-    }
-
-    /// Stages a multi-rung brownout precision ladder of `model` on device
-    /// `device`: one configuration per rung, ordered widest precision
-    /// first (rung 1 first). The server descends one rung per sustained
+    /// Stages a brownout precision ladder of `model` on device `device`:
+    /// one configuration per rung, ordered widest precision first (rung 1
+    /// first; a single relaxed-precision variant is a one-rung ladder). The server descends one rung per sustained
     /// overload trip and ascends one rung per idle promotion window.
     /// Replaces any previously staged ladder.
     pub fn deploy_brownout_ladder(

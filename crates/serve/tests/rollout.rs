@@ -14,7 +14,6 @@ use fpgaccel_serve::{
 use fpgaccel_tensor::data;
 use fpgaccel_tensor::models::Model;
 use fpgaccel_trace::Tracer;
-use fpgaccel_tune::TuningDb;
 
 fn lenet_pool(devices: usize, injector: &FaultInjector) -> DevicePool {
     let mut pool = DevicePool::new();
@@ -472,11 +471,10 @@ fn mobilenet_pool() -> DevicePool {
     let d = pool.add_device(FpgaPlatform::Stratix10Mx);
     let cfg = optimized_config(Model::MobileNetV1, FpgaPlatform::Stratix10Mx);
     pool.deploy(d, Model::MobileNetV1, &cfg).unwrap();
-    pool.deploy_brownout(
+    pool.deploy_brownout_ladder(
         d,
         Model::MobileNetV1,
-        &TuningDb::new(),
-        &int8_variant(Model::MobileNetV1, FpgaPlatform::Stratix10Mx),
+        &[int8_variant(Model::MobileNetV1, FpgaPlatform::Stratix10Mx)],
     )
     .unwrap();
     pool
@@ -730,11 +728,10 @@ fn brownout_variant_passes_verification_at_relaxed_tolerance() {
     let d = pool.add_device(FpgaPlatform::Stratix10Sx);
     let cfg = optimized_config(Model::LeNet5, FpgaPlatform::Stratix10Sx);
     pool.deploy(d, Model::LeNet5, &cfg).unwrap();
-    pool.deploy_brownout(
+    pool.deploy_brownout_ladder(
         d,
         Model::LeNet5,
-        &TuningDb::new(),
-        &int8_variant(Model::LeNet5, FpgaPlatform::Stratix10Sx),
+        &[int8_variant(Model::LeNet5, FpgaPlatform::Stratix10Sx)],
     )
     .unwrap();
     let dev = &pool.devices()[d];

@@ -6,8 +6,8 @@
 //! synthetic digit-like images (a distinct deterministic stroke pattern per
 //! class plus seeded noise) and ImageNet inputs are seeded random tensors —
 //! exactly the substitution DESIGN.md documents: timing is input-independent
-//! and correctness is validated against the reference engine on identical
-//! inputs.
+//! and correctness is validated against the host graph executor on
+//! identical inputs.
 
 use crate::rng::Rng64;
 use crate::shape::Shape;

@@ -45,7 +45,7 @@ pub use shape::Shape;
 pub use tensor::Tensor;
 
 /// Comparison tolerance used across the workspace when validating simulated
-/// FPGA outputs against the reference engine. The thesis enables
+/// FPGA outputs against the host graph executor. The thesis enables
 /// `-fp-relaxed` tree balancing, which reassociates floating-point reductions
 /// (§4.10), so bit-exact equality is not expected; a relative tolerance is.
 pub const FP_RELAXED_RTOL: f32 = 1e-4;

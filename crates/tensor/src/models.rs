@@ -4,7 +4,7 @@
 //! Weights are deterministic seeded He-style initializations (we have no
 //! access to Keras Applications / image-classifiers pretrained parameters;
 //! inference *timing* does not depend on weight values, and correctness is
-//! validated against the reference engine on identical weights).
+//! validated against the host graph executor on identical weights).
 
 use crate::graph::{Graph, NodeId, Op};
 use crate::shape::Shape;
@@ -562,6 +562,17 @@ mod tests {
     #[should_panic(expected = "only ResNet-18 and ResNet-34")]
     fn resnet_rejects_other_depths() {
         resnet(50);
+    }
+
+    #[test]
+    fn fused_lenet_is_deterministic_and_matches_the_unfused_graph() {
+        let g = Model::LeNet5.build();
+        let x = crate::data::synthetic_digit(5, 2);
+        let fused = g.fuse().execute(&x);
+        assert_eq!(fused.numel(), 10);
+        assert!((fused.sum() - 1.0).abs() < 1e-5 && fused.all_finite());
+        assert!(crate::allclose(&g.execute(&x), &fused, 1e-5, 1e-6));
+        assert_eq!(fused.argmax(), g.fuse().execute(&x).argmax());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! im2col + GEMM convolution — the lowering used by CPU/GPU frameworks
 //! (and by TVM's x86 schedules) that the thesis' CPU baselines run on.
 //!
-//! Providing it here gives the reference engine a second, independent
+//! Providing it here gives the host executor a second, independent
 //! convolution algorithm: the direct implementation and the GEMM lowering
 //! cross-check each other (unit + property tests), and the Criterion benches
 //! compare their host performance the way the TF/TVM baselines would.

@@ -5,83 +5,53 @@
 //! complete (`ph:"X"`) events, timestamps in microseconds. Load it in
 //! Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`.
 
+use crate::json::Json;
 use crate::tracer::Tracer;
-
-/// Escapes a string for inclusion in a JSON string literal.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats a float as a JSON number (finite values only; non-finite
-/// values, which have no JSON encoding, collapse to 0).
-pub(crate) fn number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".to_string()
-    }
-}
 
 /// Serializes everything a [`Tracer`] recorded as Chrome trace-event JSON.
 ///
 /// A disabled tracer yields a valid trace with an empty `traceEvents`
 /// array.
 pub fn chrome_trace_json(tracer: &Tracer) -> String {
-    let mut entries: Vec<String> = Vec::new();
+    let meta = |kind: &str, pid: u32, tid: u32, name: &str| {
+        Json::obj([
+            ("ph", "M".into()),
+            ("name", kind.into()),
+            ("pid", pid.into()),
+            ("tid", tid.into()),
+            ("args", Json::obj([("name", name.into())])),
+        ])
+    };
+    let mut events = Vec::new();
     tracer.with_inner(|i| {
         for (pid, name) in &i.process_names {
-            entries.push(format!(
-                "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{pid},\"tid\":0,\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                escape(name)
-            ));
+            events.push(meta("process_name", *pid, 0, name));
         }
         for (pid, tid, name) in &i.thread_names {
-            entries.push(format!(
-                "{{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":{pid},\"tid\":{tid},\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                escape(name)
-            ));
+            events.push(meta("thread_name", *pid, *tid, name));
         }
         for e in &i.events {
-            let args = if e.args.is_empty() {
-                String::new()
-            } else {
-                let fields: Vec<String> = e
-                    .args
-                    .iter()
-                    .map(|(k, v)| format!("\"{}\":\"{}\"", escape(k), escape(v)))
-                    .collect();
-                format!(",\"args\":{{{}}}", fields.join(","))
-            };
-            entries.push(format!(
-                "{{\"ph\":\"X\",\"name\":\"{}\",\"cat\":\"{}\",\"pid\":{},\"tid\":{},\
-                 \"ts\":{},\"dur\":{}{args}}}",
-                escape(&e.name),
-                escape(&e.cat),
-                e.pid,
-                e.tid,
-                number(e.ts_us),
-                number(e.dur_us),
-            ));
+            let args = (!e.args.is_empty()).then(|| {
+                let args = e.args.iter().map(|(k, v)| (k.clone(), v.as_str().into()));
+                ("args", Json::Obj(args.collect()))
+            });
+            let span = [
+                ("ph", "X".into()),
+                ("name", e.name.as_str().into()),
+                ("cat", e.cat.as_str().into()),
+                ("pid", e.pid.into()),
+                ("tid", e.tid.into()),
+                ("ts", e.ts_us.into()),
+                ("dur", e.dur_us.into()),
+            ];
+            events.push(Json::obj(span.into_iter().chain(args)));
         }
     });
-    format!(
-        "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n{}\n]}}\n",
-        entries.join(",\n")
-    )
+    Json::obj([
+        ("displayTimeUnit", "ms".into()),
+        ("traceEvents", Json::Arr(events)),
+    ])
+    .render()
 }
 
 #[cfg(test)]
@@ -131,8 +101,12 @@ mod tests {
 
     #[test]
     fn non_finite_numbers_never_reach_the_output() {
-        assert_eq!(number(f64::NAN), "0");
-        assert_eq!(number(f64::INFINITY), "0");
-        assert_eq!(number(2.5), "2.5");
+        let t = Tracer::enabled();
+        t.span(0, 0, "kernel", "nan", f64::NAN, f64::INFINITY);
+        let text = chrome_trace_json(&t);
+        assert!(!text.contains("NaN") && !text.contains("inf"), "{text}");
+        let j = Json::parse(&text).expect("valid JSON");
+        let span = &j.get("traceEvents").unwrap().as_array().unwrap()[0];
+        assert_eq!(span.get("ts").unwrap().as_f64(), Some(0.0));
     }
 }

@@ -16,7 +16,7 @@
 //! timestamps are caller-supplied simulated seconds, so postmortems of
 //! simulated incidents reproduce byte for byte.
 
-use crate::chrome::{escape, number};
+use crate::json::Json;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
@@ -63,32 +63,35 @@ pub struct Postmortem {
 impl Postmortem {
     /// Renders the postmortem as a self-contained JSON document.
     pub fn to_json(&self) -> String {
-        let events: Vec<String> = self
-            .events
-            .iter()
-            .map(|e| {
-                format!(
-                    "{{\"t_s\":{},\"lane\":\"{}\",\"kind\":\"{}\",\"subject\":\"{}\",\
-                     \"detail\":\"{}\"}}",
-                    number(e.t_s),
-                    escape(&e.lane),
-                    escape(&e.kind),
-                    escape(&e.subject),
-                    escape(&e.detail)
-                )
-            })
-            .collect();
-        format!(
-            "{{\n  \"schema_version\": 1,\n  \"trigger\": {{\"t_s\": {}, \"kind\": \"{}\", \
-             \"subject\": \"{}\", \"detail\": \"{}\"}},\n  \"dropped\": {},\n  \
-             \"events\": [\n    {}\n  ]\n}}\n",
-            number(self.t_s),
-            escape(&self.trigger),
-            escape(&self.subject),
-            escape(&self.detail),
-            self.dropped,
-            events.join(",\n    ")
-        )
+        Json::from(self).render()
+    }
+}
+
+impl From<&Postmortem> for Json {
+    fn from(pm: &Postmortem) -> Json {
+        let events = pm.events.iter().map(|e| {
+            Json::obj([
+                ("t_s", e.t_s.into()),
+                ("lane", e.lane.as_str().into()),
+                ("kind", e.kind.as_str().into()),
+                ("subject", e.subject.as_str().into()),
+                ("detail", e.detail.as_str().into()),
+            ])
+        });
+        Json::obj([
+            ("schema_version", 1u64.into()),
+            (
+                "trigger",
+                Json::obj([
+                    ("t_s", pm.t_s.into()),
+                    ("kind", pm.trigger.as_str().into()),
+                    ("subject", pm.subject.as_str().into()),
+                    ("detail", pm.detail.as_str().into()),
+                ]),
+            ),
+            ("dropped", pm.dropped.into()),
+            ("events", Json::Arr(events.collect())),
+        ])
     }
 }
 

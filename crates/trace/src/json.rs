@@ -1,8 +1,31 @@
-//! A minimal JSON reader — just enough to validate exported traces and
-//! recompute profile breakdowns from them, without external dependencies.
+//! The one JSON reader and writer of the workspace, without external
+//! dependencies.
 //!
-//! Supports the full JSON grammar except that numbers are always parsed as
-//! `f64` (sufficient for trace timestamps and metric values).
+//! The reader supports the full JSON grammar except that numbers are always
+//! parsed as `f64` (sufficient for trace timestamps, metric values and
+//! counts below 2^53), and it refuses documents nested deeper than
+//! [`MAX_DEPTH`] with an error instead of exhausting the stack.
+//!
+//! The writer renders a [`Json`] value with one escaper, one number rule
+//! and one layout:
+//!
+//! - strings escape `"`, `\`, `\n`, `\r` and `\t` by name and every other
+//!   control character as `\u00xx`;
+//! - numbers use the shortest form that parses back to the same `f64`
+//!   (Rust's `Display`), and a non-finite number, which JSON cannot
+//!   encode, is written as `0`;
+//! - [`Json::render`] puts each top-level key, and each entry of a
+//!   top-level array, on its own line, and writes everything deeper inline
+//!   with `", "` and `": "` — the layout of `BENCH_core.json` and
+//!   `tune_db.json`. [`Json`]'s `Display` writes the inline form.
+
+use std::fmt::{self, Write};
+
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts.
+pub const MAX_DEPTH: usize = 128;
+
+/// The nesting level [`Json::write`] is given for values written inline.
+const INLINE: usize = usize::MAX;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -27,6 +50,7 @@ impl Json {
         let mut p = Parser {
             bytes: src.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -68,11 +92,134 @@ impl Json {
             _ => None,
         }
     }
+
+    /// An object with `fields` in the given order.
+    pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
+    /// Renders the value as a document: top-level keys and the entries of
+    /// top-level arrays one per line, everything deeper inline, and a
+    /// final newline.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, 0)
+            .expect("writing to a String cannot fail");
+        out.push('\n');
+        out
+    }
+
+    /// Writes the value found at nesting `level` of a document; a value at
+    /// [`INLINE`], and everything inside it, is written on one line.
+    fn write(&self, out: &mut impl Write, level: usize) -> fmt::Result {
+        let entries: Vec<(Option<&str>, &Json)> = match self {
+            Json::Null => return out.write_str("null"),
+            Json::Bool(b) => return write!(out, "{b}"),
+            Json::Num(n) if n.is_finite() => return write!(out, "{n}"),
+            Json::Num(_) => return out.write_str("0"),
+            Json::Str(s) => return escape(out, s),
+            Json::Arr(items) => items.iter().map(|v| (None, v)).collect(),
+            Json::Obj(fields) => fields.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
+        };
+        let is_array = matches!(self, Json::Arr(_));
+        let lines = !entries.is_empty() && (level == 0 || level == 1 && is_array);
+        let indent = if lines {
+            "  ".repeat(level + 1)
+        } else {
+            String::new()
+        };
+        out.write_char(if is_array { '[' } else { '{' })?;
+        for (i, (key, v)) in entries.into_iter().enumerate() {
+            out.write_str(match (i, lines) {
+                (0, false) => "",
+                (_, false) => ", ",
+                (0, true) => "\n",
+                _ => ",\n",
+            })?;
+            out.write_str(&indent)?;
+            if let Some(k) = key {
+                escape(out, k)?;
+                out.write_str(": ")?;
+            }
+            v.write(out, if lines { level + 1 } else { INLINE })?;
+        }
+        if lines {
+            write!(out, "\n{}", &indent[2..])?;
+        }
+        out.write_char(if is_array { ']' } else { '}' })
+    }
+}
+
+/// Writes `s` as a quoted JSON string: the one escaper.
+fn escape(out: &mut impl Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    for c in s.chars() {
+        match c {
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
+        }
+    }
+    out.write_char('"')
+}
+
+/// The inline form: `{"a": [1, 2], "b": "x"}`.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(f, INLINE)
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+macro_rules! from_number {
+    ($($t:ty),*) => {$(
+        impl From<$t> for Json {
+            fn from(n: $t) -> Json {
+                Json::Num(n as f64)
+            }
+        }
+    )*};
+}
+
+from_number!(f64, u32, u64, usize);
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl From<String> for Json {
+    fn from(s: String) -> Json {
+        Json::Str(s)
+    }
+}
+
+impl<T: Into<Json>> From<Vec<T>> for Json {
+    fn from(items: Vec<T>) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
+    }
 }
 
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -111,8 +258,12 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -120,6 +271,13 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(format!("unexpected {other:?} at byte {}", self.pos)),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -268,8 +426,64 @@ mod tests {
 
     #[test]
     fn rejects_malformed_documents() {
-        for bad in ["{", "[1,", "\"abc", "{\"a\" 1}", "[1] x", "tru"] {
-            assert!(Json::parse(bad).is_err(), "{bad:?} should not parse");
+        // Nesting deep enough to overflow the stack of a recursive parser.
+        let deep = format!("{{\"version\": 1, \"records\": {}", "[".repeat(100_000));
+        for bad in ["{", "[1,", "\"abc", "{\"a\" 1}", "[1] x", "tru", &deep] {
+            assert!(Json::parse(bad).is_err(), "{bad:.20} should not parse");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+    }
+
+    #[test]
+    fn render_puts_top_level_entries_on_their_own_lines() {
+        let doc = Json::obj([
+            ("version", 1u64.into()),
+            ("empty", Json::Arr(Vec::new())),
+            (
+                "rows",
+                vec![Json::obj([("a", vec![1.5, 2.0].into())])].into(),
+            ),
+            ("inner", Json::obj([("b", Json::Null), ("c", true.into())])),
+        ]);
+        assert_eq!(
+            doc.render(),
+            "{\n  \"version\": 1,\n  \"empty\": [],\n  \"rows\": [\n    {\"a\": [1.5, 2]}\n  ],\n  \
+             \"inner\": {\"b\": null, \"c\": true}\n}\n"
+        );
+        assert_eq!(Json::parse(&doc.render()), Ok(doc));
+        let top = Json::from(vec!["x", "y"]);
+        assert_eq!(top.render(), "[\n  \"x\",\n  \"y\"\n]\n");
+    }
+
+    #[test]
+    fn strings_escape_and_round_trip() {
+        let s = "q\"b\\t\tn\nr\rc\u{1}é";
+        let text = Json::from(s).to_string();
+        assert_eq!(text, r#""q\"b\\t\tn\nr\rc\u0001é""#);
+        assert_eq!(Json::parse(&text).unwrap().as_str(), Some(s));
+    }
+
+    #[test]
+    fn numbers_use_the_shortest_round_trip_form() {
+        for (v, text) in [
+            (0.1 + 0.2, "0.30000000000000004"),
+            (1e-7, "0.0000001"),
+            (504.0, "504"),
+        ] {
+            assert_eq!(Json::Num(v).to_string(), text);
+            assert_eq!(Json::parse(text).unwrap().as_f64(), Some(v));
+        }
+        assert_eq!(Json::from(u64::MAX >> 11).to_string(), "9007199254740991");
+        // JSON has no encoding for non-finite numbers.
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(Json::Num(v).to_string(), "0");
         }
     }
 

@@ -22,9 +22,11 @@
 //!   counters, queue depths, shed counters and per-device utilization all
 //!   publish here.
 //!
-//! The [`json`] module is a minimal JSON reader used to validate exported
-//! traces and to recompute profile breakdowns *from the export itself*
-//! (the golden test for the Figure 6.2 timeline).
+//! The [`json`] module is the workspace's one JSON reader and writer:
+//! every JSON export renders through [`json::Json::render`], and the same
+//! type parses exports back to validate them and to recompute profile
+//! breakdowns *from the export itself* (the golden test for the Figure 6.2
+//! timeline).
 //!
 //! Three further instruments make the observability continuous:
 //!

@@ -7,7 +7,7 @@
 //! both expositions are deterministic — a rendered registry is a pure
 //! function of the metric updates that fed it.
 
-use crate::chrome::{escape, number};
+use crate::json::Json;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
@@ -85,10 +85,10 @@ fn label_key(labels: &[(&str, &str)]) -> (String, Vec<(String, String)>) {
 fn render_labels(labels: &[(String, String)], extra: Option<(&str, String)>) -> String {
     let mut parts: Vec<String> = labels
         .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape(v)))
+        .map(|(k, v)| format!("{k}={}", Json::from(v.as_str())))
         .collect();
     if let Some((k, v)) = extra {
-        parts.push(format!("{k}=\"{}\"", escape(&v)));
+        parts.push(format!("{k}={}", Json::from(v)));
     }
     if parts.is_empty() {
         String::new()
@@ -368,7 +368,7 @@ impl Registry {
                         out.push_str(&format!(
                             "{name}{} {}\n",
                             render_labels(labels, None),
-                            number(*v)
+                            Json::Num(*v)
                         ));
                     }
                     Series::Histogram(h) => {
@@ -376,7 +376,7 @@ impl Registry {
                             let le = h
                                 .bounds
                                 .get(i)
-                                .map(|b| number(*b))
+                                .map(|b| Json::Num(*b).to_string())
                                 .unwrap_or_else(|| "+Inf".to_string());
                             out.push_str(&format!(
                                 "{name}_bucket{} {c}\n",
@@ -386,7 +386,7 @@ impl Registry {
                         out.push_str(&format!(
                             "{name}_sum{} {}\n",
                             render_labels(labels, None),
-                            number(h.sum)
+                            Json::Num(h.sum)
                         ));
                         out.push_str(&format!(
                             "{name}_count{} {}\n",
@@ -403,40 +403,29 @@ impl Registry {
     /// JSON exposition: `{family: {kind, help, series: [{labels, ...}]}}`.
     pub fn render_json(&self) -> String {
         let inner = self.inner.lock().expect("registry poisoned");
-        let mut families = Vec::new();
-        for (name, family) in &inner.families {
-            let mut series_out = Vec::new();
-            for (labels, series) in family.series.values() {
-                let labels_json = labels
-                    .iter()
-                    .map(|(k, v)| format!("\"{}\":\"{}\"", escape(k), escape(v)))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                let body = match series {
-                    Series::Value(v) => format!("\"value\":{}", number(*v)),
-                    Series::Histogram(h) => {
-                        let bounds = h.bounds.iter().map(|b| number(*b)).collect::<Vec<_>>();
-                        let counts = h.counts.iter().map(u64::to_string).collect::<Vec<_>>();
-                        format!(
-                            "\"le\":[{}],\"bucket_counts\":[{}],\"sum\":{},\"count\":{}",
-                            bounds.join(","),
-                            counts.join(","),
-                            number(h.sum),
-                            h.count
-                        )
-                    }
-                };
-                series_out.push(format!("{{\"labels\":{{{labels_json}}},{body}}}"));
-            }
-            families.push(format!(
-                "\"{}\":{{\"kind\":\"{}\",\"help\":\"{}\",\"series\":[{}]}}",
-                escape(name),
-                family.kind.label(),
-                escape(&family.help),
-                series_out.join(",")
-            ));
-        }
-        format!("{{{}}}\n", families.join(","))
+        let families = inner.families.iter().map(|(name, family)| {
+            let series = family.series.values().map(|(labels, series)| {
+                let labels = labels.iter().map(|(k, v)| (k.clone(), v.as_str().into()));
+                let labels = ("labels", Json::Obj(labels.collect()));
+                match series {
+                    Series::Value(v) => Json::obj([labels, ("value", (*v).into())]),
+                    Series::Histogram(h) => Json::obj([
+                        labels,
+                        ("le", h.bounds.clone().into()),
+                        ("bucket_counts", h.counts.clone().into()),
+                        ("sum", h.sum.into()),
+                        ("count", h.count.into()),
+                    ]),
+                }
+            });
+            let family = Json::obj([
+                ("kind", family.kind.label().into()),
+                ("help", family.help.as_str().into()),
+                ("series", Json::Arr(series.collect())),
+            ]);
+            (name.clone(), family)
+        });
+        Json::Obj(families.collect()).render()
     }
 }
 

@@ -1,17 +1,22 @@
 //! The persistent tuning database.
 //!
-//! A flat JSON file of best-known records keyed by *(model, layer-shape
-//! signature, platform, precision)*. The flow and the serving layer's
-//! deployment cache look configs up here before ever considering a search;
-//! the tuner inserts (keeping the better of old and new) after a search
-//! completes. Written by hand-rolled formatting and read back with
-//! [`fpgaccel_trace::json`], so the crate stays dependency-free and the
-//! file round-trips exactly.
+//! A JSON file of best-known records in four sections: 1x1 tilings,
+//! pipeline plans, per-layer precisions and fleet placements. Each section
+//! is a [`Section`] of one [`Record`] type, so one `insert` / `lookup` /
+//! `iter` / `len`, one merge, one render loop and one parse loop serve all
+//! four. The flow and the serving layer's deployment cache look configs up
+//! here before ever considering a search; the tuner inserts (keeping the
+//! better of old and new, by the record type's [`Record::beats`]) after a
+//! search completes. Rendered and read back with [`fpgaccel_trace::json`],
+//! so the crate stays dependency-free and the file round-trips exactly;
+//! the loader rejects any field a tuner could not have written.
 
 use crate::candidate::Candidate;
 use fpgaccel_aoc::Precision;
 use fpgaccel_trace::json::Json;
-use std::collections::BTreeMap;
+use std::borrow::Borrow;
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::fmt::Debug;
 use std::path::Path;
 
 /// Current on-disk format version.
@@ -32,12 +37,24 @@ pub struct DbKey {
 }
 
 impl DbKey {
-    /// Canonical flat id used for map ordering and JSON matching.
-    pub fn id(&self) -> String {
-        format!(
-            "{}|{}|{}|{:?}",
-            self.model, self.shape_sig, self.platform, self.precision
-        )
+    /// The key's JSON fields, written first in every record keyed by it.
+    fn fields(&self) -> [(&'static str, Json); 4] {
+        [
+            ("model", self.model.as_str().into()),
+            ("shape_sig", self.shape_sig.as_str().into()),
+            ("platform", self.platform.as_str().into()),
+            ("precision", format!("{:?}", self.precision).into()),
+        ]
+    }
+
+    fn read(f: &Fields) -> Result<DbKey, String> {
+        Ok(DbKey {
+            model: f.text("model")?,
+            shape_sig: f.text("shape_sig")?,
+            platform: f.text("platform")?,
+            precision: parse_precision(&f.text("precision")?)
+                .ok_or_else(|| f.error("precision", "must name a known precision"))?,
+        })
     }
 }
 
@@ -155,30 +172,363 @@ pub struct PlacementRecord {
     pub evaluations: usize,
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// A record type stored in one [`Section`] of the [`TuningDb`].
+pub trait Record: Clone + Debug {
+    /// What the section is keyed by.
+    type Key: Ord + Clone + Debug;
+    /// The section's name in the JSON document.
+    const SECTION: &'static str;
+    /// Whether `self` should replace `stored`, the record already kept
+    /// under the same key.
+    fn beats(&self, stored: &Self) -> bool;
+    /// The record and its key as one JSON object, key fields first.
+    fn write(&self, key: &Self::Key) -> Json;
+    /// Reads a record and its key back from their JSON object.
+    ///
+    /// # Errors
+    /// A missing field, or one no tuner could have written.
+    fn read(f: &Fields) -> Result<(Self::Key, Self), String>;
 }
 
-/// The database: an ordered map from [`DbKey`] to the best [`TuneRecord`]
-/// seen for it.
+impl Record for TuneRecord {
+    type Key = DbKey;
+    const SECTION: &'static str = "records";
+
+    /// Lower latency wins.
+    fn beats(&self, stored: &Self) -> bool {
+        self.seconds_per_image < stored.seconds_per_image
+    }
+
+    fn write(&self, key: &DbKey) -> Json {
+        Json::obj(key.fields().into_iter().chain([
+            ("tile", vec![self.tile.0, self.tile.1, self.tile.2].into()),
+            ("seconds_per_image", self.seconds_per_image.into()),
+            ("conv1x1_seconds", self.conv1x1_seconds.into()),
+            ("dsps", self.dsps.into()),
+            ("fmax_mhz", self.fmax_mhz.into()),
+            ("evaluations", self.evaluations.into()),
+        ]))
+    }
+
+    fn read(f: &Fields) -> Result<(DbKey, TuneRecord), String> {
+        let tile = f.list("tile", "an integer >= 1", |v| count(v).filter(|&n| n >= 1))?;
+        let [w2, c2, c1] = tile[..] else {
+            return Err(f.error("tile", "must have 3 factors"));
+        };
+        let record = TuneRecord {
+            tile: (w2 as usize, c2 as usize, c1 as usize),
+            seconds_per_image: f.seconds("seconds_per_image")?,
+            conv1x1_seconds: f.real("conv1x1_seconds")?,
+            dsps: f.count("dsps")?,
+            fmax_mhz: f.real("fmax_mhz")?,
+            evaluations: f.count("evaluations")? as usize,
+        };
+        Ok((DbKey::read(f)?, record))
+    }
+}
+
+impl Record for PipelineRecord {
+    type Key = DbKey;
+    const SECTION: &'static str = "pipeline";
+
+    /// Lower latency wins.
+    fn beats(&self, stored: &Self) -> bool {
+        self.seconds_per_image < stored.seconds_per_image
+    }
+
+    fn write(&self, key: &DbKey) -> Json {
+        Json::obj(key.fields().into_iter().chain([
+            ("depth_policy", self.depth_policy.as_str().into()),
+            ("max_stages", self.max_stages.into()),
+            ("seconds_per_image", self.seconds_per_image.into()),
+            ("dram_elems_saved", self.dram_elems_saved.into()),
+            ("pipelined_stages", self.pipelined_stages.into()),
+            ("staged_nodes", self.staged_nodes.into()),
+            ("evaluations", self.evaluations.into()),
+        ]))
+    }
+
+    fn read(f: &Fields) -> Result<(DbKey, PipelineRecord), String> {
+        let record = PipelineRecord {
+            depth_policy: f.text("depth_policy")?,
+            max_stages: f.count("max_stages")? as usize,
+            seconds_per_image: f.seconds("seconds_per_image")?,
+            dram_elems_saved: f.count("dram_elems_saved")?,
+            pipelined_stages: f.count("pipelined_stages")? as usize,
+            staged_nodes: f.count("staged_nodes")? as usize,
+            evaluations: f.count("evaluations")? as usize,
+        };
+        Ok((DbKey::read(f)?, record))
+    }
+}
+
+impl Record for PrecisionRecord {
+    type Key = DbKey;
+    const SECTION: &'static str = "mixed";
+
+    /// Fewer DSPs (the search objective) wins.
+    fn beats(&self, stored: &Self) -> bool {
+        self.dsps < stored.dsps
+    }
+
+    fn write(&self, key: &DbKey) -> Json {
+        let assignment = self
+            .assignment
+            .iter()
+            .map(|(layer, p)| Json::Arr(vec![layer.as_str().into(), p.as_str().into()]));
+        Json::obj(key.fields().into_iter().chain([
+            ("assignment", Json::Arr(assignment.collect())),
+            ("dsps", self.dsps.into()),
+            ("baseline_dsps", self.baseline_dsps.into()),
+            ("ram_blocks", self.ram_blocks.into()),
+            ("worst_error", self.worst_error.into()),
+            ("error_budget", self.error_budget.into()),
+            ("evaluations", self.evaluations.into()),
+        ]))
+    }
+
+    fn read(f: &Fields) -> Result<(DbKey, PrecisionRecord), String> {
+        let record = PrecisionRecord {
+            assignment: f.list("assignment", "a [layer, precision] pair", |v| {
+                match v.as_array()? {
+                    [layer, p] => Some((layer.as_str()?.to_string(), p.as_str()?.to_string())),
+                    _ => None,
+                }
+            })?,
+            dsps: f.count("dsps")?,
+            baseline_dsps: f.count("baseline_dsps")?,
+            ram_blocks: f.count("ram_blocks")?,
+            worst_error: f.real("worst_error")?,
+            error_budget: f.real("error_budget")?,
+            evaluations: f.count("evaluations")? as usize,
+        };
+        Ok((DbKey::read(f)?, record))
+    }
+}
+
+impl Record for PlacementRecord {
+    /// The fleet-spec digest.
+    type Key = String;
+    const SECTION: &'static str = "placements";
+
+    /// Placement is a pure function of its spec: the first write wins.
+    fn beats(&self, _stored: &Self) -> bool {
+        false
+    }
+
+    fn write(&self, spec: &String) -> Json {
+        let replicas = self.replicas.iter().map(|(model, platform, n)| {
+            Json::Arr(vec![
+                model.as_str().into(),
+                platform.as_str().into(),
+                (*n).into(),
+            ])
+        });
+        Json::obj([
+            ("spec", spec.as_str().into()),
+            ("replicas", Json::Arr(replicas.collect())),
+            ("total_rate_rps", self.total_rate_rps.into()),
+            ("evaluations", self.evaluations.into()),
+        ])
+    }
+
+    fn read(f: &Fields) -> Result<(String, PlacementRecord), String> {
+        let record = PlacementRecord {
+            replicas: f.list("replicas", "a [model, platform, count] triple", |v| match v
+                .as_array()?
+            {
+                [model, platform, n] => Some((
+                    model.as_str()?.to_string(),
+                    platform.as_str()?.to_string(),
+                    count(n)? as usize,
+                )),
+                _ => None,
+            })?,
+            total_rate_rps: f.real("total_rate_rps")?,
+            evaluations: f.count("evaluations")? as usize,
+        };
+        Ok((f.text("spec")?, record))
+    }
+}
+
+/// A JSON number that is a non-negative integer.
+fn count(v: &Json) -> Option<u64> {
+    v.as_f64()
+        .filter(|n| *n >= 0.0 && n.fract() == 0.0)
+        .map(|n| n as u64)
+}
+
+/// The fields of one stored record, read with the checks every section
+/// shares. Each error names the section, the record's index in it and the
+/// field.
+pub struct Fields<'a> {
+    section: &'static str,
+    index: usize,
+    json: &'a Json,
+}
+
+impl<'a> Fields<'a> {
+    /// Where an error was found: the section and the record's index.
+    fn at(&self) -> String {
+        format!("`{}` record {}", self.section, self.index)
+    }
+
+    fn error(&self, field: &str, problem: &str) -> String {
+        format!("{}: `{field}` {problem}", self.at())
+    }
+
+    fn get(&self, field: &str) -> Result<&'a Json, String> {
+        let v = self.json.get(field);
+        v.ok_or_else(|| format!("{}: missing `{field}`", self.at()))
+    }
+
+    fn text(&self, field: &str) -> Result<String, String> {
+        let v = self.get(field)?.as_str();
+        v.map(str::to_string)
+            .ok_or_else(|| self.error(field, "must be a string"))
+    }
+
+    /// A count: a non-negative integer.
+    fn count(&self, field: &str) -> Result<u64, String> {
+        count(self.get(field)?).ok_or_else(|| self.error(field, "must be a non-negative integer"))
+    }
+
+    /// A finite number `>= 0`.
+    fn real(&self, field: &str) -> Result<f64, String> {
+        let v = self.get(field)?.as_f64();
+        v.filter(|n| n.is_finite() && *n >= 0.0)
+            .ok_or_else(|| self.error(field, "must be a finite number >= 0"))
+    }
+
+    /// A latency: a finite number `> 0`.
+    fn seconds(&self, field: &str) -> Result<f64, String> {
+        let v = self.get(field)?.as_f64();
+        v.filter(|n| n.is_finite() && *n > 0.0)
+            .ok_or_else(|| self.error(field, "must be a finite number > 0"))
+    }
+
+    /// An array whose every entry `item` accepts.
+    fn list<T>(
+        &self,
+        field: &str,
+        what: &str,
+        item: impl Fn(&Json) -> Option<T>,
+    ) -> Result<Vec<T>, String> {
+        let entries = self.get(field)?.as_array();
+        let entries = entries.ok_or_else(|| self.error(field, "must be an array"))?;
+        entries
+            .iter()
+            .enumerate()
+            .map(|(i, v)| {
+                item(v)
+                    .ok_or_else(|| self.error(&format!("{field}[{i}]"), &format!("must be {what}")))
+            })
+            .collect()
+    }
+}
+
+/// One section of the database: the best record seen per key.
+#[derive(Clone, Debug)]
+pub struct Section<R: Record> {
+    records: BTreeMap<R::Key, R>,
+}
+
+impl<R: Record> Default for Section<R> {
+    fn default() -> Self {
+        Section {
+            records: BTreeMap::new(),
+        }
+    }
+}
+
+impl<R: Record> Section<R> {
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// True when the section holds no records.
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    /// The record stored for a key, if any.
+    pub fn lookup<Q: Ord + ?Sized>(&self, key: &Q) -> Option<&R>
+    where
+        R::Key: Borrow<Q>,
+    {
+        self.records.get(key)
+    }
+
+    /// Iterates records in key order.
+    pub fn iter(&self) -> impl Iterator<Item = (&R::Key, &R)> {
+        self.records.iter()
+    }
+
+    /// Stores `record` under `key` unless the record already there is at
+    /// least as good ([`Record::beats`]). Returns whether `record` was
+    /// stored.
+    pub fn insert(&mut self, key: R::Key, record: R) -> bool {
+        match self.records.entry(key) {
+            Entry::Occupied(mut stored) if record.beats(stored.get()) => {
+                stored.insert(record);
+                true
+            }
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                slot.insert(record);
+                true
+            }
+        }
+    }
+
+    /// Inserts every record of `other`; returns how many of them won.
+    pub fn merge(&mut self, other: &Section<R>) -> usize {
+        other
+            .iter()
+            .filter(|(k, r)| self.insert((*k).clone(), (*r).clone()))
+            .count()
+    }
+
+    /// The section as its named JSON array.
+    fn write(&self) -> (&'static str, Json) {
+        let records = self.records.iter().map(|(k, r)| r.write(k));
+        (R::SECTION, Json::Arr(records.collect()))
+    }
+
+    /// Reads the section's array from the document, if present.
+    fn read(doc: &Json) -> Result<Section<R>, String> {
+        let mut section = Section::default();
+        let Some(records) = doc.get(R::SECTION) else {
+            return Ok(section);
+        };
+        let records = records
+            .as_array()
+            .ok_or_else(|| format!("`{}` is not an array", R::SECTION))?;
+        for (index, json) in records.iter().enumerate() {
+            let f = Fields {
+                section: R::SECTION,
+                index,
+                json,
+            };
+            let (key, record) = R::read(&f)?;
+            section.insert(key, record);
+        }
+        Ok(section)
+    }
+}
+
+/// The database: one [`Section`] per record type.
 #[derive(Clone, Debug, Default)]
 pub struct TuningDb {
-    records: BTreeMap<DbKey, TuneRecord>,
-    pipeline: BTreeMap<DbKey, PipelineRecord>,
-    mixed: BTreeMap<DbKey, PrecisionRecord>,
-    placements: BTreeMap<String, PlacementRecord>,
+    /// Best 1x1 tilings, written as the `records` section.
+    pub tilings: Section<TuneRecord>,
+    /// Best pipeline-planner configurations.
+    pub pipeline: Section<PipelineRecord>,
+    /// Best per-layer mixed-precision assignments.
+    pub mixed: Section<PrecisionRecord>,
+    /// Cached fleet placement plans, keyed by spec digest.
+    pub placements: Section<PlacementRecord>,
 }
 
 impl TuningDb {
@@ -187,472 +537,58 @@ impl TuningDb {
         TuningDb::default()
     }
 
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
     /// True when no records of any kind are stored.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.tilings.is_empty()
             && self.pipeline.is_empty()
             && self.mixed.is_empty()
             && self.placements.is_empty()
     }
 
-    /// Best-known record for a key, if any.
-    pub fn lookup(&self, key: &DbKey) -> Option<&TuneRecord> {
-        self.records.get(key)
-    }
-
-    /// Iterates records in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&DbKey, &TuneRecord)> {
-        self.records.iter()
-    }
-
-    /// Number of pipeline records.
-    pub fn pipeline_len(&self) -> usize {
-        self.pipeline.len()
-    }
-
-    /// Best-known pipeline-planner record for a key, if any.
-    pub fn lookup_pipeline(&self, key: &DbKey) -> Option<&PipelineRecord> {
-        self.pipeline.get(key)
-    }
-
-    /// Iterates pipeline records in key order.
-    pub fn iter_pipeline(&self) -> impl Iterator<Item = (&DbKey, &PipelineRecord)> {
-        self.pipeline.iter()
-    }
-
-    /// Inserts a pipeline record, keeping whichever of the existing and new
-    /// record has the lower latency. Returns true when `record` became (or
-    /// stayed) the stored one.
-    pub fn insert_pipeline(&mut self, key: DbKey, record: PipelineRecord) -> bool {
-        match self.pipeline.get(&key) {
-            Some(old) if old.seconds_per_image <= record.seconds_per_image => false,
-            _ => {
-                self.pipeline.insert(key, record);
-                true
-            }
-        }
-    }
-
-    /// Number of mixed-precision records.
-    pub fn mixed_len(&self) -> usize {
-        self.mixed.len()
-    }
-
-    /// Best-known mixed-precision assignment for a key, if any.
-    pub fn lookup_mixed(&self, key: &DbKey) -> Option<&PrecisionRecord> {
-        self.mixed.get(key)
-    }
-
-    /// Iterates mixed-precision records in key order.
-    pub fn iter_mixed(&self) -> impl Iterator<Item = (&DbKey, &PrecisionRecord)> {
-        self.mixed.iter()
-    }
-
-    /// Inserts a mixed-precision record, keeping whichever of the existing
-    /// and new record models fewer DSPs (the search objective; ties keep the
-    /// stored one). Returns true when `record` became (or stayed) stored.
-    pub fn insert_mixed(&mut self, key: DbKey, record: PrecisionRecord) -> bool {
-        match self.mixed.get(&key) {
-            Some(old) if old.dsps <= record.dsps => false,
-            _ => {
-                self.mixed.insert(key, record);
-                true
-            }
-        }
-    }
-
-    /// Number of cached placement plans.
-    pub fn placements_len(&self) -> usize {
-        self.placements.len()
-    }
-
-    /// Cached placement plan for a fleet-spec digest, if any.
-    pub fn lookup_placement(&self, spec: &str) -> Option<&PlacementRecord> {
-        self.placements.get(spec)
-    }
-
-    /// Iterates placement records in spec-digest order.
-    pub fn iter_placements(&self) -> impl Iterator<Item = (&String, &PlacementRecord)> {
-        self.placements.iter()
-    }
-
-    /// Caches a placement plan under its spec digest. Placement is a pure
-    /// function of its spec, so an existing record is kept (first write
-    /// wins); returns true when `record` was inserted.
-    pub fn insert_placement(&mut self, spec: String, record: PlacementRecord) -> bool {
-        match self.placements.entry(spec) {
-            std::collections::btree_map::Entry::Occupied(_) => false,
-            std::collections::btree_map::Entry::Vacant(v) => {
-                v.insert(record);
-                true
-            }
-        }
-    }
-
-    /// Inserts a record, keeping whichever of the existing and new record
-    /// has the lower latency. Returns true when `record` became (or stayed)
-    /// the stored one because it is at least as good.
-    pub fn insert(&mut self, key: DbKey, record: TuneRecord) -> bool {
-        match self.records.get(&key) {
-            Some(old) if old.seconds_per_image <= record.seconds_per_image => false,
-            _ => {
-                self.records.insert(key, record);
-                true
-            }
-        }
-    }
-
     /// Merges every record of `other` into this database, keeping the
     /// better record per key. Returns how many of `other`'s records won.
     pub fn merge(&mut self, other: &TuningDb) -> usize {
-        let tilings = other
-            .iter()
-            .filter(|(k, r)| self.insert((*k).clone(), (*r).clone()))
-            .count();
-        let pipelines = other
-            .iter_pipeline()
-            .filter(|(k, r)| self.insert_pipeline((*k).clone(), (*r).clone()))
-            .count();
-        let mixed = other
-            .iter_mixed()
-            .filter(|(k, r)| self.insert_mixed((*k).clone(), (*r).clone()))
-            .count();
-        let placements = other
-            .iter_placements()
-            .filter(|(k, r)| self.insert_placement((*k).clone(), (*r).clone()))
-            .count();
-        tilings + pipelines + mixed + placements
+        self.tilings.merge(&other.tilings)
+            + self.pipeline.merge(&other.pipeline)
+            + self.mixed.merge(&other.mixed)
+            + self.placements.merge(&other.placements)
     }
 
-    /// Renders the database as its canonical JSON document.
+    /// Renders the database as its canonical JSON document: `records` is
+    /// always written, the other sections only when non-empty.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{{\n  \"version\": {DB_VERSION},\n  \"records\": ["
-        ));
-        for (i, (k, r)) in self.records.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"model\": \"{}\", \"shape_sig\": \"{}\", \"platform\": \"{}\", \
-                 \"precision\": \"{:?}\", \"tile\": [{}, {}, {}], \
-                 \"seconds_per_image\": {}, \"conv1x1_seconds\": {}, \"dsps\": {}, \
-                 \"fmax_mhz\": {}, \"evaluations\": {}}}",
-                escape(&k.model),
-                escape(&k.shape_sig),
-                escape(&k.platform),
-                k.precision,
-                r.tile.0,
-                r.tile.1,
-                r.tile.2,
-                r.seconds_per_image,
-                r.conv1x1_seconds,
-                r.dsps,
-                r.fmax_mhz,
-                r.evaluations
-            ));
-        }
-        out.push_str("\n  ]");
-        // The pipeline section is omitted when empty so tiling-only
-        // databases keep their historical byte-exact rendering.
-        if !self.pipeline.is_empty() {
-            out.push_str(",\n  \"pipeline\": [");
-            for (i, (k, r)) in self.pipeline.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!(
-                    "\n    {{\"model\": \"{}\", \"shape_sig\": \"{}\", \"platform\": \"{}\", \
-                     \"precision\": \"{:?}\", \"depth_policy\": \"{}\", \"max_stages\": {}, \
-                     \"seconds_per_image\": {}, \"dram_elems_saved\": {}, \
-                     \"pipelined_stages\": {}, \"staged_nodes\": {}, \"evaluations\": {}}}",
-                    escape(&k.model),
-                    escape(&k.shape_sig),
-                    escape(&k.platform),
-                    k.precision,
-                    escape(&r.depth_policy),
-                    r.max_stages,
-                    r.seconds_per_image,
-                    r.dram_elems_saved,
-                    r.pipelined_stages,
-                    r.staged_nodes,
-                    r.evaluations
-                ));
-            }
-            out.push_str("\n  ]");
-        }
-        // Like `pipeline`, the mixed-precision section is omitted when empty
-        // so older databases keep their historical byte-exact rendering.
-        if !self.mixed.is_empty() {
-            out.push_str(",\n  \"mixed\": [");
-            for (i, (k, r)) in self.mixed.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let assignment = r
-                    .assignment
-                    .iter()
-                    .map(|(layer, p)| format!("[\"{}\", \"{}\"]", escape(layer), escape(p)))
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                out.push_str(&format!(
-                    "\n    {{\"model\": \"{}\", \"shape_sig\": \"{}\", \"platform\": \"{}\", \
-                     \"precision\": \"{:?}\", \"assignment\": [{}], \"dsps\": {}, \
-                     \"baseline_dsps\": {}, \"ram_blocks\": {}, \"worst_error\": {}, \
-                     \"error_budget\": {}, \"evaluations\": {}}}",
-                    escape(&k.model),
-                    escape(&k.shape_sig),
-                    escape(&k.platform),
-                    k.precision,
-                    assignment,
-                    r.dsps,
-                    r.baseline_dsps,
-                    r.ram_blocks,
-                    r.worst_error,
-                    r.error_budget,
-                    r.evaluations
-                ));
-            }
-            out.push_str("\n  ]");
-        }
-        // Like `pipeline`, the placements section is omitted when empty so
-        // pre-fleet databases keep their historical byte-exact rendering.
-        if !self.placements.is_empty() {
-            out.push_str(",\n  \"placements\": [");
-            for (i, (spec, r)) in self.placements.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let replicas = r
-                    .replicas
-                    .iter()
-                    .map(|(m, p, n)| format!("[\"{}\", \"{}\", {}]", escape(m), escape(p), n))
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                out.push_str(&format!(
-                    "\n    {{\"spec\": \"{}\", \"replicas\": [{}], \
-                     \"total_rate_rps\": {}, \"evaluations\": {}}}",
-                    escape(spec),
-                    replicas,
-                    r.total_rate_rps,
-                    r.evaluations
-                ));
-            }
-            out.push_str("\n  ]");
-        }
-        out.push_str("\n}\n");
-        out
+        let sections = [
+            self.tilings.write(),
+            self.pipeline.write(),
+            self.mixed.write(),
+            self.placements.write(),
+        ];
+        let written = sections.into_iter().filter(|(name, records)| {
+            *name == TuneRecord::SECTION || records.as_array().is_some_and(|r| !r.is_empty())
+        });
+        Json::obj([("version", DB_VERSION.into())].into_iter().chain(written)).render()
     }
 
     /// Parses a database from its JSON document.
     ///
     /// # Errors
-    /// A message describing the first malformed field, or an unsupported
-    /// version.
+    /// A message naming the first malformed section, record and field, or
+    /// a version other than [`DB_VERSION`].
     pub fn from_json(src: &str) -> Result<TuningDb, String> {
         let doc = Json::parse(src)?;
-        let version = doc
-            .get("version")
-            .and_then(Json::as_f64)
-            .ok_or("missing `version`")?;
-        if version as u64 != DB_VERSION {
+        let version = doc.get("version").ok_or("missing `version`")?;
+        if version.as_f64() != Some(DB_VERSION as f64) {
             return Err(format!("unsupported tuning-db version {version}"));
         }
-        let records = doc
-            .get("records")
+        doc.get(TuneRecord::SECTION)
             .and_then(Json::as_array)
             .ok_or("missing `records` array")?;
-        let mut db = TuningDb::new();
-        for (i, rec) in records.iter().enumerate() {
-            let field = |name: &str| -> Result<&Json, String> {
-                rec.get(name).ok_or(format!("record {i}: missing `{name}`"))
-            };
-            let text = |name: &str| -> Result<String, String> {
-                field(name)?
-                    .as_str()
-                    .map(str::to_string)
-                    .ok_or(format!("record {i}: `{name}` not a string"))
-            };
-            let num = |name: &str| -> Result<f64, String> {
-                field(name)?
-                    .as_f64()
-                    .ok_or(format!("record {i}: `{name}` not a number"))
-            };
-            let precision = parse_precision(&text("precision")?)
-                .ok_or(format!("record {i}: unknown precision"))?;
-            let tile_arr = field("tile")?
-                .as_array()
-                .ok_or(format!("record {i}: `tile` not an array"))?;
-            if tile_arr.len() != 3 {
-                return Err(format!("record {i}: `tile` must have 3 factors"));
-            }
-            let factor = |j: usize| -> Result<usize, String> {
-                tile_arr[j]
-                    .as_f64()
-                    .map(|f| f as usize)
-                    .ok_or(format!("record {i}: tile[{j}] not a number"))
-            };
-            let key = DbKey {
-                model: text("model")?,
-                shape_sig: text("shape_sig")?,
-                platform: text("platform")?,
-                precision,
-            };
-            let record = TuneRecord {
-                tile: (factor(0)?, factor(1)?, factor(2)?),
-                seconds_per_image: num("seconds_per_image")?,
-                conv1x1_seconds: num("conv1x1_seconds")?,
-                dsps: num("dsps")? as u64,
-                fmax_mhz: num("fmax_mhz")?,
-                evaluations: num("evaluations")? as usize,
-            };
-            db.insert(key, record);
-        }
-        // Optional pipeline section (absent in tiling-only databases).
-        if let Some(pipeline) = doc.get("pipeline") {
-            let recs = pipeline.as_array().ok_or("`pipeline` not an array")?;
-            for (i, rec) in recs.iter().enumerate() {
-                let field = |name: &str| -> Result<&Json, String> {
-                    rec.get(name)
-                        .ok_or(format!("pipeline record {i}: missing `{name}`"))
-                };
-                let text = |name: &str| -> Result<String, String> {
-                    field(name)?
-                        .as_str()
-                        .map(str::to_string)
-                        .ok_or(format!("pipeline record {i}: `{name}` not a string"))
-                };
-                let num = |name: &str| -> Result<f64, String> {
-                    field(name)?
-                        .as_f64()
-                        .ok_or(format!("pipeline record {i}: `{name}` not a number"))
-                };
-                let precision = parse_precision(&text("precision")?)
-                    .ok_or(format!("pipeline record {i}: unknown precision"))?;
-                let key = DbKey {
-                    model: text("model")?,
-                    shape_sig: text("shape_sig")?,
-                    platform: text("platform")?,
-                    precision,
-                };
-                let record = PipelineRecord {
-                    depth_policy: text("depth_policy")?,
-                    max_stages: num("max_stages")? as usize,
-                    seconds_per_image: num("seconds_per_image")?,
-                    dram_elems_saved: num("dram_elems_saved")? as u64,
-                    pipelined_stages: num("pipelined_stages")? as usize,
-                    staged_nodes: num("staged_nodes")? as usize,
-                    evaluations: num("evaluations")? as usize,
-                };
-                db.insert_pipeline(key, record);
-            }
-        }
-        // Optional mixed-precision section (absent in older databases).
-        if let Some(mixed) = doc.get("mixed") {
-            let recs = mixed.as_array().ok_or("`mixed` not an array")?;
-            for (i, rec) in recs.iter().enumerate() {
-                let field = |name: &str| -> Result<&Json, String> {
-                    rec.get(name)
-                        .ok_or(format!("mixed record {i}: missing `{name}`"))
-                };
-                let text = |name: &str| -> Result<String, String> {
-                    field(name)?
-                        .as_str()
-                        .map(str::to_string)
-                        .ok_or(format!("mixed record {i}: `{name}` not a string"))
-                };
-                let num = |name: &str| -> Result<f64, String> {
-                    field(name)?
-                        .as_f64()
-                        .ok_or(format!("mixed record {i}: `{name}` not a number"))
-                };
-                let precision = parse_precision(&text("precision")?)
-                    .ok_or(format!("mixed record {i}: unknown precision"))?;
-                let pairs = field("assignment")?
-                    .as_array()
-                    .ok_or(format!("mixed record {i}: `assignment` not an array"))?;
-                let mut assignment = Vec::new();
-                for (j, pair) in pairs.iter().enumerate() {
-                    let parts = pair
-                        .as_array()
-                        .filter(|a| a.len() == 2)
-                        .ok_or(format!("mixed record {i}: assignment[{j}] not a pair"))?;
-                    let layer = parts[0]
-                        .as_str()
-                        .ok_or(format!("mixed record {i}: assignment[{j}] layer"))?;
-                    let p = parts[1]
-                        .as_str()
-                        .ok_or(format!("mixed record {i}: assignment[{j}] precision"))?;
-                    assignment.push((layer.to_string(), p.to_string()));
-                }
-                let key = DbKey {
-                    model: text("model")?,
-                    shape_sig: text("shape_sig")?,
-                    platform: text("platform")?,
-                    precision,
-                };
-                let record = PrecisionRecord {
-                    assignment,
-                    dsps: num("dsps")? as u64,
-                    baseline_dsps: num("baseline_dsps")? as u64,
-                    ram_blocks: num("ram_blocks")? as u64,
-                    worst_error: num("worst_error")?,
-                    error_budget: num("error_budget")?,
-                    evaluations: num("evaluations")? as usize,
-                };
-                db.insert_mixed(key, record);
-            }
-        }
-        // Optional placements section (absent in pre-fleet databases).
-        if let Some(placements) = doc.get("placements") {
-            let recs = placements.as_array().ok_or("`placements` not an array")?;
-            for (i, rec) in recs.iter().enumerate() {
-                let spec = rec
-                    .get("spec")
-                    .and_then(Json::as_str)
-                    .ok_or(format!("placement record {i}: missing `spec`"))?
-                    .to_string();
-                let replica_arr = rec
-                    .get("replicas")
-                    .and_then(Json::as_array)
-                    .ok_or(format!("placement record {i}: missing `replicas`"))?;
-                let mut replicas = Vec::new();
-                for (j, triple) in replica_arr.iter().enumerate() {
-                    let parts = triple
-                        .as_array()
-                        .filter(|a| a.len() == 3)
-                        .ok_or(format!("placement record {i}: replicas[{j}] not a triple"))?;
-                    let model = parts[0]
-                        .as_str()
-                        .ok_or(format!("placement record {i}: replicas[{j}] model"))?;
-                    let platform = parts[1]
-                        .as_str()
-                        .ok_or(format!("placement record {i}: replicas[{j}] platform"))?;
-                    let count = parts[2]
-                        .as_f64()
-                        .ok_or(format!("placement record {i}: replicas[{j}] count"))?;
-                    replicas.push((model.to_string(), platform.to_string(), count as usize));
-                }
-                let num = |name: &str| -> Result<f64, String> {
-                    rec.get(name)
-                        .and_then(Json::as_f64)
-                        .ok_or(format!("placement record {i}: missing `{name}`"))
-                };
-                let record = PlacementRecord {
-                    replicas,
-                    total_rate_rps: num("total_rate_rps")?,
-                    evaluations: num("evaluations")? as usize,
-                };
-                db.insert_placement(spec, record);
-            }
-        }
-        Ok(db)
+        Ok(TuningDb {
+            tilings: Section::read(&doc)?,
+            pipeline: Section::read(&doc)?,
+            mixed: Section::read(&doc)?,
+            placements: Section::read(&doc)?,
+        })
     }
 
     /// Loads a database from `path`; a missing file is an empty database
@@ -729,8 +665,9 @@ mod tests {
     #[test]
     fn json_round_trips_exactly() {
         let mut db = TuningDb::new();
-        db.insert(key(), record((7, 8, 8), 0.012345678901234));
-        db.insert(
+        db.tilings
+            .insert(key(), record((7, 8, 8), 0.012345678901234));
+        db.tilings.insert(
             DbKey {
                 platform: "Stratix10Gx".into(),
                 ..key()
@@ -739,8 +676,8 @@ mod tests {
         );
         let text = db.to_json();
         let back = TuningDb::from_json(&text).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back.lookup(&key()), db.lookup(&key()));
+        assert_eq!(back.tilings.len(), 2);
+        assert_eq!(back.tilings.lookup(&key()), db.tilings.lookup(&key()));
         // Canonical rendering is stable through a round trip.
         assert_eq!(back.to_json(), text);
     }
@@ -748,14 +685,14 @@ mod tests {
     #[test]
     fn insert_keeps_the_better_record() {
         let mut db = TuningDb::new();
-        assert!(db.insert(key(), record((7, 8, 8), 0.010)));
+        assert!(db.tilings.insert(key(), record((7, 8, 8), 0.010)));
         assert!(
-            !db.insert(key(), record((7, 4, 4), 0.020)),
+            !db.tilings.insert(key(), record((7, 4, 4), 0.020)),
             "worse record must not replace"
         );
-        assert_eq!(db.lookup(&key()).unwrap().tile, (7, 8, 8));
-        assert!(db.insert(key(), record((7, 16, 8), 0.005)));
-        assert_eq!(db.lookup(&key()).unwrap().tile, (7, 16, 8));
+        assert_eq!(db.tilings.lookup(&key()).unwrap().tile, (7, 8, 8));
+        assert!(db.tilings.insert(key(), record((7, 16, 8), 0.005)));
+        assert_eq!(db.tilings.lookup(&key()).unwrap().tile, (7, 16, 8));
     }
 
     #[test]
@@ -765,10 +702,10 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         assert!(TuningDb::load(&path).unwrap().is_empty());
         let mut db = TuningDb::new();
-        db.insert(key(), record((7, 8, 8), 0.012));
+        db.tilings.insert(key(), record((7, 8, 8), 0.012));
         db.save(&path).unwrap();
         let back = TuningDb::load(&path).unwrap();
-        assert_eq!(back.lookup(&key()).unwrap().tile, (7, 8, 8));
+        assert_eq!(back.tilings.lookup(&key()).unwrap().tile, (7, 8, 8));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -787,32 +724,34 @@ mod tests {
     #[test]
     fn pipeline_records_round_trip_and_keep_the_better_one() {
         let mut db = TuningDb::new();
-        db.insert(key(), record((7, 8, 8), 0.012));
-        assert!(db.insert_pipeline(key(), pipeline_record("fill*2", 0.033)));
+        db.tilings.insert(key(), record((7, 8, 8), 0.012));
+        assert!(db.pipeline.insert(key(), pipeline_record("fill*2", 0.033)));
         assert!(
-            !db.insert_pipeline(key(), pipeline_record("full", 0.050)),
+            !db.pipeline.insert(key(), pipeline_record("full", 0.050)),
             "worse pipeline record must not replace"
         );
         let text = db.to_json();
         let back = TuningDb::from_json(&text).unwrap();
-        assert_eq!(back.pipeline_len(), 1);
-        assert_eq!(back.lookup_pipeline(&key()), db.lookup_pipeline(&key()));
+        assert_eq!(back.pipeline.len(), 1);
+        assert_eq!(back.pipeline.lookup(&key()), db.pipeline.lookup(&key()));
         assert_eq!(back.to_json(), text, "canonical rendering is stable");
         // Merge keeps the better pipeline record per key.
         let mut better = TuningDb::new();
-        better.insert_pipeline(key(), pipeline_record("fill*4", 0.020));
+        better
+            .pipeline
+            .insert(key(), pipeline_record("fill*4", 0.020));
         assert_eq!(db.merge(&better), 1);
-        assert_eq!(db.lookup_pipeline(&key()).unwrap().depth_policy, "fill*4");
+        assert_eq!(db.pipeline.lookup(&key()).unwrap().depth_policy, "fill*4");
     }
 
     #[test]
     fn tiling_only_databases_render_without_a_pipeline_section() {
         let mut db = TuningDb::new();
-        db.insert(key(), record((7, 8, 8), 0.012));
+        db.tilings.insert(key(), record((7, 8, 8), 0.012));
         assert!(!db.to_json().contains("\"pipeline\""));
         // And a pipeline-only database still counts as non-empty.
         let mut p = TuningDb::new();
-        p.insert_pipeline(key(), pipeline_record("fill*2", 0.033));
+        p.pipeline.insert(key(), pipeline_record("fill*2", 0.033));
         assert!(!p.is_empty());
     }
 
@@ -835,36 +774,36 @@ mod tests {
     #[test]
     fn mixed_records_round_trip_and_keep_the_fewer_dsps() {
         let mut db = TuningDb::new();
-        assert!(db.insert_mixed(key(), mixed_record(300)));
+        assert!(db.mixed.insert(key(), mixed_record(300)));
         assert!(
-            !db.insert_mixed(key(), mixed_record(500)),
+            !db.mixed.insert(key(), mixed_record(500)),
             "a record modeling more DSPs must not replace"
         );
         let text = db.to_json();
         let back = TuningDb::from_json(&text).unwrap();
-        assert_eq!(back.mixed_len(), 1);
-        assert_eq!(back.lookup_mixed(&key()), db.lookup_mixed(&key()));
+        assert_eq!(back.mixed.len(), 1);
+        assert_eq!(back.mixed.lookup(&key()), db.mixed.lookup(&key()));
         assert_eq!(back.to_json(), text, "canonical rendering is stable");
         // The stored assignment parses back into per-layer precisions.
-        let map = back.lookup_mixed(&key()).unwrap().assignment_map().unwrap();
+        let map = back.mixed.lookup(&key()).unwrap().assignment_map().unwrap();
         assert_eq!(map["conv1"], Precision::Int8);
         assert_eq!(map["conv2"], Precision::Fp16);
         assert_eq!(map["dense1"], Precision::F32);
-        assert_eq!(back.lookup_mixed(&key()).unwrap().demoted(), 2);
+        assert_eq!(back.mixed.lookup(&key()).unwrap().demoted(), 2);
         // Merge keeps the fewer-DSP record per key.
         let mut better = TuningDb::new();
-        better.insert_mixed(key(), mixed_record(250));
+        better.mixed.insert(key(), mixed_record(250));
         assert_eq!(db.merge(&better), 1);
-        assert_eq!(db.lookup_mixed(&key()).unwrap().dsps, 250);
+        assert_eq!(db.mixed.lookup(&key()).unwrap().dsps, 250);
     }
 
     #[test]
     fn mixed_free_databases_render_without_a_mixed_section() {
         let mut db = TuningDb::new();
-        db.insert(key(), record((7, 8, 8), 0.012));
+        db.tilings.insert(key(), record((7, 8, 8), 0.012));
         assert!(!db.to_json().contains("\"mixed\""));
         let mut m = TuningDb::new();
-        m.insert_mixed(key(), mixed_record(300));
+        m.mixed.insert(key(), mixed_record(300));
         assert!(!m.is_empty());
         // A future precision name fails the parse, not the load.
         let mut rec = mixed_record(300);
@@ -886,9 +825,11 @@ mod tests {
     #[test]
     fn placement_records_round_trip_and_first_write_wins() {
         let mut db = TuningDb::new();
-        assert!(db.insert_placement("fleet-abc123".into(), placement_record()));
+        assert!(db
+            .placements
+            .insert("fleet-abc123".into(), placement_record()));
         assert!(
-            !db.insert_placement(
+            !db.placements.insert(
                 "fleet-abc123".into(),
                 PlacementRecord {
                     evaluations: 99,
@@ -899,29 +840,39 @@ mod tests {
         );
         let text = db.to_json();
         let back = TuningDb::from_json(&text).unwrap();
-        assert_eq!(back.placements_len(), 1);
+        assert_eq!(back.placements.len(), 1);
         assert_eq!(
-            back.lookup_placement("fleet-abc123"),
-            db.lookup_placement("fleet-abc123")
+            back.placements.lookup("fleet-abc123"),
+            db.placements.lookup("fleet-abc123")
         );
         assert_eq!(back.to_json(), text, "canonical rendering is stable");
         // Merge carries placements across databases.
         let mut other = TuningDb::new();
-        other.insert_placement("fleet-def456".into(), placement_record());
+        other
+            .placements
+            .insert("fleet-def456".into(), placement_record());
         assert_eq!(db.merge(&other), 1);
-        assert_eq!(db.placements_len(), 2);
+        assert_eq!(db.placements.len(), 2);
     }
 
     #[test]
     fn placement_free_databases_render_without_a_placements_section() {
         let mut db = TuningDb::new();
-        db.insert(key(), record((7, 8, 8), 0.012));
-        db.insert_pipeline(key(), pipeline_record("fill*2", 0.033));
+        db.tilings.insert(key(), record((7, 8, 8), 0.012));
+        db.pipeline.insert(key(), pipeline_record("fill*2", 0.033));
         assert!(!db.to_json().contains("\"placements\""));
         // And a placement-only database still counts as non-empty.
         let mut p = TuningDb::new();
-        p.insert_placement("fleet-abc123".into(), placement_record());
+        p.placements
+            .insert("fleet-abc123".into(), placement_record());
         assert!(!p.is_empty());
+    }
+
+    #[test]
+    fn an_empty_database_still_writes_its_records_section() {
+        let text = TuningDb::new().to_json();
+        assert_eq!(text, "{\n  \"version\": 1,\n  \"records\": []\n}\n");
+        assert!(TuningDb::from_json(&text).unwrap().is_empty());
     }
 
     #[test]
@@ -933,5 +884,32 @@ mod tests {
         let missing = "{\"version\": 1, \"records\": [{\"model\": \"m\"}]}";
         let err = TuningDb::from_json(missing).unwrap_err();
         assert!(err.contains("record 0: missing"), "{err}");
+        // Every section's errors name the section, record and field.
+        let mut db = TuningDb::new();
+        db.tilings.insert(key(), record((7, 8, 8), 0.012));
+        db.pipeline.insert(key(), pipeline_record("fill*2", 0.033));
+        db.placements
+            .insert("fleet-abc123".into(), placement_record());
+        let text = db.to_json();
+        for (from, to, error) in [
+            (
+                "\"max_stages\": 32",
+                "\"max_stages\": -32",
+                "`pipeline` record 0: `max_stages` must be a non-negative integer",
+            ),
+            (
+                "[\"LeNet-5\", \"A10\", 3]",
+                "[\"LeNet-5\", \"A10\"]",
+                "`placements` record 0: `replicas[1]` must be a [model, platform, count] triple",
+            ),
+            (
+                "\"records\": [",
+                "\"records\": [{}, ",
+                "`records` record 0: missing `tile`",
+            ),
+        ] {
+            let broken = text.replace(from, to);
+            assert_eq!(TuningDb::from_json(&broken).unwrap_err(), error);
+        }
     }
 }

@@ -18,10 +18,11 @@
 //!   model plus an evolutionary refinement loop, evaluating candidates in
 //!   parallel across `std::thread` workers through the [`Evaluate`] trait
 //!   (implemented flow-side so each evaluation owns its own compile flow).
-//! * [`db`] — the **persistent tuning database**: JSON records keyed by
-//!   (model, layer-shape signature, platform, precision), parsed back with
-//!   `fpgaccel_trace::json`, so flows and serving deployment caches reuse
-//!   tuned configs without re-searching.
+//! * [`db`] — the **persistent tuning database**: four sections of one
+//!   generic [`Section`] type, keyed by (model, layer-shape signature,
+//!   platform, precision) or by fleet-spec digest, written and parsed back
+//!   with `fpgaccel_trace::json`, so flows and serving deployment caches
+//!   reuse tuned configs without re-searching.
 //! * [`pipeline`] — the **dataflow-pipeline search**: ranks the streaming
 //!   planner's FIFO depth policy and segment stage cap the same way the
 //!   tiling search ranks schedules, caching winners in the database's
@@ -52,7 +53,9 @@ pub use candidate::{
     divisors, shape_signature, Candidate, Conv1x1Shape, LegalityError, SearchSpace,
 };
 pub use cost::{CostModel, Observation};
-pub use db::{DbKey, PipelineRecord, PlacementRecord, PrecisionRecord, TuneRecord, TuningDb};
+pub use db::{
+    DbKey, PipelineRecord, PlacementRecord, PrecisionRecord, Record, Section, TuneRecord, TuningDb,
+};
 pub use pipeline::{
     best_pipeline, pipeline_candidates, search_pipeline, EvaluatePipeline, PipelineMeasured,
 };

@@ -123,7 +123,7 @@ impl Tuner {
 
         // Warm path: a stored record whose tiling is still legal for the
         // space wins outright — zero evaluations, no search.
-        if let Some(rec) = db.lookup(key) {
+        if let Some(rec) = db.tilings.lookup(key) {
             let cand = rec.candidate(key.precision);
             if self.space.validate(&cand).is_ok() {
                 self.counter(
@@ -183,7 +183,7 @@ impl Tuner {
         let seconds = m
             .seconds_per_image
             .expect("best candidate is feasible by construction");
-        db.insert(
+        db.tilings.insert(
             key.clone(),
             TuneRecord {
                 tile: candidate.tile,
@@ -276,8 +276,11 @@ mod tests {
         assert!(out.evaluations > 0);
         // Best of this monotone objective is the max-lanes tiling.
         assert_eq!(out.candidate.tile, (14, 32, 16));
-        assert_eq!(db.lookup(&key()).unwrap().tile, (14, 32, 16));
-        assert_eq!(db.lookup(&key()).unwrap().evaluations, out.evaluations);
+        assert_eq!(db.tilings.lookup(&key()).unwrap().tile, (14, 32, 16));
+        assert_eq!(
+            db.tilings.lookup(&key()).unwrap().evaluations,
+            out.evaluations
+        );
     }
 
     #[test]
@@ -287,7 +290,7 @@ mod tests {
             feasible: true,
         };
         let mut db = TuningDb::new();
-        db.insert(
+        db.tilings.insert(
             key(),
             TuneRecord {
                 tile: (7, 8, 8),
@@ -317,7 +320,7 @@ mod tests {
             feasible: true,
         };
         let mut db = TuningDb::new();
-        db.insert(
+        db.tilings.insert(
             key(),
             TuneRecord {
                 tile: (5, 3, 3), // divides nothing in this space

@@ -42,7 +42,8 @@ fn scratch(name: &str) -> PathBuf {
 fn truncated_file_is_an_error_and_the_db_recovers_by_resaving() {
     let path = scratch("truncated.json");
     let mut db = TuningDb::new();
-    db.insert(key("mobilenet_v1"), record((7, 8, 8), 0.010));
+    db.tilings
+        .insert(key("mobilenet_v1"), record((7, 8, 8), 0.010));
     db.save(&path).unwrap();
 
     // Chop the file mid-document, as a crashed writer would leave it.
@@ -54,7 +55,7 @@ fn truncated_file_is_an_error_and_the_db_recovers_by_resaving() {
     // The in-memory database can re-save over the damage and the file is
     // whole again.
     db.save(&path).unwrap();
-    assert_eq!(TuningDb::load(&path).unwrap().len(), 1);
+    assert_eq!(TuningDb::load(&path).unwrap().tilings.len(), 1);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -65,6 +66,11 @@ fn corrupt_json_and_binary_garbage_are_structured_errors() {
         ("wrong-shape.json", b"[1, 2, 3]".to_vec()),
         ("binary.json", vec![0u8, 159, 146, 150, 255, 0, 7]),
         ("empty.json", Vec::new()),
+        // Nested deep enough to overflow the stack of an unbounded parser.
+        (
+            "deep.json",
+            format!("{{\"version\": 1, \"records\": {}", "[".repeat(100_000)).into_bytes(),
+        ),
     ] {
         let path = scratch(name);
         std::fs::write(&path, &bytes).unwrap();
@@ -82,7 +88,7 @@ fn records_with_broken_fields_are_rejected_with_the_record_index() {
          \"platform\": \"p\", \"precision\": \"F32\", \"tile\": [7, 8, 8], \
          \"seconds_per_image\": 1, \"conv1x1_seconds\": 1, \"dsps\": 1, \
          \"fmax_mhz\": 1, \"evaluations\": 1}]}";
-    assert_eq!(TuningDb::from_json(good).unwrap().len(), 1);
+    assert_eq!(TuningDb::from_json(good).unwrap().tilings.len(), 1);
 
     let bad_tile = good.replace("[7, 8, 8]", "[7, 8]");
     let err = TuningDb::from_json(&bad_tile).unwrap_err();
@@ -99,6 +105,30 @@ fn records_with_broken_fields_are_rejected_with_the_record_index() {
         err.contains("seconds_per_image"),
         "field missing from: {err}"
     );
+
+    // Numbers no tuner could have written: each names its field.
+    for (from, to, field) in [
+        ("[7, 8, 8]", "[7.9, -3, 8]", "tile"),
+        ("[7, 8, 8]", "[7, 0, 8]", "tile"),
+        ("\"dsps\": 1", "\"dsps\": -5", "dsps"),
+        ("\"evaluations\": 1", "\"evaluations\": 1.5", "evaluations"),
+        (
+            "\"seconds_per_image\": 1",
+            "\"seconds_per_image\": -1",
+            "seconds_per_image",
+        ),
+        (
+            "\"seconds_per_image\": 1",
+            "\"seconds_per_image\": 0",
+            "seconds_per_image",
+        ),
+        ("\"fmax_mhz\": 1", "\"fmax_mhz\": 1e999", "fmax_mhz"),
+        ("\"version\": 1", "\"version\": 1.7", "version"),
+    ] {
+        let broken = good.replace(from, to);
+        let err = TuningDb::from_json(&broken).expect_err(&broken);
+        assert!(err.contains(field), "`{field}` missing from: {err}");
+    }
 }
 
 #[test]
@@ -113,7 +143,8 @@ fn unsupported_version_on_disk_is_rejected_and_the_file_is_left_untouched() {
     // A merge-save against the unreadable file must fail rather than
     // clobber a database some newer build owns.
     let mut db = TuningDb::new();
-    db.insert(key("mobilenet_v1"), record((7, 8, 8), 0.010));
+    db.tilings
+        .insert(key("mobilenet_v1"), record((7, 8, 8), 0.010));
     assert!(db.save_merged(&path).is_err());
     assert_eq!(
         std::fs::read_to_string(&path).unwrap(),
@@ -129,32 +160,41 @@ fn concurrent_writers_keep_the_best_record_per_key_via_save_merged() {
 
     // Two tuners load the same (empty) database, then race their saves.
     let mut fast = TuningDb::new();
-    fast.insert(key("mobilenet_v1"), record((7, 16, 8), 0.005));
+    fast.tilings
+        .insert(key("mobilenet_v1"), record((7, 16, 8), 0.005));
     let mut slow = TuningDb::new();
-    slow.insert(key("mobilenet_v1"), record((7, 4, 4), 0.020));
-    slow.insert(key("other_net"), record((7, 8, 8), 0.030));
+    slow.tilings
+        .insert(key("mobilenet_v1"), record((7, 4, 4), 0.020));
+    slow.tilings
+        .insert(key("other_net"), record((7, 8, 8), 0.030));
 
     fast.save_merged(&path).unwrap();
     // The slow tuner lands second with a *worse* record for the shared
     // key; a plain save would clobber the better one.
     let merged = slow.save_merged(&path).unwrap();
 
-    assert_eq!(merged.len(), 2);
+    assert_eq!(merged.tilings.len(), 2);
     let on_disk = TuningDb::load(&path).unwrap();
     assert_eq!(
-        on_disk.lookup(&key("mobilenet_v1")).unwrap().tile,
+        on_disk.tilings.lookup(&key("mobilenet_v1")).unwrap().tile,
         (7, 16, 8),
         "the better concurrent record must survive"
     );
-    assert_eq!(on_disk.lookup(&key("other_net")).unwrap().tile, (7, 8, 8));
+    assert_eq!(
+        on_disk.tilings.lookup(&key("other_net")).unwrap().tile,
+        (7, 8, 8)
+    );
 
     // A later, genuinely better record still wins.
     let mut better = TuningDb::new();
-    better.insert(key("mobilenet_v1"), record((14, 16, 8), 0.004));
+    better
+        .tilings
+        .insert(key("mobilenet_v1"), record((14, 16, 8), 0.004));
     better.save_merged(&path).unwrap();
     assert_eq!(
         TuningDb::load(&path)
             .unwrap()
+            .tilings
             .lookup(&key("mobilenet_v1"))
             .unwrap()
             .tile,

@@ -1,12 +1,11 @@
 //! Quickstart: compile LeNet-5 into an optimized pipelined accelerator for
-//! the Stratix 10 SX, verify it against the reference engine, and classify
-//! a batch of synthetic digits.
+//! the Stratix 10 SX, verify it against the host graph executor, and
+//! classify a batch of synthetic digits.
 //!
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
 
-use fpgaccel::baseline::ReferenceEngine;
 use fpgaccel::core::verify::verify_deployment;
 use fpgaccel::core::{Flow, OptimizationConfig};
 use fpgaccel::device::FpgaPlatform;
@@ -33,11 +32,15 @@ fn main() {
     println!("  kernel-level verification: OK");
 
     // 3. Classify a batch and report simulated FPGA throughput.
-    let engine = ReferenceEngine::new(Model::LeNet5);
+    let reference = Model::LeNet5.build().fuse();
     let inputs = data::digit_batch(10, 42);
     for (i, x) in inputs.iter().enumerate() {
         let class = accel.classify(x);
-        assert_eq!(class, engine.classify(x), "accelerator matches engine");
+        assert_eq!(
+            class,
+            reference.execute(x).argmax(),
+            "accelerator matches the host graph"
+        );
         println!("  image {i}: class {class}");
     }
     let stats = accel.simulate_batch(1000);

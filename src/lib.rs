@@ -20,7 +20,7 @@
 //! * [`device`] — FPGA platform models and reference CPU/GPU platforms.
 //! * [`runtime`] — the OpenCL-style host runtime over a simulated clock.
 //! * [`core`] — the end-to-end compilation flow (the paper's contribution).
-//! * [`baseline`] — the real Rust reference engine and framework models.
+//! * [`baseline`] — calibrated CPU/GPU framework performance models.
 //! * [`serve`] — multi-device inference serving: device pool, dynamic
 //!   batching, admission control, deployment cache.
 //! * [`tune`] — the cost-model-guided auto-scheduler: legality-checked

@@ -1,8 +1,7 @@
 //! Cross-crate integration tests: the full flow — graph import, fusion,
 //! kernel generation, AOC synthesis, host simulation — validated end to end
-//! against the reference engine and the IR interpreter.
+//! against the host graph executor and the IR interpreter.
 
-use fpgaccel::baseline::ReferenceEngine;
 use fpgaccel::core::bitstreams::{baseline_config, lenet_ladder, optimized_config};
 use fpgaccel::core::verify::verify_deployment;
 use fpgaccel::core::{ExecMode, Flow, OptimizationConfig, TilingPreset};
@@ -219,11 +218,11 @@ fn naive_per_layer_folded_execution_is_functionally_correct() {
     verify_deployment(&d, &input, 1e-3).expect("per-layer kernels match the reference");
 }
 
-/// The deployment's classifications agree with the reference engine for
+/// The deployment's classifications agree with the fused host graph for
 /// every platform and both extreme configurations.
 #[test]
 fn classification_agreement_across_platforms() {
-    let engine = ReferenceEngine::new(Model::LeNet5);
+    let reference = Model::LeNet5.build().fuse();
     let inputs = data::digit_batch(6, 11);
     for platform in FpgaPlatform::ALL {
         for cfg in [
@@ -232,7 +231,7 @@ fn classification_agreement_across_platforms() {
         ] {
             let d = Flow::new(Model::LeNet5, platform).compile(&cfg).unwrap();
             for x in &inputs {
-                assert_eq!(d.classify(x), engine.classify(x));
+                assert_eq!(d.classify(x), reference.execute(x).argmax());
             }
         }
     }
