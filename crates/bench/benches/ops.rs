@@ -86,6 +86,8 @@ fn bench_networks() {
     bench("forward_pass/mobilenet_v1_224", 1, 3, || {
         mobilenet.execute(&img)
     });
+    let resnet18 = Model::ResNet18.build().fuse();
+    bench("forward_pass/resnet18_224", 1, 3, || resnet18.execute(&img));
 }
 
 fn main() {

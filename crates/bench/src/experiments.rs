@@ -955,10 +955,14 @@ pub fn alexnet() -> String {
 /// executor, timed on the wall clock.
 pub fn host_engine() -> String {
     let mut t = Table::new(
-        "Reference engine — real measured host FPS (this machine, rayon)",
+        "Fused host graph executor — real measured FPS (this machine, tensor::par threads)",
         &["model", "FPS", "GFLOPS"],
     );
-    for (m, n) in [(Model::LeNet5, 50), (Model::MobileNetV1, 2)] {
+    for (m, n) in [
+        (Model::LeNet5, 50),
+        (Model::MobileNetV1, 2),
+        (Model::ResNet18, 1),
+    ] {
         let graph = m.build().fuse();
         let input = if m == Model::LeNet5 {
             fpgaccel_tensor::data::synthetic_digit(0, 0)

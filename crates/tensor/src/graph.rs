@@ -303,37 +303,116 @@ impl Graph {
         counts
     }
 
+    /// The order the executors evaluate nodes in: ascending ids, except
+    /// that a node waits for a later node its fused residual add reads.
+    /// [`Graph::fuse`] can point `add_from` forward, at a projection
+    /// convolution pushed after the block's second convolution.
+    ///
+    /// # Panics
+    /// Panics if the input and residual edges form a cycle.
+    pub(crate) fn eval_order(&self) -> Vec<NodeId> {
+        let n = self.nodes.len();
+        let (mut order, mut placed, mut stack) = (Vec::with_capacity(n), vec![false; n], vec![]);
+        for root in 0..n {
+            stack.push(root);
+            while let Some(&id) = stack.last() {
+                if placed[id] {
+                    stack.pop();
+                    continue;
+                }
+                let node = &self.nodes[id];
+                match node
+                    .inputs
+                    .iter()
+                    .chain(&node.fused.add_from)
+                    .find(|&&d| !placed[d])
+                {
+                    Some(&d) => {
+                        assert!(stack.len() < n, "graph edges form a cycle");
+                        stack.push(d);
+                    }
+                    None => {
+                        placed[id] = true;
+                        order.push(id);
+                        stack.pop();
+                    }
+                }
+            }
+        }
+        order
+    }
+
     /// Executes the graph on `input`, returning the output tensor.
     ///
-    /// Handles both fused and unfused graphs.
+    /// Handles both fused and unfused graphs. Each activation is dropped
+    /// after its last consumer, so at most the live frontier of the graph
+    /// is held at once.
     ///
     /// # Panics
     /// Panics if `input` does not match the graph input shape.
     pub fn execute(&self, input: &Tensor) -> Tensor {
-        self.execute_all(input)
-            .remove(&self.output)
-            .expect("output node evaluated")
+        self.run(input, true)[self.output]
+            .take()
+            .unwrap_or_else(|| input.clone())
     }
 
     /// Executes the graph and returns every node's activation (per-layer
     /// activation dump, one of the host-code debugging capabilities of §5.2).
+    /// The same walk as [`Graph::execute`], with nothing dropped.
     pub fn execute_all(&self, input: &Tensor) -> HashMap<NodeId, Tensor> {
+        let mut vals = self.run(input, false);
+        vals[0] = Some(input.clone());
+        vals.into_iter()
+            .enumerate()
+            .filter_map(|(id, t)| t.map(|t| (id, t)))
+            .collect()
+    }
+
+    /// Evaluates every node in [`Graph::eval_order`]; `vals[id]` is node
+    /// `id`'s activation. The input node is read from `input`, never
+    /// copied. With `free_dead`, an activation is dropped once its last
+    /// consumer (residual reads included) has run.
+    fn run(&self, input: &Tensor, free_dead: bool) -> Vec<Option<Tensor>> {
         assert_eq!(
             input.shape(),
             self.input_shape(),
             "graph input shape mismatch"
         );
-        let mut vals: HashMap<NodeId, Tensor> = HashMap::new();
-        vals.insert(0, input.clone());
-        for node in &self.nodes[1..] {
-            let out = self.eval_node(node, &vals);
-            vals.insert(node.id, out);
+        let mut uses = free_dead.then(|| {
+            let mut uses = self.use_counts();
+            for n in &self.nodes {
+                if let Some(src) = n.fused.add_from {
+                    uses[src] += 1;
+                }
+            }
+            uses
+        });
+        let mut vals: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
+        for id in self.eval_order().into_iter().skip(1) {
+            let node = &self.nodes[id];
+            let out = self.eval_node(node, input, &vals);
+            vals[id] = Some(out);
+            if let Some(uses) = uses.as_mut() {
+                for &d in node.inputs.iter().chain(&node.fused.add_from) {
+                    uses[d] -= 1;
+                    if uses[d] == 0 {
+                        vals[d] = None;
+                    }
+                }
+                if uses[id] == 0 {
+                    vals[id] = None; // nothing consumes it
+                }
+            }
         }
         vals
     }
 
-    fn eval_node(&self, node: &Node, vals: &HashMap<NodeId, Tensor>) -> Tensor {
-        let arg = |i: usize| &vals[&node.inputs[i]];
+    fn eval_node(&self, node: &Node, input: &Tensor, vals: &[Option<Tensor>]) -> Tensor {
+        let val = |id: NodeId| match id {
+            0 => input,
+            _ => vals[id].as_ref().expect("operand evaluated and live"),
+        };
+        let arg = |i: usize| val(node.inputs[i]);
         let mut out = match &node.op {
             Op::Input => unreachable!(),
             Op::Conv2d {
@@ -390,16 +469,8 @@ impl Graph {
             Op::Add => ops::add(arg(0), arg(1)),
             Op::Softmax => ops::softmax(arg(0)),
         };
-        // Fused residual add (+ deferred activation).
         if let Some(other) = node.fused.add_from {
-            out = ops::add(&out, &vals[&other]);
-            if node.fused.activation != Activation::None {
-                out = match node.fused.activation {
-                    Activation::Relu => ops::relu(&out),
-                    Activation::Relu6 => ops::relu6(&out),
-                    Activation::None => out,
-                };
-            }
+            add_residual(&mut out, val(other), node.fused.activation);
         }
         out
     }
@@ -411,9 +482,10 @@ impl Graph {
     /// producing node's [`FusedEpilogue`], removing the standalone nodes.
     /// Only single-consumer edges are fused.
     ///
-    /// Returns a new graph; the receiver is unchanged.
-    pub fn fuse(&self) -> Graph {
-        let mut g = self.clone();
+    /// Consumes the graph and moves its parameters into the result; clone
+    /// it first to keep the unfused graph.
+    pub fn fuse(self) -> Graph {
+        let mut g = self;
         loop {
             let uses = g.use_counts();
             let mut fused_one = false;
@@ -444,7 +516,7 @@ impl Graph {
                         // BN fuses only if nothing else is fused yet (it must
                         // precede the activation/add mathematically).
                         if uses[p] == 1 && fusable_into(&g, p) && g.nodes[p].fused.is_empty() {
-                            g.nodes[p].fused.bn = g.nodes[id].bn.clone();
+                            g.nodes[p].fused.bn = g.nodes[id].bn.take();
                             g.remove_node(id, p);
                             fused_one = true;
                             break;
@@ -508,44 +580,43 @@ impl Graph {
     /// Splits every padded convolution into `Pad` + unpadded `Conv2d`,
     /// matching the kernels TVM's codegen emits (§3.1, Tables 6.8/6.16).
     ///
-    /// Returns a new graph; the receiver is unchanged.
-    pub fn materialize_padding(&self) -> Graph {
-        let mut g = Graph::new(self.name.clone(), self.input_shape().clone());
+    /// Consumes the graph and moves its parameters into the result; clone
+    /// it first to keep the unpadded graph.
+    pub fn materialize_padding(self) -> Graph {
+        let mut g = Graph::new(self.name, self.nodes[0].out_shape.clone());
         // old id -> new id of the node producing the equivalent value
         let mut map: Vec<NodeId> = vec![0; self.nodes.len()];
-        for node in &self.nodes[1..] {
+        for node in self.nodes.into_iter().skip(1) {
             let new_inputs: Vec<NodeId> = node.inputs.iter().map(|&i| map[i]).collect();
-            let new_id = match &node.op {
+            let old_id = node.id;
+            let new_id = match node.op {
                 Op::Conv2d {
                     out_channels,
                     kernel,
                     stride,
                     pad,
                     depthwise,
-                } if *pad > 0 => {
+                } if pad > 0 => {
                     let pad_id = g.push(
                         format!("{}_pad", node.name),
-                        Op::Pad { pad: *pad },
+                        Op::Pad { pad },
                         vec![new_inputs[0]],
                     );
                     let conv_id = g.push_with_params(
-                        node.name.clone(),
+                        node.name,
                         Op::Conv2d {
-                            out_channels: *out_channels,
-                            kernel: *kernel,
-                            stride: *stride,
+                            out_channels,
+                            kernel,
+                            stride,
                             pad: 0,
-                            depthwise: *depthwise,
+                            depthwise,
                         },
                         vec![pad_id],
-                        node.weights.clone(),
-                        node.bias.clone(),
-                        node.bn.clone(),
+                        node.weights,
+                        node.bias,
+                        node.bn,
                     );
-                    g.nodes[conv_id].fused = FusedEpilogue {
-                        add_from: node.fused.add_from.map(|a| map[a]),
-                        ..node.fused.clone()
-                    };
+                    g.nodes[conv_id].fused = node.fused;
                     conv_id
                 }
                 // Padded max pooling also splits into pad + pool. Zero
@@ -556,39 +627,43 @@ impl Graph {
                     window,
                     stride,
                     pad,
-                } if *pad > 0 => {
+                } if pad > 0 => {
                     let pad_id = g.push(
                         format!("{}_pad", node.name),
-                        Op::Pad { pad: *pad },
+                        Op::Pad { pad },
                         vec![new_inputs[0]],
                     );
                     g.push(
-                        node.name.clone(),
+                        node.name,
                         Op::MaxPool {
-                            window: *window,
-                            stride: *stride,
+                            window,
+                            stride,
                             pad: 0,
                         },
                         vec![pad_id],
                     )
                 }
-                _ => {
+                op => {
                     let id = g.push_with_params(
-                        node.name.clone(),
-                        node.op.clone(),
+                        node.name,
+                        op,
                         new_inputs,
-                        node.weights.clone(),
-                        node.bias.clone(),
-                        node.bn.clone(),
+                        node.weights,
+                        node.bias,
+                        node.bn,
                     );
-                    g.nodes[id].fused = FusedEpilogue {
-                        add_from: node.fused.add_from.map(|a| map[a]),
-                        ..node.fused.clone()
-                    };
+                    g.nodes[id].fused = node.fused;
                     id
                 }
             };
-            map[node.id] = new_id;
+            map[old_id] = new_id;
+        }
+        // Residual sources are remapped only now: a fused add may read a
+        // node placed after its own.
+        for n in &mut g.nodes {
+            if let Some(src) = n.fused.add_from.as_mut() {
+                *src = map[*src];
+            }
         }
         g.output = map[self.output];
         g
@@ -602,6 +677,18 @@ impl Graph {
     /// Nodes that become kernels after fusion (everything except `Input`).
     pub fn kernel_nodes(&self) -> impl Iterator<Item = &Node> {
         self.nodes.iter().filter(|n| n.op != Op::Input)
+    }
+}
+
+/// The fused residual epilogue, in place: `out = activation(out + other)`,
+/// the activation deferred past the add as the fusion pass requires.
+///
+/// # Panics
+/// Panics if the shapes differ.
+pub(crate) fn add_residual(out: &mut Tensor, other: &Tensor, activation: Activation) {
+    assert_eq!(out.shape(), other.shape(), "residual add shape mismatch");
+    for (o, &r) in out.data_mut().iter_mut().zip(other.data()) {
+        *o = activation.apply(*o + r);
     }
 }
 
@@ -661,7 +748,7 @@ mod tests {
     #[test]
     fn fusion_removes_relu_and_preserves_semantics() {
         let g = tiny_conv_graph();
-        let fused = g.fuse();
+        let fused = g.clone().fuse();
         assert!(fused.nodes.iter().all(|n| n.op != Op::Relu));
         assert_eq!(fused.nodes.len(), g.nodes.len() - 1);
         assert_eq!(
@@ -721,7 +808,7 @@ mod tests {
         let s = g.push("add", Op::Add, vec![b, a]);
         g.push("relu", Op::Relu, vec![s]);
 
-        let fused = g.fuse();
+        let fused = g.clone().fuse();
         assert!(fused
             .nodes
             .iter()
@@ -766,7 +853,7 @@ mod tests {
             Some((vec![1.5, 0.5], vec![0.1, -0.1])),
         );
         g.push("relu", Op::Relu, vec![bn]);
-        let fused = g.fuse();
+        let fused = g.clone().fuse();
         assert_eq!(fused.nodes.len(), 2); // input + conv
         let conv = &fused.nodes[1];
         assert!(conv.fused.bn.is_some());
@@ -798,11 +885,82 @@ mod tests {
             None,
             None,
         );
-        let m = g.materialize_padding();
+        let m = g.clone().materialize_padding();
         assert_eq!(m.nodes.len(), 3);
         assert!(matches!(m.nodes[1].op, Op::Pad { pad: 1 }));
         assert!(matches!(m.nodes[2].op, Op::Conv2d { pad: 0, .. }));
         let x = Tensor::random(Shape::chw(1, 4, 4), 11, 1.0);
         assert!(crate::allclose(&g.execute(&x), &m.execute(&x), 1e-6, 1e-6));
+    }
+
+    /// A projection block: `x -> conv_a -> conv_b -> add -> relu`, with the
+    /// 1x1 `proj` shortcut of `x` pushed after `conv_b`, as ResNet's blocks
+    /// are. Fusion points `conv_b`'s residual add at the later `proj`.
+    fn projection_block() -> Graph {
+        let mut g = Graph::new("proj", Shape::chw(2, 6, 6));
+        let conv = |out_channels, kernel, pad| Op::Conv2d {
+            out_channels,
+            kernel,
+            stride: 1,
+            pad,
+            depthwise: false,
+        };
+        let wa = Tensor::random(Shape::kcff(3, 2, 3), 12, 0.5);
+        let wb = Tensor::random(Shape::kcff(3, 3, 3), 13, 0.5);
+        let wp = Tensor::random(Shape::kcff(3, 2, 1), 14, 0.5);
+        let a = g.push_with_params("conv_a", conv(3, 3, 1), vec![0], Some(wa), None, None);
+        let b = g.push_with_params("conv_b", conv(3, 3, 1), vec![a], Some(wb), None, None);
+        let p = g.push_with_params("proj", conv(3, 1, 0), vec![0], Some(wp), None, None);
+        let s = g.push("add", Op::Add, vec![b, p]);
+        g.push("relu", Op::Relu, vec![s]);
+        g
+    }
+
+    #[test]
+    fn a_residual_read_of_a_later_node_is_ordered_and_remapped() {
+        let g = projection_block();
+        let fused = g.clone().fuse();
+        let id = |g: &Graph, name: &str| g.nodes.iter().position(|n| n.name == name).unwrap();
+        let (b, p) = (id(&fused, "conv_b"), id(&fused, "proj"));
+        assert_eq!(fused.nodes[b].fused.add_from, Some(p));
+        assert!(p > b);
+        let order = fused.eval_order();
+        let pos = |n: NodeId| order.iter().position(|&o| o == n).unwrap();
+        assert!(pos(p) < pos(b));
+
+        let compiled = fused.clone().materialize_padding();
+        let (b, p) = (id(&compiled, "conv_b"), id(&compiled, "proj"));
+        assert_eq!(compiled.nodes[b].fused.add_from, Some(p));
+
+        let x = Tensor::random(Shape::chw(2, 6, 6), 15, 1.0);
+        let expect = g.execute(&x);
+        for got in [fused.execute(&x), compiled.execute(&x)] {
+            assert!(crate::allclose(&got, &expect, 1e-5, 1e-6));
+        }
+    }
+
+    #[test]
+    fn execute_equals_the_dump_and_keeps_only_the_output_alive() {
+        let graphs = [
+            (
+                crate::models::lenet5().fuse(),
+                crate::data::synthetic_digit(4, 1),
+            ),
+            (
+                crate::models::mobilenet_v1().fuse().materialize_padding(),
+                crate::data::imagenet_input(2),
+            ),
+            (
+                projection_block().fuse().materialize_padding(),
+                Tensor::random(Shape::chw(2, 6, 6), 16, 1.0),
+            ),
+        ];
+        for (g, x) in &graphs {
+            assert_eq!(g.execute(x).data(), g.execute_all(x)[&g.output].data());
+            let live: Vec<NodeId> = (g.run(x, true).iter().enumerate())
+                .filter_map(|(id, v)| v.as_ref().map(|_| id))
+                .collect();
+            assert_eq!(live, [g.output], "{}", g.name);
+        }
     }
 }

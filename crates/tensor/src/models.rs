@@ -568,7 +568,7 @@ mod tests {
     fn fused_lenet_is_deterministic_and_matches_the_unfused_graph() {
         let g = Model::LeNet5.build();
         let x = crate::data::synthetic_digit(5, 2);
-        let fused = g.fuse().execute(&x);
+        let fused = g.clone().fuse().execute(&x);
         assert_eq!(fused.numel(), 10);
         assert!((fused.sum() - 1.0).abs() < 1e-5 && fused.all_finite());
         assert!(crate::allclose(&g.execute(&x), &fused, 1e-5, 1e-6));

@@ -51,8 +51,8 @@ impl Conv2dParams {
 /// Direct convolution: input `[C1, H1, W1]`, weights `[K, C1, F, F]`,
 /// output `[K, H2, W2]` per Eq. 2.1 / Listing 2.1.
 ///
-/// Parallelized over output channels (rayon), matching the axis TVM's x86
-/// schedule parallelizes (§6.4.2).
+/// Parallelized over output channels ([`crate::par`]), matching the axis
+/// TVM's x86 schedule parallelizes (§6.4.2).
 ///
 /// # Panics
 /// Panics on rank/shape mismatches.

@@ -11,7 +11,7 @@ use crate::shape::{conv_out_shape, Shape};
 use crate::tensor::Tensor;
 
 /// Dense row-major matrix multiply `C[m x n] = A[m x k] * B[k x n]`,
-/// rayon-parallel over rows of `A`.
+/// parallel over rows of `A`.
 ///
 /// # Panics
 /// Panics on dimension mismatches.
@@ -21,20 +21,34 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = (a.shape().dim(0), a.shape().dim(1));
     let (k2, n) = (b.shape().dim(0), b.shape().dim(1));
     assert_eq!(k, k2, "matmul inner dimensions differ: {k} vs {k2}");
-    let ad = a.data();
-    let bd = b.data();
+    let out = gemm(a.data(), b.data(), m, n, |_, _| {});
+    Tensor::from_vec(Shape::d2(m, n), out)
+}
+
+/// `A[m x k] * B[k x n]` over row-major slices, with `k` implied by
+/// `a.len() / m`, parallel over rows of `A`. Each finished output row `i`
+/// is handed to `epilogue(i, row)` on the thread that computed it.
+fn gemm(
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    n: usize,
+    epilogue: impl Fn(usize, &mut [f32]) + Sync,
+) -> Vec<f32> {
+    let k = a.len().checked_div(m).unwrap_or(0);
     let mut out = vec![0.0f32; m * n];
     crate::par::for_each_chunk_mut(&mut out, n, |i, row| {
-        let arow = &ad[i * k..(i + 1) * k];
+        let arow = &a[i * k..(i + 1) * k];
         // k-outer accumulation keeps the inner loop contiguous over B.
         for (kk, &av) in arow.iter().enumerate() {
-            let brow = &bd[kk * n..(kk + 1) * n];
+            let brow = &b[kk * n..(kk + 1) * n];
             for (r, &bv) in row.iter_mut().zip(brow) {
                 *r += av * bv;
             }
         }
+        epilogue(i, row);
     });
-    Tensor::from_vec(Shape::d2(m, n), out)
+    out
 }
 
 /// Unfolds a CHW input into the im2col matrix `[C1*F*F, H2*W2]`: column
@@ -79,6 +93,11 @@ pub fn im2col(input: &Tensor, f: usize, stride: usize, pad: usize) -> Tensor {
 /// Convolution via im2col + GEMM: computes exactly what
 /// [`super::conv::conv2d`] computes (up to float reassociation).
 ///
+/// The row-major `[K, C1, F, F]` weights already are the `[K, C1*F*F]` GEMM
+/// operand, and a 1×1, stride-1, unpadded convolution's im2col matrix is
+/// its CHW input, so neither is copied. The fused epilogue runs on each
+/// output row as the GEMM finishes it.
+///
 /// # Panics
 /// Panics on shape mismatches.
 pub fn conv2d_im2col(input: &Tensor, weights: &Tensor, p: &Conv2dParams) -> Tensor {
@@ -91,18 +110,19 @@ pub fn conv2d_im2col(input: &Tensor, weights: &Tensor, p: &Conv2dParams) -> Tens
         c1,
         "input channel mismatch with weights"
     );
-    let cols = im2col(input, f, p.stride, p.pad);
-    // Weights viewed as [K, C1*F*F].
-    let wmat = Tensor::from_vec(Shape::d2(k, c1 * f * f), weights.data().to_vec());
-    let prod = matmul(&wmat, &cols);
     let out_shape = conv_out_shape(input.shape(), k, f, p.stride, p.pad);
-    let (h2, w2) = (out_shape.dim(1), out_shape.dim(2));
-    let mut data = prod.into_vec();
-    for (kk, plane) in data.chunks_mut(h2 * w2).enumerate() {
-        for v in plane.iter_mut() {
+    let plane = out_shape.dim(1) * out_shape.dim(2);
+    let epilogue = |kk: usize, row: &mut [f32]| {
+        for v in row {
             *v = p.epilogue(kk, *v);
         }
-    }
+    };
+    let data = if f == 1 && p.stride == 1 && p.pad == 0 {
+        gemm(weights.data(), input.data(), k, plane, epilogue)
+    } else {
+        let cols = im2col(input, f, p.stride, p.pad);
+        gemm(weights.data(), cols.data(), k, plane, epilogue)
+    };
     Tensor::from_vec(out_shape, data)
 }
 
@@ -200,5 +220,26 @@ mod tests {
         let direct = conv2d(&input, &w, &p);
         let gemm = conv2d_im2col(&input, &w, &p);
         assert!(crate::allclose(&gemm, &direct, 1e-4, 1e-5));
+    }
+
+    #[test]
+    fn one_by_one_path_is_bit_identical_to_matmul_of_im2col() {
+        let input = Tensor::random(Shape::chw(16, 9, 7), 7, 1.0);
+        let w = Tensor::random(Shape::kcff(12, 16, 1), 8, 0.5);
+        let p = Conv2dParams {
+            bias: Some((0..12).map(|i| i as f32 * 0.1).collect()),
+            activation: Activation::Relu6,
+            ..Conv2dParams::plain(1, 0)
+        };
+        let wmat = Tensor::from_vec(Shape::d2(12, 16), w.data().to_vec());
+        let mut expect = matmul(&wmat, &im2col(&input, 1, 1, 0)).into_vec();
+        for (kk, plane) in expect.chunks_mut(9 * 7).enumerate() {
+            for v in plane {
+                *v = p.epilogue(kk, *v);
+            }
+        }
+        let got = conv2d_im2col(&input, &w, &p);
+        assert_eq!(got.shape(), &Shape::chw(12, 9, 7));
+        assert_eq!(got.data(), &expect[..]);
     }
 }

@@ -3,9 +3,9 @@
 //! These are the *functional* ground truth for the whole workspace: the
 //! simulated FPGA kernels, the IR interpreter and the baseline engine are all
 //! validated against them. They are written for clarity first, but the
-//! convolution kernels are also rayon-parallel over output channels (the same
-//! axis TVM's x86 schedule parallelizes, §6.4.2) so full MobileNet/ResNet
-//! forward passes stay fast.
+//! convolution kernels are also thread-parallel over output channels (the
+//! same axis TVM's x86 schedule parallelizes, §6.4.2; see [`crate::par`]) so
+//! full MobileNet/ResNet forward passes stay fast.
 
 mod activation;
 mod conv;

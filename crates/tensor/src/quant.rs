@@ -39,7 +39,7 @@
 //! of percentile clipping on *accuracy* is a deployment concern (top-1
 //! agreement), not a per-layer verification concern.
 
-use crate::graph::{Graph, Node, NodeId, Op};
+use crate::graph::{add_residual, Graph, Node, NodeId, Op};
 use crate::ops::{self, Activation, Conv2dParams};
 use crate::shape::{conv_out_shape, Shape};
 use crate::tensor::Tensor;
@@ -544,9 +544,10 @@ impl<'a> QuantizedGraph<'a> {
         }
         let mut vals: HashMap<NodeId, Tensor> = HashMap::new();
         vals.insert(0, self.requant(&self.graph.nodes[0], input.clone())?);
-        for node in &self.graph.nodes[1..] {
+        for id in self.graph.eval_order().into_iter().skip(1) {
+            let node = &self.graph.nodes[id];
             let out = self.eval_node(node, &vals)?;
-            vals.insert(node.id, out);
+            vals.insert(id, out);
         }
         Ok(vals)
     }
@@ -650,12 +651,7 @@ impl<'a> QuantizedGraph<'a> {
             Op::Softmax => return Ok(ops::softmax(arg(0))),
         };
         if let Some(other) = node.fused.add_from {
-            out = ops::add(&out, &vals[&other]);
-            match node.fused.activation {
-                Activation::Relu => out = ops::relu(&out),
-                Activation::Relu6 => out = ops::relu6(&out),
-                Activation::None => {}
-            }
+            add_residual(&mut out, &vals[&other], node.fused.activation);
         }
         self.requant(node, out)
     }

@@ -8,7 +8,7 @@ use fpgaccel::core::{ExecMode, Flow, OptimizationConfig, TilingPreset};
 use fpgaccel::device::FpgaPlatform;
 use fpgaccel::tensor::graph::{Graph, Op};
 use fpgaccel::tensor::models::Model;
-use fpgaccel::tensor::{data, Shape, Tensor};
+use fpgaccel::tensor::{allclose, data, Shape, Tensor, FP_RELAXED_RTOL};
 
 /// Every LeNet bitstream of the Table 6.4 ladder, on every platform,
 /// computes exactly what the reference graph computes — verified by running
@@ -234,6 +234,27 @@ fn classification_agreement_across_platforms() {
                 assert_eq!(d.classify(x), reference.execute(x).argmax());
             }
         }
+    }
+}
+
+/// ResNet-18's residual fork/join survives the passes. Fusion points each
+/// projection block's add at the projection convolution, a node pushed
+/// after the one it fuses into; the fused and the compiled (fused, then
+/// padding-materialized) graphs still compute what the unfused graph does.
+#[test]
+fn fused_and_compiled_resnet18_match_the_unfused_graph() {
+    let x = data::imagenet_input(1);
+    let unfused = Model::ResNet18.build();
+    let expect = unfused.execute(&x);
+    let fused = unfused.fuse();
+    let got_fused = fused.execute(&x);
+    let compiled = fused.materialize_padding();
+    for (name, got) in [("fused", got_fused), ("compiled", compiled.execute(&x))] {
+        assert!(
+            allclose(&got, &expect, FP_RELAXED_RTOL, 1e-6),
+            "{name} ResNet-18 differs from the unfused graph"
+        );
+        assert_eq!(got.argmax(), expect.argmax(), "{name}");
     }
 }
 

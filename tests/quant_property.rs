@@ -7,7 +7,7 @@
 //!
 //! The fast test draws a couple dozen networks per rung; the `--ignored`
 //! variants are the nightly soak (a deeper case sweep, and the MobileNetV1
-//! differential at fp16/int8 — minutes of host-side 224x224 execution).
+//! and ResNet-18 differentials at fp16/int8 — host-side 224x224 execution).
 
 use fpgaccel::tensor::models::Model;
 use fpgaccel::tensor::quant::{calibrate, differential, QuantError, QuantPrecision};
@@ -211,6 +211,31 @@ fn mobilenet_differential_passes_at_fp16_and_int8() {
         assert!(
             report.pass(),
             "MobileNetV1 {precision}: {:?}",
+            report
+                .failures()
+                .iter()
+                .map(|l| l.to_string())
+                .collect::<Vec<_>>()
+        );
+    }
+}
+
+/// Nightly soak: the ResNet-18 differential at fp16 and int8 — residual
+/// fork/join through every quantized layer, including the projection
+/// blocks whose fused add reads a later node.
+#[test]
+#[ignore = "seconds of host-side ResNet execution; nightly soak covers it"]
+fn resnet18_differential_passes_at_fp16_and_int8() {
+    let g = Model::ResNet18.build().fuse().materialize_padding();
+    let batch: Vec<Tensor> = (0..2)
+        .map(|i| Tensor::random(g.input_shape().clone(), 0x5EED_2E18 + i as u64, 1.0))
+        .collect();
+    let calib = calibrate(&g, &batch, 1.0).unwrap();
+    for precision in [QuantPrecision::Fp16, QuantPrecision::Int8] {
+        let report = differential(&g, &calib, precision, &batch[0]).unwrap();
+        assert!(
+            report.pass(),
+            "ResNet-18 {precision}: {:?}",
             report
                 .failures()
                 .iter()
