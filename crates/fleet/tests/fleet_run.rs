@@ -2,15 +2,16 @@
 //! surge, fleet-wide rollouts with a sabotaged shard, byte-identical
 //! reruns, and the resilience stack (correlated domain outages, hedging,
 //! failover replay, and self-healing re-placement) on its happy and
-//! negative paths.
+//! negative paths. Every scenario, plus a sweep of generated fault plans,
+//! is pinned byte for byte by `fixtures/fleet_golden.txt`.
 
 use fpgaccel_core::bitstreams::optimized_config;
 use fpgaccel_core::{OptimizationConfig, TilingPreset};
 use fpgaccel_device::FpgaPlatform;
-use fpgaccel_fault::{shadow_target, FaultEvent, FaultKind, FaultPlan};
+use fpgaccel_fault::{shadow_target, FaultEvent, FaultKind, FaultPlan, FaultSpec};
 use fpgaccel_fleet::{
-    DeviceClass, Fleet, FleetConfig, FleetRollout, FleetSpec, HealthPolicy, ModelDemand,
-    PlacementError, TenantLoad, TenantPolicy,
+    DeviceClass, Fleet, FleetConfig, FleetRollout, FleetRunResult, FleetSpec, HealthPolicy,
+    ModelDemand, PlacementError, TenantLoad, TenantPolicy,
 };
 use fpgaccel_serve::{AdmissionPolicy, DeploymentCache, RolloutPolicy, ServeConfig};
 use fpgaccel_tensor::models::Model;
@@ -35,6 +36,15 @@ fn deep_queue() -> ServeConfig {
             default_deadline_s: None,
         },
         ..ServeConfig::default()
+    }
+}
+
+/// Two deep-queue shards.
+fn two_shards() -> FleetConfig {
+    FleetConfig {
+        shards: 2,
+        serve: deep_queue(),
+        ..FleetConfig::default()
     }
 }
 
@@ -72,19 +82,19 @@ fn surge_tenants(capacity: f64) -> Vec<TenantLoad> {
     ]
 }
 
+/// Runs the surge tenants for 0.25 s, sized off the fleet's capacity.
+fn run_surge(fleet: Fleet) -> FleetRunResult {
+    let capacity = fleet.capacity_rps();
+    fleet.run(&surge_tenants(capacity), 0.25)
+}
+
 #[test]
 fn a_surging_tenant_is_shed_without_touching_its_neighbours() {
-    let cfg = FleetConfig {
-        shards: 2,
-        serve: deep_queue(),
-        ..FleetConfig::default()
-    };
     let mut db = TuningDb::new();
-    let fleet = Fleet::build(&lenet_spec(), cfg, &mut db).unwrap();
+    let fleet = Fleet::build(&lenet_spec(), two_shards(), &mut db).unwrap();
     assert!(!fleet.plan().from_cache);
     assert!(fleet.plan().evaluations > 0);
-    let capacity = fleet.capacity_rps();
-    let r = fleet.run(&surge_tenants(capacity), 0.25);
+    let r = run_surge(fleet);
 
     let by_name = |n: &str| r.tenants.iter().find(|t| t.name == n).unwrap();
     let (alpha, bravo, charlie) = (by_name("alpha"), by_name("bravo"), by_name("charlie"));
@@ -133,30 +143,27 @@ fn a_surging_tenant_is_shed_without_touching_its_neighbours() {
 
 #[test]
 fn reruns_are_byte_identical_and_warm_builds_reload_the_plan() {
-    let cfg = FleetConfig {
-        shards: 2,
-        serve: deep_queue(),
-        ..FleetConfig::default()
-    };
     let spec = lenet_spec();
     let mut db = TuningDb::new();
-    let cold = Fleet::build(&spec, cfg.clone(), &mut db).unwrap();
+    let cold = Fleet::build(&spec, two_shards(), &mut db).unwrap();
     let capacity = cold.capacity_rps();
-    let tenants = surge_tenants(capacity);
-    let first = cold.run(&tenants, 0.25);
+    let first = run_surge(cold);
 
     // Same database: the plan reloads with zero feasibility probes.
-    let warm = Fleet::build(&spec, cfg, &mut db).unwrap();
+    let warm = Fleet::build(&spec, two_shards(), &mut db).unwrap();
     assert!(warm.plan().from_cache);
     assert_eq!(warm.plan().evaluations, 0);
     assert_eq!(warm.capacity_rps(), capacity);
-    let second = warm.run(&tenants, 0.25);
+    let second = run_surge(warm);
 
     assert_eq!(first.digest(), second.digest());
 }
 
-#[test]
-fn a_fleet_rollout_upgrades_every_shard_absorbing_one_sabotaged_rollback() {
+/// A two-shard MobileNet fleet upgraded to the auto-tuned folded shape,
+/// with the first serving shard sabotaged: its first reprogram fails
+/// (absorbed by retry) and its canary shadow batch reads back corrupt,
+/// forcing a rollback — then the scheduled retry promotes.
+fn run_sabotaged_rollout() -> FleetRunResult {
     let rate = device_rate(Model::MobileNetV1, FpgaPlatform::Stratix10Sx);
     let spec = FleetSpec {
         classes: vec![DeviceClass {
@@ -170,16 +177,10 @@ fn a_fleet_rollout_upgrades_every_shard_absorbing_one_sabotaged_rollback() {
         headroom: 0.2,
         domains: 1,
     };
-    let cfg = FleetConfig {
-        shards: 2,
-        serve: deep_queue(),
-        ..FleetConfig::default()
-    };
     let mut db = TuningDb::new();
-    let mut fleet = Fleet::build(&spec, cfg, &mut db).unwrap();
+    let mut fleet = Fleet::build(&spec, two_shards(), &mut db).unwrap();
     let capacity = fleet.capacity_rps();
 
-    // The upgrade target: the auto-tuned folded MobileNet shape.
     let mut to = OptimizationConfig::folded(TilingPreset::Custom1x1 { tile: (7, 8, 8) });
     to.label = "Folded-Tuned".into();
     fleet.schedule_rollout(FleetRollout {
@@ -191,9 +192,6 @@ fn a_fleet_rollout_upgrades_every_shard_absorbing_one_sabotaged_rollback() {
         policy: RolloutPolicy::default(),
     });
 
-    // Sabotage the first shard serving the model: its first reprogram
-    // fails (absorbed by retry) and its canary shadow batch reads back
-    // corrupt, forcing a rollback — then the scheduled retry promotes.
     let serving = fleet.shards_serving(Model::MobileNetV1);
     assert_eq!(serving.len(), 2, "both shards should serve MobileNet");
     let victim = serving[0];
@@ -226,7 +224,12 @@ fn a_fleet_rollout_upgrades_every_shard_absorbing_one_sabotaged_rollback() {
         },
         offered: vec![(Model::MobileNetV1, 0.5 * capacity)],
     };
-    let r = fleet.run(&[tenant], 1.0);
+    fleet.run(&[tenant], 1.0)
+}
+
+#[test]
+fn a_fleet_rollout_upgrades_every_shard_absorbing_one_sabotaged_rollback() {
+    let r = run_sabotaged_rollout();
 
     // Exactly one rollback (the sabotaged first attempt); every serving
     // shard promoted (the victim through its retry).
@@ -270,14 +273,8 @@ fn domained_spec(demand_x: f64, headroom: f64) -> FleetSpec {
 
 /// Sabotages both shards and runs the surge scenario once; used twice to
 /// prove multi-shard arming and re-arming leak no injector state.
-fn run_doubly_sabotaged(spec: &FleetSpec, db: &mut TuningDb) -> String {
-    let cfg = FleetConfig {
-        shards: 2,
-        serve: deep_queue(),
-        ..FleetConfig::default()
-    };
-    let mut fleet = Fleet::build(spec, cfg, db).unwrap();
-    let capacity = fleet.capacity_rps();
+fn run_doubly_sabotaged(spec: &FleetSpec, db: &mut TuningDb) -> FleetRunResult {
+    let mut fleet = Fleet::build(spec, two_shards(), db).unwrap();
     for shard in 0..2 {
         let device = fleet.device_serving(shard, Model::LeNet5).unwrap();
         // Arm the same shard twice: the plans must merge, not replace.
@@ -307,7 +304,7 @@ fn run_doubly_sabotaged(spec: &FleetSpec, db: &mut TuningDb) -> String {
             ),
         );
     }
-    fleet.run(&surge_tenants(capacity), 0.25).digest()
+    run_surge(fleet)
 }
 
 #[test]
@@ -317,37 +314,54 @@ fn arming_multiple_shards_twice_keeps_reruns_byte_identical() {
     // the first run's injectors into the second.
     let spec = domained_spec(3.2, 0.25);
     let mut db = TuningDb::new();
-    let first = run_doubly_sabotaged(&spec, &mut db);
-    let second = run_doubly_sabotaged(&spec, &mut db);
+    let first = run_doubly_sabotaged(&spec, &mut db).digest();
+    let second = run_doubly_sabotaged(&spec, &mut db).digest();
     assert_eq!(first, second);
 }
 
-#[test]
-fn a_domain_outage_is_absorbed_and_hedges_never_double_count() {
-    // 6 boards, domain dom-0 (shard 0) goes dark mid-run. Demand is sized
-    // so the 3 surviving boards can still fit the whole demand with
-    // headroom — the heal must succeed.
-    let spec = domained_spec(2.2, 0.25);
-    let cfg = FleetConfig {
-        shards: 2,
-        serve: deep_queue(),
-        ..FleetConfig::default()
-    };
-    let mut db = TuningDb::new();
-    let mut fleet = Fleet::build(&spec, cfg, &mut db).unwrap();
-    let capacity = fleet.capacity_rps();
-    assert_eq!(fleet.domains(), 2);
-    assert_eq!(fleet.domain_of(0), "dom-0");
-    assert!(!fleet.domain_members("dom-0").is_empty());
+/// Builds a two-shard fleet over `spec` and arms a `dom-0` outage at
+/// 0.08 s.
+fn dom0_outage(spec: &FleetSpec, cfg: FleetConfig, seed: u64) -> Fleet {
+    let mut fleet = Fleet::build(spec, cfg, &mut TuningDb::new()).unwrap();
     fleet.arm(FaultPlan::new(
-        0xD0,
+        seed,
         vec![FaultEvent {
             at_s: 0.08,
             target: "dom-0".into(),
             kind: FaultKind::DomainOutage,
         }],
     ));
-    let r = fleet.run(&surge_tenants(capacity), 0.25);
+    fleet
+}
+
+/// 6 boards, domain dom-0 (shard 0) goes dark mid-run. Demand is sized
+/// so the 3 surviving boards can still fit the whole demand with
+/// headroom — the heal must succeed.
+fn healable_outage() -> Fleet {
+    dom0_outage(&domained_spec(2.2, 0.25), two_shards(), 0xD0)
+}
+
+/// Demand sized so the cold placement uses every board: the surviving
+/// inventory cannot fit the demand after losing shard 0. The breaker
+/// re-probes aggressively, so every probe meets the dead shard.
+fn unhealable_outage() -> Fleet {
+    let cfg = FleetConfig {
+        health: HealthPolicy {
+            cooldown_s: 0.01,
+            ..HealthPolicy::default()
+        },
+        ..two_shards()
+    };
+    dom0_outage(&domained_spec(4.5, 0.02), cfg, 0xD1)
+}
+
+#[test]
+fn a_domain_outage_is_absorbed_and_hedges_never_double_count() {
+    let fleet = healable_outage();
+    assert_eq!(fleet.domains(), 2);
+    assert_eq!(fleet.domain_of(0), "dom-0");
+    assert!(!fleet.domain_members("dom-0").is_empty());
+    let r = run_surge(fleet);
 
     // The outage triggered the whole chain: breaker, replay, heal.
     assert!(r.breaker_transitions_to("open") >= 1);
@@ -393,34 +407,9 @@ fn a_domain_outage_is_absorbed_and_hedges_never_double_count() {
 
 #[test]
 fn an_unhealable_outage_reports_a_placement_error_and_keeps_the_breaker_open() {
-    // Demand sized so the cold placement uses every board: the surviving
-    // inventory cannot fit the demand after losing shard 0, so the heal
-    // must return a structured error — no panic — and the breaker must
-    // keep the shard ejected instead of flapping closed.
-    let spec = domained_spec(4.5, 0.02);
-    let cfg = FleetConfig {
-        shards: 2,
-        serve: deep_queue(),
-        health: HealthPolicy {
-            // Re-probe aggressively: every probe must fail against the
-            // dead shard and re-open, never close.
-            cooldown_s: 0.01,
-            ..HealthPolicy::default()
-        },
-        ..FleetConfig::default()
-    };
-    let mut db = TuningDb::new();
-    let mut fleet = Fleet::build(&spec, cfg, &mut db).unwrap();
-    let capacity = fleet.capacity_rps();
-    fleet.arm(FaultPlan::new(
-        0xD1,
-        vec![FaultEvent {
-            at_s: 0.08,
-            target: "dom-0".into(),
-            kind: FaultKind::DomainOutage,
-        }],
-    ));
-    let r = fleet.run(&surge_tenants(capacity), 0.25);
+    // The heal must return a structured error — no panic — and the
+    // breaker must keep the shard ejected instead of flapping closed.
+    let r = run_surge(unhealable_outage());
 
     let heal = r.heals.first().expect("the outage still triggers a heal");
     assert!(
@@ -455,4 +444,114 @@ fn an_unhealable_outage_reports_a_placement_error_and_keeps_the_breaker_open() {
             t.name
         );
     }
+}
+
+/// A 12-board LeNet fleet over 4 shards, one failure domain each, driven
+/// through a generated fault plan: a hang, stalls, a corruption and one
+/// persistent slowdown on serving boards, plus a domain burst on odd
+/// seeds. The fleet seed follows the fault seed.
+fn run_generated_chaos(seed: u64) -> FleetRunResult {
+    let rate = device_rate(Model::LeNet5, FpgaPlatform::Stratix10Sx);
+    let spec = FleetSpec {
+        classes: vec![DeviceClass {
+            platform: FpgaPlatform::Stratix10Sx,
+            count: 12,
+        }],
+        demands: vec![ModelDemand {
+            model: Model::LeNet5,
+            rate_rps: rate * 3.0,
+        }],
+        headroom: 0.25,
+        domains: 4,
+    };
+    let cfg = FleetConfig {
+        shards: 4,
+        seed,
+        serve: deep_queue(),
+        ..FleetConfig::default()
+    };
+    let mut fleet = Fleet::build(&spec, cfg, &mut TuningDb::new()).unwrap();
+    let duration_s = 0.25;
+    let targets = (0..4)
+        .filter_map(|s| fleet.device_serving(s, Model::LeNet5))
+        .collect();
+    let domains = (0..4)
+        .map(|s| {
+            let d = fleet.domain_of(s);
+            let members = fleet.domain_members(&d);
+            (d, members)
+        })
+        .collect();
+    fleet.arm(FaultPlan::generate(
+        seed,
+        &FaultSpec {
+            targets,
+            duration_s,
+            hangs: 1,
+            stalls: 2,
+            corruptions: 1,
+            reprogram_fails: 0,
+            synth_flakes: 0,
+            domains,
+            domain_bursts: (seed % 2) as usize,
+            slowdowns: 1,
+        },
+    ));
+    let capacity = fleet.capacity_rps();
+    fleet.run(&surge_tenants(capacity), duration_s)
+}
+
+/// Every pinned run as `== name ==`, its digest, then its Prometheus
+/// exposition.
+fn golden_runs() -> String {
+    let mut runs = vec![
+        (
+            "surge".to_string(),
+            run_surge(Fleet::build(&lenet_spec(), two_shards(), &mut TuningDb::new()).unwrap()),
+        ),
+        ("sabotaged-rollout".to_string(), run_sabotaged_rollout()),
+        (
+            "doubly-sabotaged".to_string(),
+            run_doubly_sabotaged(&domained_spec(3.2, 0.25), &mut TuningDb::new()),
+        ),
+        ("healable-outage".to_string(), run_surge(healable_outage())),
+        (
+            "unhealable-outage".to_string(),
+            run_surge(unhealable_outage()),
+        ),
+    ];
+    for seed in 0..16u64 {
+        runs.push((format!("chaos-seed-{seed}"), run_generated_chaos(seed)));
+    }
+    let mut out = String::new();
+    for (name, r) in runs {
+        out.push_str(&format!("== {name} ==\n{}\n", r.digest()));
+        out.push_str(&r.registry.render_prometheus());
+    }
+    out
+}
+
+#[test]
+fn fleet_runs_match_the_committed_golden() {
+    // The fixture pins the driver's bytes: a refactor must leave every
+    // digest and metric unchanged. Regenerate it only in a commit of its
+    // own that explains the intended behaviour change.
+    let golden = include_str!("fixtures/fleet_golden.txt");
+    let actual = golden_runs();
+    if let Some((i, (want, got))) = golden
+        .lines()
+        .zip(actual.lines())
+        .enumerate()
+        .find(|(_, (w, g))| w != g)
+    {
+        panic!(
+            "fleet_golden.txt line {} differs:\n  golden: {want}\n  actual: {got}",
+            i + 1
+        );
+    }
+    assert_eq!(
+        golden.lines().count(),
+        actual.lines().count(),
+        "fleet_golden.txt has a different number of lines"
+    );
 }
