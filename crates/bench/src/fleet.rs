@@ -29,15 +29,14 @@
 //! summary.
 
 use crate::table::Table;
-use fpgaccel_core::bitstreams::optimized_config;
 use fpgaccel_core::{OptimizationConfig, TilingPreset};
 use fpgaccel_device::FpgaPlatform;
 use fpgaccel_fault::{shadow_target, FaultEvent, FaultKind, FaultPlan};
 use fpgaccel_fleet::{
-    plan_placement, DeviceClass, Fleet, FleetConfig, FleetRollout, FleetRunResult, FleetSpec,
-    ModelDemand, PlacementPlan, TenantLoad, TenantPolicy,
+    device_rate, plan_placement, DeviceClass, Fleet, FleetConfig, FleetRollout, FleetRunResult,
+    FleetSpec, ModelDemand, PlacementPlan, TenantLoad, TenantPolicy,
 };
-use fpgaccel_serve::{AdmissionPolicy, DeploymentCache, RolloutPolicy, ServeConfig};
+use fpgaccel_serve::{DeploymentCache, RolloutPolicy};
 use fpgaccel_tensor::models::Model;
 use fpgaccel_trace::json::Json;
 use fpgaccel_tune::TuningDb;
@@ -59,7 +58,8 @@ const DEMAND_SHARE: [(Model, f64); 4] = [
     (Model::ResNet18, 0.18),
     (Model::ResNet34, 0.10),
 ];
-/// Capacity slack the placement targets above demand.
+/// Capacity slack the placement targets above demand (the `fleetchaos`
+/// scenario's too).
 const HEADROOM: f64 = 0.15;
 
 /// Default fleet size; CI smokes the same scenario at 64.
@@ -73,19 +73,12 @@ fn fleet_devices() -> usize {
         .unwrap_or(DEFAULT_DEVICES)
 }
 
-/// Calibrated steady-state rate of one device, requests/second — `None`
-/// when the model compiles on no such board (e.g. ResNets on Arria 10).
-fn probe_rate(cache: &mut DeploymentCache, model: Model, platform: FpgaPlatform) -> Option<f64> {
-    let d = cache
-        .get_or_compile(model, platform, &optimized_config(model, platform))
-        .ok()?;
-    let lm = cache.calibration(&d, 16);
-    Some(16.0 / lm.seconds(16))
-}
-
-/// The 2:2:1 heterogeneous inventory with demand derived from probed
-/// per-class rates, so the spec scales with the device count.
-fn build_spec(devices: usize) -> FleetSpec {
+/// The 2:2:1 heterogeneous inventory striped over `domains` failure
+/// domains, with each model's demand a `share` of what the whole inventory
+/// could serve of it at the probed per-class rates (a model that compiles
+/// on no board of a class, e.g. a ResNet on Arria 10, gets none of that
+/// class), so the spec scales with the device count.
+pub(crate) fn build_spec(devices: usize, shares: &[(Model, f64)], domains: usize) -> FleetSpec {
     let a10 = devices * 2 / 5;
     let sx = devices * 2 / 5;
     let mx = devices - a10 - sx;
@@ -104,12 +97,15 @@ fn build_spec(devices: usize) -> FleetSpec {
         },
     ];
     let mut cache = DeploymentCache::new();
-    let demands = DEMAND_SHARE
+    let demands = shares
         .iter()
         .map(|&(model, share)| {
             let capacity: f64 = classes
                 .iter()
-                .filter_map(|c| Some(c.count as f64 * probe_rate(&mut cache, model, c.platform)?))
+                .filter_map(|c| {
+                    let rate = device_rate(&mut cache, model, c.platform).ok()?;
+                    Some(c.count as f64 * rate)
+                })
                 .sum();
             ModelDemand {
                 model,
@@ -121,20 +117,7 @@ fn build_spec(devices: usize) -> FleetSpec {
         classes,
         demands,
         headroom: HEADROOM,
-        domains: 1,
-    }
-}
-
-/// Deep-queue, no-deadline shard serving: admitted traffic completes even
-/// through rollout waves — the acceptance bar is the QoS door, not queue
-/// overflow.
-fn deep_queue() -> ServeConfig {
-    ServeConfig {
-        admission: AdmissionPolicy {
-            queue_capacity: 1 << 14,
-            default_deadline_s: None,
-        },
-        ..ServeConfig::default()
+        domains,
     }
 }
 
@@ -161,7 +144,7 @@ fn placed_rps(plan: &PlacementPlan, model: Model) -> f64 {
 /// * `batch` (weight 1) offers 20% of the LeNet and MobileNet rates.
 /// * `burst` (weight 1) buys 4% of fleet capacity and offers **10×** its
 ///   budget on LeNet — the surge the QoS door must absorb.
-fn tenants_for(plan: &PlacementPlan) -> Vec<TenantLoad> {
+pub(crate) fn tenants_for(plan: &PlacementPlan) -> Vec<TenantLoad> {
     let capacity = plan.total_rate_rps;
     let anchor_offered: Vec<(Model, f64)> = Model::ALL
         .iter()
@@ -214,11 +197,13 @@ struct Scenario {
     shards: usize,
 }
 
+/// Deep-queue, no-deadline shard serving (the default): admitted traffic
+/// completes even through rollout waves — the acceptance bar is the QoS
+/// door, not queue overflow.
 fn fleet_config(shards: usize) -> FleetConfig {
     FleetConfig {
         shards,
         seed: FLEET_SEED,
-        serve: deep_queue(),
         ..FleetConfig::default()
     }
 }
@@ -357,7 +342,7 @@ fn json_report(
 /// Runs the full scenario at `devices` boards and renders the report.
 fn fleet_at(devices: usize) -> String {
     let shards = (devices / 16).clamp(2, 20);
-    let spec = build_spec(devices);
+    let spec = build_spec(devices, &DEMAND_SHARE, 1);
 
     // Cold placement: optimized exactly once, cached under the spec's
     // digest. Both fleet builds below warm-reload it.

@@ -45,7 +45,8 @@ pub use driver::{
     HEDGE_BIT,
 };
 pub use placement::{
-    plan_placement, Assignment, DeviceClass, FleetSpec, ModelDemand, PlacementError, PlacementPlan,
+    device_rate, plan_placement, Assignment, DeviceClass, FleetSpec, ModelDemand, PlacementError,
+    PlacementPlan,
 };
 pub use qos::{QosController, TenantPolicy, Verdict};
 pub use router::{BreakerState, BreakerTransition, HealthPolicy, Router, ShardHealth};

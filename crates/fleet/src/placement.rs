@@ -189,6 +189,20 @@ impl PlacementPlan {
     }
 }
 
+/// Calibrated steady-state rate of one `platform` board serving `model`,
+/// requests/second: its optimized configuration compiled through `cache`
+/// and rated at [`PROBE_BATCH`]. The compile error when the pair is
+/// infeasible.
+pub fn device_rate(
+    cache: &mut DeploymentCache,
+    model: Model,
+    platform: FpgaPlatform,
+) -> Result<f64, FlowError> {
+    let dep = cache.get_or_compile(model, platform, &optimized_config(model, platform))?;
+    let lm = cache.calibration(&dep, PROBE_BATCH);
+    Ok(PROBE_BATCH as f64 / lm.seconds(PROBE_BATCH))
+}
+
 /// One probed (model, class) pair.
 struct Probe {
     platform: FpgaPlatform,
@@ -222,16 +236,12 @@ pub fn plan_placement(
         let mut reasons = Vec::new();
         for (slot, c) in spec.classes.iter().enumerate() {
             evaluations += 1;
-            match cache.get_or_compile(d.model, c.platform, &optimized_config(d.model, c.platform))
-            {
-                Ok(dep) => {
-                    let lm = cache.calibration(&dep, PROBE_BATCH);
-                    probes.push(Probe {
-                        platform: c.platform,
-                        inventory_slot: slot,
-                        device_rate_rps: PROBE_BATCH as f64 / lm.seconds(PROBE_BATCH),
-                    });
-                }
+            match device_rate(cache, d.model, c.platform) {
+                Ok(device_rate_rps) => probes.push(Probe {
+                    platform: c.platform,
+                    inventory_slot: slot,
+                    device_rate_rps,
+                }),
                 Err(e) => reasons.push((c.platform, e)),
             }
         }
@@ -323,15 +333,11 @@ fn reload(
     for (model, platform, replicas) in &rec.replicas {
         let model = *Model::ALL.iter().find(|m| m.name() == model)?;
         let platform = FpgaPlatform::from_label(platform)?;
-        let dep = cache
-            .get_or_compile(model, platform, &optimized_config(model, platform))
-            .ok()?;
-        let lm = cache.calibration(&dep, PROBE_BATCH);
         assignments.push(Assignment {
             model,
             platform,
             replicas: *replicas,
-            device_rate_rps: PROBE_BATCH as f64 / lm.seconds(PROBE_BATCH),
+            device_rate_rps: device_rate(cache, model, platform).ok()?,
         });
     }
     // A cached plan must still fit the spec's inventory (the digest

@@ -138,31 +138,21 @@ impl Router {
     }
 }
 
-/// Knobs of the per-shard circuit breaker and the request hedger.
+/// Consecutive capacity-attributed timeouts that trip a closed breaker
+/// open.
+const OPEN_AFTER: usize = 3;
+
+/// Knobs of the per-shard circuit breaker.
 #[derive(Clone, Copy, Debug)]
 pub struct HealthPolicy {
-    /// Consecutive capacity-attributed timeouts that trip the breaker
-    /// open.
-    pub open_after: usize,
     /// Simulated seconds an open breaker rests before admitting a
     /// half-open probe.
     pub cooldown_s: f64,
-    /// Probe completions a half-open breaker needs before closing.
-    pub probe_successes: usize,
-    /// Hedging trigger: a request predicted to wait longer than
-    /// `hedge_mult ×` the shard's calibrated nominal service interval is
-    /// duplicated to the next ring shard.
-    pub hedge_mult: f64,
 }
 
 impl Default for HealthPolicy {
     fn default() -> HealthPolicy {
-        HealthPolicy {
-            open_after: 3,
-            cooldown_s: 0.25,
-            probe_successes: 1,
-            hedge_mult: 4.0,
-        }
+        HealthPolicy { cooldown_s: 0.25 }
     }
 }
 
@@ -206,7 +196,7 @@ pub struct BreakerTransition {
 /// Health score and circuit breaker of one shard, fed by the fleet
 /// driver's completion/timeout signals.
 ///
-/// The state machine is the classic three-state breaker: `open_after`
+/// The state machine is the classic three-state breaker: three
 /// consecutive capacity-attributed timeouts trip **closed → open** (the
 /// shard leaves the ring); after `cooldown_s` the breaker turns
 /// **half-open** and readmits the shard for probe traffic; the probe's
@@ -217,7 +207,6 @@ pub struct ShardHealth {
     policy: HealthPolicy,
     state: BreakerState,
     consecutive_timeouts: usize,
-    probe_ok: usize,
     transitions: Vec<BreakerTransition>,
 }
 
@@ -228,7 +217,6 @@ impl ShardHealth {
             policy,
             state: BreakerState::Closed,
             consecutive_timeouts: 0,
-            probe_ok: 0,
             transitions: Vec::new(),
         }
     }
@@ -259,7 +247,7 @@ impl ShardHealth {
         match self.state {
             BreakerState::Closed => {
                 self.consecutive_timeouts += 1;
-                if self.consecutive_timeouts >= self.policy.open_after {
+                if self.consecutive_timeouts >= OPEN_AFTER {
                     self.consecutive_timeouts = 0;
                     self.transition(
                         t_s,
@@ -272,7 +260,6 @@ impl ShardHealth {
                 false
             }
             BreakerState::HalfOpen => {
-                self.probe_ok = 0;
                 self.transition(
                     t_s,
                     BreakerState::Open {
@@ -286,18 +273,11 @@ impl ShardHealth {
     }
 
     /// Records a completion at `t_s`. Closed: clears the timeout streak.
-    /// Half-open: counts toward `probe_successes` and closes the breaker
-    /// once met.
+    /// Half-open: the probe passed, so the breaker closes.
     pub fn on_success(&mut self, t_s: f64) {
         match self.state {
             BreakerState::Closed => self.consecutive_timeouts = 0,
-            BreakerState::HalfOpen => {
-                self.probe_ok += 1;
-                if self.probe_ok >= self.policy.probe_successes {
-                    self.probe_ok = 0;
-                    self.transition(t_s, BreakerState::Closed);
-                }
-            }
+            BreakerState::HalfOpen => self.transition(t_s, BreakerState::Closed),
             BreakerState::Open { .. } => {}
         }
     }
@@ -308,7 +288,6 @@ impl ShardHealth {
     pub fn tick(&mut self, t_s: f64) -> bool {
         if let BreakerState::Open { until_s } = self.state {
             if t_s >= until_s {
-                self.probe_ok = 0;
                 self.transition(t_s, BreakerState::HalfOpen);
                 return true;
             }
@@ -450,12 +429,7 @@ mod tests {
 
     #[test]
     fn breaker_walks_closed_open_halfopen_closed() {
-        let mut h = ShardHealth::new(HealthPolicy {
-            open_after: 3,
-            cooldown_s: 1.0,
-            probe_successes: 2,
-            hedge_mult: 4.0,
-        });
+        let mut h = ShardHealth::new(HealthPolicy { cooldown_s: 1.0 });
         assert_eq!(h.state(), BreakerState::Closed);
         // Two timeouts then a success: the streak resets, no trip.
         assert!(!h.on_timeout(0.1));
@@ -470,10 +444,8 @@ mod tests {
         h.on_success(0.8);
         assert!(!h.tick(1.0), "cooldown not yet elapsed");
         assert!(h.tick(1.6), "cooldown elapsed: half-open");
-        // One probe success is not enough under probe_successes = 2.
+        // One probe success closes the breaker.
         h.on_success(1.7);
-        assert_eq!(h.state(), BreakerState::HalfOpen);
-        h.on_success(1.8);
         assert_eq!(h.state(), BreakerState::Closed);
         let labels: Vec<(&str, &str)> = h.transitions().iter().map(|t| (t.from, t.to)).collect();
         assert_eq!(
@@ -491,9 +463,8 @@ mod tests {
         // A shard that keeps timing out must cycle open → half-open →
         // open, never touching closed, and extend_open must push the
         // cooldown out instead of resetting state.
-        let policy = HealthPolicy::default();
-        let mut h = ShardHealth::new(policy);
-        for i in 0..policy.open_after {
+        let mut h = ShardHealth::new(HealthPolicy::default());
+        for i in 0..OPEN_AFTER {
             h.on_timeout(0.01 * (i + 1) as f64);
         }
         let BreakerState::Open { until_s } = h.state() else {

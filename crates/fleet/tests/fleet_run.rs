@@ -5,7 +5,6 @@
 //! negative paths. Every scenario, plus a sweep of generated fault plans,
 //! is pinned byte for byte by `fixtures/fleet_golden.txt`.
 
-use fpgaccel_core::bitstreams::optimized_config;
 use fpgaccel_core::{OptimizationConfig, TilingPreset};
 use fpgaccel_device::FpgaPlatform;
 use fpgaccel_fault::{shadow_target, FaultEvent, FaultKind, FaultPlan, FaultSpec};
@@ -13,37 +12,21 @@ use fpgaccel_fleet::{
     DeviceClass, Fleet, FleetConfig, FleetRollout, FleetRunResult, FleetSpec, HealthPolicy,
     ModelDemand, PlacementError, TenantLoad, TenantPolicy,
 };
-use fpgaccel_serve::{AdmissionPolicy, DeploymentCache, RolloutPolicy, ServeConfig};
+use fpgaccel_serve::{DeploymentCache, RolloutPolicy};
 use fpgaccel_tensor::models::Model;
 use fpgaccel_tune::TuningDb;
 
 /// Calibrated steady-state rate of one device, requests/second, probed
 /// the same way placement probes it.
 fn device_rate(model: Model, platform: FpgaPlatform) -> f64 {
-    let mut cache = DeploymentCache::new();
-    let d = cache
-        .get_or_compile(model, platform, &optimized_config(model, platform))
-        .unwrap();
-    let lm = cache.calibration(&d, 16);
-    16.0 / lm.seconds(16)
+    fpgaccel_fleet::device_rate(&mut DeploymentCache::new(), model, platform).unwrap()
 }
 
-/// Deep-queue, no-deadline serving config: admitted traffic completes.
-fn deep_queue() -> ServeConfig {
-    ServeConfig {
-        admission: AdmissionPolicy {
-            queue_capacity: 1 << 14,
-            default_deadline_s: None,
-        },
-        ..ServeConfig::default()
-    }
-}
-
-/// Two deep-queue shards.
+/// Two shards, serving deep queues with no default deadline (the default
+/// `FleetConfig::serve`), so admitted traffic completes.
 fn two_shards() -> FleetConfig {
     FleetConfig {
         shards: 2,
-        serve: deep_queue(),
         ..FleetConfig::default()
     }
 }
@@ -346,10 +329,7 @@ fn healable_outage() -> Fleet {
 /// re-probes aggressively, so every probe meets the dead shard.
 fn unhealable_outage() -> Fleet {
     let cfg = FleetConfig {
-        health: HealthPolicy {
-            cooldown_s: 0.01,
-            ..HealthPolicy::default()
-        },
+        health: HealthPolicy { cooldown_s: 0.01 },
         ..two_shards()
     };
     dom0_outage(&domained_spec(4.5, 0.02), cfg, 0xD1)
@@ -467,7 +447,6 @@ fn run_generated_chaos(seed: u64) -> FleetRunResult {
     let cfg = FleetConfig {
         shards: 4,
         seed,
-        serve: deep_queue(),
         ..FleetConfig::default()
     };
     let mut fleet = Fleet::build(&spec, cfg, &mut TuningDb::new()).unwrap();

@@ -26,7 +26,7 @@ use fpgaccel_core::{tune_precision, Flow, OptimizationConfig, QuantSpec, TilingP
 use fpgaccel_device::FpgaPlatform;
 use fpgaccel_fault::{FaultEvent, FaultKind, FaultPlan};
 use fpgaccel_fleet::{
-    DeviceClass, Fleet, FleetConfig, FleetSpec, ModelDemand, TenantLoad, TenantPolicy,
+    device_rate, DeviceClass, Fleet, FleetConfig, FleetSpec, ModelDemand, TenantLoad, TenantPolicy,
 };
 use fpgaccel_serve::loadgen::{open_loop_poisson, with_deadline};
 use fpgaccel_serve::{
@@ -377,13 +377,6 @@ fn fleet_stage(rec: &mut BenchRecord) {
             &spec,
             FleetConfig {
                 shards: 2,
-                serve: ServeConfig {
-                    admission: AdmissionPolicy {
-                        queue_capacity: 1 << 14,
-                        default_deadline_s: None,
-                    },
-                    ..ServeConfig::default()
-                },
                 ..FleetConfig::default()
             },
             &mut db,
@@ -443,13 +436,9 @@ fn fleet_stage(rec: &mut BenchRecord) {
 /// Calibrated single-board LeNet rate on the Stratix 10 SX — the demand
 /// unit for both fleet stages.
 fn lenet_rate() -> f64 {
-    let mut cache = DeploymentCache::new();
     let p = FpgaPlatform::Stratix10Sx;
-    let d = cache
-        .get_or_compile(Model::LeNet5, p, &optimized_config(Model::LeNet5, p))
-        .expect("LeNet compiles on Stratix 10 SX");
-    let lm = cache.calibration(&d, 16);
-    16.0 / lm.seconds(16)
+    device_rate(&mut DeploymentCache::new(), Model::LeNet5, p)
+        .expect("LeNet compiles on Stratix 10 SX")
 }
 
 /// The same two-shard LeNet fleet, striped over two failure domains and
@@ -477,13 +466,6 @@ fn resilience_stage(rec: &mut BenchRecord) {
         &spec,
         FleetConfig {
             shards: 2,
-            serve: ServeConfig {
-                admission: AdmissionPolicy {
-                    queue_capacity: 1 << 14,
-                    default_deadline_s: None,
-                },
-                ..ServeConfig::default()
-            },
             ..FleetConfig::default()
         },
         &mut db,

@@ -18,7 +18,7 @@ use fpgaccel::device::FpgaPlatform;
 use fpgaccel::fleet::{
     DeviceClass, Fleet, FleetConfig, FleetRollout, FleetSpec, ModelDemand, TenantLoad, TenantPolicy,
 };
-use fpgaccel::serve::{AdmissionPolicy, RolloutPolicy, ServeConfig};
+use fpgaccel::serve::RolloutPolicy;
 use fpgaccel::tensor::models::Model;
 use fpgaccel::tune::TuningDb;
 
@@ -52,13 +52,6 @@ fn main() {
 
     let cfg = FleetConfig {
         shards: 4,
-        serve: ServeConfig {
-            admission: AdmissionPolicy {
-                queue_capacity: 1 << 14,
-                default_deadline_s: None,
-            },
-            ..ServeConfig::default()
-        },
         ..FleetConfig::default()
     };
 

@@ -12,7 +12,7 @@ use fpgaccel::core::bitstreams::{mobilenet_tile, optimized_config};
 use fpgaccel::core::{tune_pipeline, ExecutionPlan, Flow, OptimizationConfig, TilingPreset};
 use fpgaccel::device::FpgaPlatform;
 use fpgaccel::fleet::{
-    DeviceClass, Fleet, FleetConfig, FleetSpec, ModelDemand, TenantLoad, TenantPolicy,
+    device_rate, DeviceClass, Fleet, FleetConfig, FleetSpec, ModelDemand, TenantLoad, TenantPolicy,
 };
 use fpgaccel::pipeline::record_plan_metrics;
 use fpgaccel::serve::loadgen::{open_loop_poisson, with_deadline};
@@ -105,15 +105,12 @@ fn every_exported_metric_family_conforms_to_the_naming_convention() {
     // Fleet: a two-shard LeNet fleet run exports the class-aggregated
     // fleet_* families into its own registry; they must pass the same
     // audit (the shard-scoped serve_* families were audited above).
-    let rate = {
-        let mut cache = DeploymentCache::new();
-        let p = FpgaPlatform::Stratix10Sx;
-        let dep = cache
-            .get_or_compile(Model::LeNet5, p, &optimized_config(Model::LeNet5, p))
-            .expect("LeNet compiles");
-        let lm = cache.calibration(&dep, 16);
-        16.0 / lm.seconds(16)
-    };
+    let rate = device_rate(
+        &mut DeploymentCache::new(),
+        Model::LeNet5,
+        FpgaPlatform::Stratix10Sx,
+    )
+    .expect("LeNet compiles");
     let spec = FleetSpec {
         classes: vec![DeviceClass {
             platform: FpgaPlatform::Stratix10Sx,
