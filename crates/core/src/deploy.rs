@@ -347,7 +347,7 @@ impl Deployment {
                     for (stage, &q) in stages.iter().zip(&queues) {
                         let report = self.bitstream.kernel(&stage.kernel.name);
                         let flops = node_flops(&self.graph, &self.graph.nodes[stage.node_id]);
-                        *kernel_flops.entry(stage.kernel.name.clone()).or_default() += flops;
+                        add_flops(&mut kernel_flops, &stage.kernel.name, flops);
                         let ev = if stage.autorun {
                             sim.autorun_stage(report, &Binding::empty(), &[prev])
                         } else if self.config.channels && !prev_is_transfer {
@@ -381,7 +381,7 @@ impl Deployment {
                     for inv in &plan.invocations {
                         let report = self.bitstream.kernel(&inv.kernel_name);
                         let flops = node_flops(&self.graph, &self.graph.nodes[inv.node_id]);
-                        *kernel_flops.entry(inv.kernel_name.clone()).or_default() += flops;
+                        add_flops(&mut kernel_flops, &inv.kernel_name, flops);
                         prev = sim.enqueue_kernel(q, report, &inv.binding, &[prev], &[]);
                     }
                     let read_ev = sim.enqueue_read(q, "output", out_bytes, &[prev]);
@@ -433,8 +433,7 @@ impl Deployment {
                                     let report = self.bitstream.kernel(&stage.kernel.name);
                                     let flops =
                                         node_flops(&self.graph, &self.graph.nodes[stage.node_id]);
-                                    *kernel_flops.entry(stage.kernel.name.clone()).or_default() +=
-                                        flops;
+                                    add_flops(&mut kernel_flops, &stage.kernel.name, flops);
                                     let ev = match &stage.coupling {
                                         Some(c) => {
                                             let coupling = ChannelCoupling {
@@ -482,8 +481,7 @@ impl Deployment {
                                     let report = self.bitstream.kernel(&inv.kernel_name);
                                     let flops =
                                         node_flops(&self.graph, &self.graph.nodes[inv.node_id]);
-                                    *kernel_flops.entry(inv.kernel_name.clone()).or_default() +=
-                                        flops;
+                                    add_flops(&mut kernel_flops, &inv.kernel_name, flops);
                                     prev =
                                         sim.enqueue_kernel(q, report, &inv.binding, &[prev], &[]);
                                     if serial_sync {
@@ -507,7 +505,11 @@ impl Deployment {
 
         let seconds = sim.last_event_end().max(sim.now());
         let breakdown: Breakdown = sim.breakdown();
-        let kernel_seconds = sim.kernel_seconds().clone();
+        let kernel_seconds = sim
+            .kernel_seconds()
+            .iter()
+            .map(|(k, &s)| (k.to_string(), s))
+            .collect();
         let fps = n as f64 / seconds;
         let gflops = fps * self.flops() as f64 / 1e9;
         let latency = LatencyQuantiles::of(&latencies);
@@ -522,6 +524,16 @@ impl Deployment {
             latencies,
             latency,
             events: sim.events().to_vec(),
+        }
+    }
+}
+
+/// Adds `flops` to `kernel`'s total, allocating its name on first sight only.
+fn add_flops(kernel_flops: &mut HashMap<String, u64>, kernel: &str, flops: u64) {
+    match kernel_flops.get_mut(kernel) {
+        Some(total) => *total += flops,
+        None => {
+            kernel_flops.insert(kernel.to_string(), flops);
         }
     }
 }

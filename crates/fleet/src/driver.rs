@@ -786,15 +786,7 @@ impl Fleet {
         let _p = self
             .tracer
             .phase_on(PID_FLEET, "route", "admit + route trace");
-        let mut routing = Routing {
-            fleet: self,
-            cap,
-            hedged: HashSet::new(),
-            out: Routed {
-                shards,
-                ..Routed::default()
-            },
-        };
+        let mut routing = Routing::new(self, cap, shards);
         for (gid, a) in arrivals.iter().enumerate() {
             routing.route(gid as u64, a, qos);
         }
@@ -935,10 +927,25 @@ struct Routing<'f> {
     cap: Capacity,
     /// Requests that already have a duplicate (hedge or replay) queued.
     hedged: HashSet<u64>,
+    /// Scratch: the backlog of each shard a route chooses among.
+    loads: Vec<f64>,
     out: Routed,
 }
 
-impl Routing<'_> {
+impl<'f> Routing<'f> {
+    fn new(fleet: &'f mut Fleet, cap: Capacity, shards: Vec<ShardState>) -> Routing<'f> {
+        Routing {
+            fleet,
+            cap,
+            hedged: HashSet::new(),
+            loads: Vec::new(),
+            out: Routed {
+                shards,
+                ..Routed::default()
+            },
+        }
+    }
+
     /// Admits one arrival and routes it: the QoS door, the breaker clocks,
     /// a bounded-load ring choice, the chosen shard's breaker, then the
     /// primary and — for a predicted straggler, or any request landing on
@@ -997,13 +1004,14 @@ impl Routing<'_> {
     /// `(slot, overflowed, forced)`. When every serving shard's breaker is
     /// open the request must still go somewhere — least backlog,
     /// deterministic tie-break — and counts as forced.
-    fn pick_slot(&self, msi: usize, key: u64, t: f64) -> (usize, bool, bool) {
+    fn pick_slot(&mut self, msi: usize, key: u64, t: f64) -> (usize, bool, bool) {
         let ms = &self.fleet.serving[msi];
-        let until = |k: usize| self.out.shards[ms.shards[k]].until;
-        let loads: Vec<f64> = (0..ms.shards.len())
-            .map(|k| (until(k) - t).max(0.0))
-            .collect();
-        match ms.router.route_bounded(key, &loads, LOAD_BOUND) {
+        let shards = &self.out.shards;
+        let until = |k: usize| shards[ms.shards[k]].until;
+        self.loads.clear();
+        self.loads
+            .extend((0..ms.shards.len()).map(|k| (until(k) - t).max(0.0)));
+        match ms.router.route_bounded(key, &self.loads, LOAD_BOUND) {
             Some((k, over)) => (k, over, false),
             None => {
                 let k = (0..ms.shards.len())
@@ -1638,15 +1646,7 @@ mod tests {
     fn routing(fleet: &mut Fleet) -> Routing<'_> {
         let shards = fleet.expand_faults();
         let cap = fleet.capacity_model(&shards);
-        Routing {
-            fleet,
-            cap,
-            hedged: HashSet::new(),
-            out: Routed {
-                shards,
-                ..Routed::default()
-            },
-        }
+        Routing::new(fleet, cap, shards)
     }
 
     #[test]

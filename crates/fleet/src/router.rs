@@ -95,29 +95,22 @@ impl Router {
     pub fn route_bounded(&self, key: u64, loads: &[f64], bound: f64) -> Option<(usize, bool)> {
         assert_eq!(loads.len(), self.active.len(), "one load per shard");
         let home = self.route(key)?;
-        let active: Vec<usize> = (0..self.active.len()).filter(|&s| self.active[s]).collect();
-        let mean = active.iter().map(|&s| loads[s]).sum::<f64>() / active.len() as f64;
+        let active = || (0..self.active.len()).filter(|&s| self.active[s]);
+        let mean = active().map(|s| loads[s]).sum::<f64>() / active().count() as f64;
         let threshold = bound * mean;
-        // Walk distinct active shards in ring order from the home point.
-        let start = self.home_position(key);
-        let mut seen = vec![false; self.active.len()];
-        let mut visited = 0usize;
-        for off in 0..self.ring.len() {
-            let (_, s) = self.ring[(start + off) % self.ring.len()];
-            if !self.active[s] || seen[s] {
-                continue;
-            }
-            seen[s] = true;
-            visited += 1;
-            if loads[s] <= threshold {
-                return Some((s, s != home));
-            }
-            if visited == active.len() {
-                break;
+        // Walk active shards in ring order from the home point: the first
+        // within the threshold takes the key. A shard met again on a later
+        // ring point fails the same test, so the walk needs no visited set.
+        if active().any(|s| loads[s] <= threshold) {
+            let start = self.home_position(key);
+            for off in 0..self.ring.len() {
+                let (_, s) = self.ring[(start + off) % self.ring.len()];
+                if self.active[s] && loads[s] <= threshold {
+                    return Some((s, s != home));
+                }
             }
         }
-        let least = active
-            .into_iter()
+        let least = active()
             .min_by(|&a, &b| loads[a].total_cmp(&loads[b]).then(a.cmp(&b)))
             .expect("at least one active shard");
         Some((least, least != home))

@@ -5,7 +5,8 @@ use fpgaccel_device::{DeviceModel, TransferDir};
 use fpgaccel_fault::{FaultInjector, HANG_WATCHDOG_S};
 use fpgaccel_tir::Binding;
 use fpgaccel_trace::{HotPathProfiler, Tracer};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Index of a command queue.
 pub type QueueId = usize;
@@ -28,8 +29,9 @@ pub enum EventKind {
 /// One simulated OpenCL event with the four profiling timestamps (seconds).
 #[derive(Clone, Debug)]
 pub struct SimEvent {
-    /// Operation label (kernel or buffer name).
-    pub name: String,
+    /// Operation label (kernel or buffer name), shared by every event of
+    /// the same operation.
+    pub name: Arc<str>,
     /// Kind.
     pub kind: EventKind,
     /// Command queue the event was enqueued on (`None` for autorun stages,
@@ -141,7 +143,9 @@ pub struct Sim {
     fault_target: String,
     host_clock: f64,
     queue_last_end: Vec<f64>,
-    kernel_busy: HashMap<String, f64>,
+    /// Every kernel and buffer name seen, allocated once per simulation.
+    names: HashSet<Arc<str>>,
+    kernel_busy: HashMap<Arc<str>, f64>,
     events: Vec<SimEvent>,
     /// Events dropped from the front of `events` under `Recent` retention.
     dropped: usize,
@@ -153,7 +157,7 @@ pub struct Sim {
     agg_read_s: f64,
     agg_first: f64,
     agg_last: f64,
-    kernel_seconds: HashMap<String, f64>,
+    kernel_seconds: HashMap<Arc<str>, f64>,
 }
 
 impl Sim {
@@ -173,6 +177,7 @@ impl Sim {
             fault_target: String::new(),
             host_clock: 0.0,
             queue_last_end: Vec::new(),
+            names: HashSet::new(),
             kernel_busy: HashMap::new(),
             events: Vec::new(),
             dropped: 0,
@@ -303,8 +308,18 @@ impl Sim {
     }
 
     /// Running device-busy seconds per kernel over the whole history.
-    pub fn kernel_seconds(&self) -> &HashMap<String, f64> {
+    pub fn kernel_seconds(&self) -> &HashMap<Arc<str>, f64> {
         &self.kernel_seconds
+    }
+
+    /// The shared copy of `name`, allocated on its first event only.
+    fn intern(&mut self, name: &str) -> Arc<str> {
+        if let Some(n) = self.names.get(name) {
+            return Arc::clone(n);
+        }
+        let n: Arc<str> = name.into();
+        self.names.insert(Arc::clone(&n));
+        n
     }
 
     fn host_enqueue_cost(&self) -> f64 {
@@ -345,7 +360,7 @@ impl Sim {
         match ev.kind {
             EventKind::Kernel | EventKind::Autorun => {
                 self.agg_kernel_s += ev.duration();
-                *self.kernel_seconds.entry(ev.name.clone()).or_default() += ev.duration();
+                *self.kernel_seconds.entry(Arc::clone(&ev.name)).or_default() += ev.duration();
             }
             EventKind::Write => self.agg_write_s += ev.duration(),
             EventKind::Read => self.agg_read_s += ev.duration(),
@@ -406,8 +421,9 @@ impl Sim {
         }
         let end = start + dur;
         self.queue_last_end[queue] = end;
+        let name = self.intern(name);
         self.push(SimEvent {
-            name: name.to_string(),
+            name,
             kind: match dir {
                 TransferDir::Write => EventKind::Write,
                 TransferDir::Read => EventKind::Read,
@@ -443,7 +459,8 @@ impl Sim {
         // predecessor's execution (§4.7/§4.8); a host that synchronizes
         // after every task (the TVM-generated runtime) pays it in full.
         let dispatch_ready = submit + self.calib.task_overhead(self.device.platform);
-        let busy = self.kernel_busy.get(&report.name).copied().unwrap_or(0.0);
+        let name = self.intern(&report.name);
+        let busy = self.kernel_busy.get(&name).copied().unwrap_or(0.0);
         let start = dispatch_ready
             .max(dep_start)
             .max(busy)
@@ -458,9 +475,9 @@ impl Sim {
             }
         }
         self.queue_last_end[queue] = end;
-        self.kernel_busy.insert(report.name.clone(), end);
+        self.kernel_busy.insert(Arc::clone(&name), end);
         self.push(SimEvent {
-            name: report.name.clone(),
+            name,
             kind: EventKind::Kernel,
             queue: Some(queue),
             queued,
@@ -507,7 +524,8 @@ impl Sim {
         let dispatch_ready = submit + self.calib.task_overhead(self.device.platform);
         let dur = self.kernel_duration(report, binding);
         let (fill_floor, end_floor, stall) = self.coupling_floors(&coupling, dur);
-        let busy = self.kernel_busy.get(&report.name).copied().unwrap_or(0.0);
+        let name = self.intern(&report.name);
+        let busy = self.kernel_busy.get(&name).copied().unwrap_or(0.0);
         let start = dispatch_ready
             .max(dep_start)
             .max(fill_floor)
@@ -520,9 +538,9 @@ impl Sim {
             }
         }
         self.queue_last_end[queue] = end;
-        self.kernel_busy.insert(report.name.clone(), end);
+        self.kernel_busy.insert(Arc::clone(&name), end);
         self.push(SimEvent {
-            name: report.name.clone(),
+            name,
             kind: EventKind::Kernel,
             queue: Some(queue),
             queued,
@@ -543,7 +561,8 @@ impl Sim {
     ) -> EventId {
         let dur = self.kernel_duration(report, binding);
         let (fill_floor, end_floor, stall) = self.coupling_floors(&coupling, dur);
-        let busy = self.kernel_busy.get(&report.name).copied().unwrap_or(0.0);
+        let name = self.intern(&report.name);
+        let busy = self.kernel_busy.get(&name).copied().unwrap_or(0.0);
         let start = fill_floor.max(busy);
         let mut end = (start + dur + stall).max(end_floor);
         if self.fault.is_enabled() {
@@ -551,9 +570,9 @@ impl Sim {
                 end = start.max(hang_s) + HANG_WATCHDOG_S;
             }
         }
-        self.kernel_busy.insert(report.name.clone(), end);
+        self.kernel_busy.insert(Arc::clone(&name), end);
         self.push(SimEvent {
-            name: report.name.clone(),
+            name,
             kind: EventKind::Autorun,
             queue: None,
             queued: start,
@@ -572,7 +591,8 @@ impl Sim {
         piped: &[EventId],
     ) -> EventId {
         let (dep_start, end_floor) = self.dep_floor(&[], piped);
-        let busy = self.kernel_busy.get(&report.name).copied().unwrap_or(0.0);
+        let name = self.intern(&report.name);
+        let busy = self.kernel_busy.get(&name).copied().unwrap_or(0.0);
         let start = dep_start.max(busy);
         let dur = self.kernel_duration(report, binding);
         let mut end = (start + dur).max(end_floor);
@@ -581,10 +601,10 @@ impl Sim {
                 end = start.max(hang_s) + HANG_WATCHDOG_S;
             }
         }
-        self.kernel_busy.insert(report.name.clone(), end);
+        self.kernel_busy.insert(Arc::clone(&name), end);
         let queued = start;
         self.push(SimEvent {
-            name: report.name.clone(),
+            name,
             kind: EventKind::Autorun,
             queue: None,
             queued,
@@ -1103,8 +1123,8 @@ mod more_tests {
         assert_eq!(sim.events().len(), 6);
         assert_eq!(sim.events_recorded(), 50);
         // The retained window is the newest events, ids still stable.
-        assert_eq!(sim.events()[0].name, "w44");
-        assert_eq!(sim.event(49).name, "w49");
+        assert_eq!(&*sim.events()[0].name, "w44");
+        assert_eq!(&*sim.event(49).name, "w49");
     }
 
     #[test]

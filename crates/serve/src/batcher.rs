@@ -83,10 +83,11 @@ impl DynamicBatcher {
             .map(|r| r.arrival_s + self.policy.max_wait_s)
     }
 
-    /// Removes and returns the oldest `max_batch` (or fewer) requests.
-    pub fn take_batch(&mut self) -> Vec<Request> {
+    /// Moves the oldest `max_batch` (or fewer) requests onto the end of
+    /// `batch`, so a caller can reuse one buffer for every batch.
+    pub fn take_batch(&mut self, batch: &mut Vec<Request>) {
         let k = self.queue.len().min(self.policy.max_batch);
-        self.queue.drain(..k).collect()
+        batch.extend(self.queue.drain(..k));
     }
 }
 
@@ -94,6 +95,12 @@ impl DynamicBatcher {
 mod tests {
     use super::*;
     use fpgaccel_tensor::models::Model;
+
+    fn taken(b: &mut DynamicBatcher) -> Vec<Request> {
+        let mut batch = Vec::new();
+        b.take_batch(&mut batch);
+        batch
+    }
 
     fn req(id: u64, arrival_s: f64) -> Request {
         Request {
@@ -114,7 +121,7 @@ mod tests {
         assert!(!b.push(req(0, 0.0)));
         assert!(!b.push(req(1, 0.1)));
         assert!(b.push(req(2, 0.2)), "third request fills the batch");
-        let batch = b.take_batch();
+        let batch = taken(&mut b);
         assert_eq!(batch.iter().map(|r| r.id).collect::<Vec<_>>(), [0, 1, 2]);
         assert!(b.is_empty());
     }
@@ -129,7 +136,7 @@ mod tests {
         b.push(req(0, 2.0));
         b.push(req(1, 2.4));
         assert_eq!(b.flush_deadline(), Some(2.5));
-        b.take_batch();
+        taken(&mut b);
         assert_eq!(b.flush_deadline(), None);
     }
 
@@ -142,7 +149,7 @@ mod tests {
         for i in 0..5 {
             b.push(req(i, i as f64));
         }
-        assert_eq!(b.take_batch().len(), 2);
+        assert_eq!(taken(&mut b).len(), 2);
         assert_eq!(b.len(), 3);
     }
 
@@ -150,6 +157,6 @@ mod tests {
     fn unbatched_policy_dispatches_every_push() {
         let mut b = DynamicBatcher::new(BatchPolicy::unbatched());
         assert!(b.push(req(0, 0.0)));
-        assert_eq!(b.take_batch().len(), 1);
+        assert_eq!(taken(&mut b).len(), 1);
     }
 }

@@ -456,11 +456,6 @@ impl DevicePool {
         &self.devices
     }
 
-    /// Mutable device access (the server updates `busy_until`).
-    pub(crate) fn device_mut(&mut self, i: usize) -> &mut PooledDevice {
-        &mut self.devices[i]
-    }
-
     /// The shared deployment cache.
     pub fn cache(&self) -> &DeploymentCache {
         &self.cache
@@ -736,29 +731,27 @@ impl DevicePool {
                 completion_s: start_s + base,
             };
         }
-        let name = self.devices[device].name.clone();
-        let cleared = self.devices[device].cleared_s;
+        let dev = &self.devices[device];
+        let name = dev.name.as_str();
         let timeout = timeout_mult.max(1.0) * base;
         // A persistent slowdown stretches execution uniformly without
         // re-simulation: the device is degraded, not hung, so the batch
         // still completes (just `slow`× later) and the watchdog stays
         // quiet as long as the factor is under the timeout multiple.
-        let slow = self.fault.compute_scale(&name, start_s);
-        let view = self.fault.view(start_s, cleared);
-        if !view.affects(&name, 0.0, timeout) {
+        let slow = self.fault.compute_scale(name, start_s);
+        let view = self.fault.view(start_s, dev.cleared_s);
+        if !view.affects(name, 0.0, timeout) {
             return BatchOutcome::Done {
                 completion_s: start_s + base * slow,
             };
         }
-        let d = Arc::clone(
-            self.devices[device]
-                .serving_deployment(model, rung)
-                .expect("dispatched variant is deployed"),
-        );
-        let stats = d.simulate_batch_faulted(n, &view, &name);
+        let d = dev
+            .serving_deployment(model, rung)
+            .expect("dispatched variant is deployed");
+        let stats = d.simulate_batch_faulted(n, &view, name);
         if stats.seconds >= HANG_WATCHDOG_S {
             let hang_s = view
-                .hang_before(&name, stats.seconds)
+                .hang_before(name, stats.seconds)
                 .map(|h| h + start_s)
                 .unwrap_or(start_s);
             return BatchOutcome::TimedOut {
@@ -767,7 +760,7 @@ impl DevicePool {
             };
         }
         let completion_s = start_s + stats.seconds * slow;
-        if self.fault.take_corruption(&name, start_s, completion_s) {
+        if self.fault.take_corruption(name, start_s, completion_s) {
             return BatchOutcome::Corrupted { completion_s };
         }
         BatchOutcome::Done { completion_s }
@@ -1046,7 +1039,7 @@ mod tests {
     #[test]
     fn batch_seconds_memoizes_the_simulation() {
         let mut pool = pool_with_two_s10(Model::LeNet5);
-        let dev = pool.device_mut(0);
+        let dev = &mut pool.devices[0];
         let a = dev.batch_seconds(Model::LeNet5, 8);
         let b = dev.batch_seconds(Model::LeNet5, 8);
         assert_eq!(a, b);

@@ -277,6 +277,8 @@ pub struct Server {
     first_seen: HashMap<u64, f64>,
     /// Execution attempts per request id.
     attempts: HashMap<u64, u32>,
+    /// The batch being dispatched, kept between flushes for its capacity.
+    batch: Vec<Request>,
     failures: Vec<Failure>,
     recovery: Vec<RecoveryEvent>,
     rollouts: Vec<RolloutRun>,
@@ -309,6 +311,7 @@ impl Server {
             retry_seq: 0,
             first_seen: HashMap::new(),
             attempts: HashMap::new(),
+            batch: Vec::new(),
             failures: Vec::new(),
             recovery: Vec::new(),
             rollouts: Vec::new(),
@@ -629,17 +632,25 @@ impl Server {
             reason,
         });
         self.resolutions.push((id, time_s));
+        self.forget(id);
         if self.flight.is_enabled() {
             self.flight.record(
                 time_s,
                 "serve",
                 "shed",
-                &format!("req {id}"),
-                &format!("{} ({label})", model.name()),
+                format_args!("req {id}"),
+                format_args!("{} ({label})", model.name()),
             );
         }
         self.observe_slo(model, time_s, None, false);
         self.note_shed_for_brownout(model, time_s);
+    }
+
+    /// Drops a resolved request's first-sight time and attempt count: only
+    /// a request still queued, retried or deferred reads them again.
+    fn forget(&mut self, id: u64) {
+        self.first_seen.remove(&id);
+        self.attempts.remove(&id);
     }
 
     /// Records a shed against the brownout trigger and descends the model
@@ -762,9 +773,19 @@ impl Server {
     }
 
     fn flush_inner(&mut self, i: usize, t: f64) {
+        // The batch buffer is reused from flush to flush.
+        let mut batch = std::mem::take(&mut self.batch);
+        self.states[i].batcher.take_batch(&mut batch);
+        self.dispatch_batch(i, t, &mut batch);
+        batch.clear();
+        self.batch = batch;
+    }
+
+    /// Dispatches `batch`, just taken from `states[i]`, at simulated time
+    /// `t`, and consumes its requests.
+    fn dispatch_batch(&mut self, i: usize, t: f64, batch: &mut Vec<Request>) {
         let model = self.states[i].model;
         let rung = self.brownout_for_flush(i, t);
-        let mut batch = self.states[i].batcher.take_batch();
         if batch.is_empty() {
             return;
         }
@@ -794,7 +815,7 @@ impl Server {
             }
             // Every device serving the model was lost after these requests
             // were admitted: nothing can ever execute them.
-            for r in batch {
+            for r in batch.drain(..) {
                 let attempts = self.attempts.get(&r.id).copied().unwrap_or(0);
                 self.fail(r.id, model, t, attempts);
             }
@@ -802,16 +823,14 @@ impl Server {
         };
         let adm = self.cfg.admission;
         let before = batch.len();
-        let mut kept = Vec::with_capacity(batch.len());
-        for r in batch.drain(..) {
+        batch.retain(|r| {
             let orig = self.first_seen.get(&r.id).copied().unwrap_or(r.arrival_s);
-            if adm.deadline_missed(orig, r.deadline_s, d.expected_completion_s) {
+            let missed = adm.deadline_missed(orig, r.deadline_s, d.expected_completion_s);
+            if missed {
                 self.shed(r.id, model, t, ShedReason::Deadline);
-            } else {
-                kept.push(r);
             }
-        }
-        let batch = kept;
+            !missed
+        });
         if batch.is_empty() {
             return;
         }
@@ -833,28 +852,27 @@ impl Server {
             self.cfg.fault.timeout_mult,
             rung_used,
         );
-        let dev = self.pool.device_mut(d.device);
-        let deployment = dev
+        let deployment = self.pool.devices()[d.device]
             .serving_deployment(model, rung_used)
             .map(std::sync::Arc::clone)
             .expect("dispatch chose a device serving the variant");
-        let device_name = dev.name.clone();
         match outcome {
             BatchOutcome::Done { completion_s } => {
                 self.pool.commit(d.device, d.start_s, completion_s);
                 self.last_event_s = self.last_event_s.max(completion_s);
                 self.metrics.record_batch(size);
+                let device_name = &self.pool.devices()[d.device].name;
                 if self.injector.is_enabled()
                     && self
                         .pool
                         .fault_injector()
-                        .compute_scale(&device_name, d.start_s)
+                        .compute_scale(device_name, d.start_s)
                         > 1.0
                 {
                     self.registry.counter_inc(
                         "serve_batches_degraded_total",
                         "Batches served by a persistently slowed (degraded, not hung) device.",
-                        &[("model", model.name()), ("device", &device_name)],
+                        &[("model", model.name()), ("device", device_name)],
                     );
                 }
                 self.registry.histogram_observe(
@@ -887,8 +905,9 @@ impl Server {
                 self.states[i]
                     .inflight
                     .extend(std::iter::repeat_n(completion_s, size));
-                for r in batch {
+                for r in batch.drain(..) {
                     let arrival_s = self.first_seen.get(&r.id).copied().unwrap_or(r.arrival_s);
+                    self.forget(r.id);
                     let output = r.input.as_ref().map(|x| deployment.graph.execute(x));
                     self.metrics.latency.record(completion_s - arrival_s);
                     self.metrics.completed += 1;
@@ -911,6 +930,7 @@ impl Server {
                         LATENCY_BOUNDS_S,
                         completion_s - arrival_s,
                     );
+                    let device_name = &self.pool.devices()[d.device].name;
                     if self.tracer.is_enabled() {
                         let (profiler, tracer) = (&self.profiler, &self.tracer);
                         profiler.measure_span_record(tracer, || {
@@ -934,8 +954,8 @@ impl Server {
                             completion_s,
                             "serve",
                             "completion",
-                            &format!("req {}", r.id),
-                            &format!(
+                            format_args!("req {}", r.id),
+                            format_args!(
                                 "{} x{size} on {device_name}, latency {:.3} ms",
                                 model.name(),
                                 (completion_s - arrival_s) * 1e3
@@ -958,6 +978,7 @@ impl Server {
                 }
             }
             BatchOutcome::Corrupted { completion_s } => {
+                let device_name = self.pool.devices()[d.device].name.clone();
                 self.pool.commit(d.device, d.start_s, completion_s);
                 self.last_event_s = self.last_event_s.max(completion_s);
                 self.metrics.record_batch(size);
@@ -985,6 +1006,7 @@ impl Server {
                 self.requeue_or_fail(model, batch, completion_s);
             }
             BatchOutcome::TimedOut { fail_s, hang_s } => {
+                let device_name = self.pool.devices()[d.device].name.clone();
                 self.pool.commit(d.device, d.start_s, fail_s);
                 self.last_event_s = self.last_event_s.max(fail_s);
                 self.metrics.record_batch(size);
@@ -1151,9 +1173,9 @@ impl Server {
     /// Parks a batch that found every serving device draining for a
     /// rollout: re-enqueued shortly, without charging the retry budget.
     /// Rollouts finish in bounded sim-time, so deferral terminates.
-    fn defer(&mut self, batch: Vec<Request>, t: f64) {
+    fn defer(&mut self, batch: &mut Vec<Request>, t: f64) {
         let due = t + DRAIN_DEFER_S;
-        for r in batch {
+        for r in batch.drain(..) {
             self.retry_seq += 1;
             self.pending_retries.push(PendingRetry {
                 due_s: due,
@@ -1168,9 +1190,9 @@ impl Server {
 
     /// Re-enqueues a faulted batch's requests with backoff, failing any
     /// whose retry budget is spent.
-    fn requeue_or_fail(&mut self, model: Model, batch: Vec<Request>, t: f64) {
+    fn requeue_or_fail(&mut self, model: Model, batch: &mut Vec<Request>, t: f64) {
         let retry = self.cfg.fault.retry;
-        for r in batch {
+        for r in batch.drain(..) {
             let n = {
                 let e = self.attempts.entry(r.id).or_insert(0);
                 *e += 1;
@@ -1201,8 +1223,8 @@ impl Server {
                     due,
                     "serve",
                     "retry",
-                    &format!("req {}", r.id),
-                    &format!("{} attempt {n}", model.name()),
+                    format_args!("req {}", r.id),
+                    format_args!("{} attempt {n}", model.name()),
                 );
             }
             self.retry_seq += 1;
@@ -1249,6 +1271,7 @@ impl Server {
         });
         self.observe_slo(model, t, None, false);
         self.resolutions.push((id, t));
+        self.forget(id);
         self.last_event_s = self.last_event_s.max(t);
     }
 
@@ -1443,5 +1466,89 @@ impl Server {
             }
         }
         self.finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::admission::AdmissionPolicy;
+    use fpgaccel_core::bitstreams::optimized_config;
+    use fpgaccel_device::FpgaPlatform;
+    use fpgaccel_fault::{FaultEvent, FaultKind, FaultPlan};
+
+    #[test]
+    fn resolved_requests_leave_no_per_request_state_behind() {
+        let fault = |at_s, target: &str, kind| FaultEvent {
+            at_s,
+            target: target.into(),
+            kind,
+        };
+        // A hang, then a burst of corrupt read-backs on both boards: some
+        // retried requests fault again and spend their one retry.
+        let mut events = vec![fault(2e-3, "s10sx-0", FaultKind::DeviceHang)];
+        for k in 0..16 {
+            for target in ["s10sx-0", "s10sx-1"] {
+                let at_s = 3e-3 + k as f64 * 2.5e-4;
+                events.push(fault(at_s, target, FaultKind::TransferCorrupt));
+            }
+        }
+        let plan = FaultPlan::new(0, events);
+        let mut pool = DevicePool::new();
+        pool.set_fault_injector(&FaultInjector::new(plan));
+        let config = optimized_config(Model::LeNet5, FpgaPlatform::Stratix10Sx);
+        for _ in 0..2 {
+            let d = pool.add_device(FpgaPlatform::Stratix10Sx);
+            pool.deploy(d, Model::LeNet5, &config).unwrap();
+        }
+        let cfg = ServeConfig {
+            batch: BatchPolicy {
+                max_batch: 4,
+                max_wait_s: 1e-3,
+            },
+            admission: AdmissionPolicy {
+                queue_capacity: 16,
+                default_deadline_s: None,
+            },
+            fault: FaultPolicy {
+                retry: RetryPolicy {
+                    max_attempts: 1,
+                    ..RetryPolicy::default()
+                },
+                ..FaultPolicy::default()
+            },
+            ..ServeConfig::default()
+        };
+        let mut server = Server::new(pool, cfg);
+        let mut peak = 0;
+        for id in 0..300 {
+            let req = Request {
+                id,
+                model: Model::LeNet5,
+                // Light load through the faults, then a burst that
+                // overflows the queue.
+                arrival_s: if id < 200 {
+                    id as f64 * 2e-4
+                } else {
+                    0.05 + (id - 200) as f64 * 1e-5
+                },
+                // Even requests carry a deadline that queueing often misses.
+                deadline_s: (id % 2 == 0).then_some(2e-3),
+                input: None,
+            };
+            server.advance_until(req.arrival_s);
+            server.handle_arrival(req);
+            peak = peak.max(server.first_seen.len());
+        }
+        assert!(peak > 0, "admitted requests are tracked until resolved");
+        server.advance_until(f64::INFINITY);
+        assert!(server.metrics.retried > 0, "faulted batches retry");
+        assert!(!server.failures.is_empty(), "some retries are spent");
+        let shed = |reason| server.sheds.iter().any(|s| s.reason == reason);
+        assert!(shed(ShedReason::QueueFull) && shed(ShedReason::Deadline));
+        let resolved = server.completions.len() + server.sheds.len() + server.failures.len();
+        assert_eq!(resolved, 300);
+        assert!(server.first_seen.is_empty(), "{:?}", server.first_seen);
+        assert!(server.attempts.is_empty(), "{:?}", server.attempts);
     }
 }

@@ -18,6 +18,7 @@
 
 use crate::json::Json;
 use std::collections::VecDeque;
+use std::fmt::{Display, Write};
 use std::sync::{Arc, Mutex};
 
 /// Postmortems retained per recorder; later triggers only count drops.
@@ -26,7 +27,7 @@ use std::sync::{Arc, Mutex};
 const MAX_POSTMORTEMS: usize = 8;
 
 /// One entry of the flight ring.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FlightEvent {
     /// When, simulated seconds.
     pub t_s: f64,
@@ -140,19 +141,34 @@ impl FlightRecorder {
     }
 
     /// Appends an event to the ring, evicting the oldest past capacity.
-    pub fn record(&self, t_s: f64, lane: &str, kind: &str, subject: &str, detail: &str) {
+    /// Subject and detail are rendered straight into the event's buffers;
+    /// once the ring is full, the evicted event's buffers are reused, so a
+    /// full ring records without allocating.
+    pub fn record(
+        &self,
+        t_s: f64,
+        lane: &str,
+        kind: &str,
+        subject: impl Display,
+        detail: impl Display,
+    ) {
+        fn set(buf: &mut String, text: impl Display) {
+            buf.clear();
+            write!(buf, "{text}").expect("writing to a String cannot fail");
+        }
         self.with_inner(|i| {
-            if i.ring.len() == i.capacity {
-                i.ring.pop_front();
+            let mut ev = if i.ring.len() == i.capacity {
                 i.dropped += 1;
-            }
-            i.ring.push_back(FlightEvent {
-                t_s,
-                lane: lane.to_string(),
-                kind: kind.to_string(),
-                subject: subject.to_string(),
-                detail: detail.to_string(),
-            });
+                i.ring.pop_front().expect("a full ring has an oldest event")
+            } else {
+                FlightEvent::default()
+            };
+            ev.t_s = t_s;
+            set(&mut ev.lane, lane);
+            set(&mut ev.kind, kind);
+            set(&mut ev.subject, subject);
+            set(&mut ev.detail, detail);
+            i.ring.push_back(ev);
         });
     }
 
@@ -219,7 +235,7 @@ mod tests {
     fn ring_keeps_only_the_newest_events_and_counts_drops() {
         let f = FlightRecorder::enabled(3);
         for i in 0..5 {
-            f.record(i as f64, "serve", "completion", &format!("req {i}"), "");
+            f.record(i as f64, "serve", "completion", format_args!("req {i}"), "");
         }
         assert_eq!(f.len(), 3);
         f.trigger(5.0, "timeout", "s10sx-0", "batch hung");

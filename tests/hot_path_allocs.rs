@@ -1,0 +1,166 @@
+//! Allocation guard for the per-request and per-event hot paths.
+//!
+//! Once their series, names and buffers exist, metric updates, flight
+//! recording, batch dispatch and simulated device events allocate nothing.
+//! This binary installs its own counting global allocator and holds exactly
+//! one test, so no concurrently running test moves the counter.
+
+use fpgaccel::core::bitstreams::optimized_config;
+use fpgaccel::core::{ExecutionPlan, Flow};
+use fpgaccel::device::FpgaPlatform;
+use fpgaccel::serve::loadgen::{open_loop_poisson, with_deadline};
+use fpgaccel::serve::{DevicePool, ServeConfig, Server};
+use fpgaccel::tensor::models::Model;
+use fpgaccel::trace::{FlightRecorder, Registry};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Heap allocations (and reallocations) since process start.
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+struct CountingAlloc;
+
+// SAFETY: every call delegates to `System` with the caller's arguments
+// unchanged; the counter never touches the returned memory.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Runs `f` and returns its result with the allocations it made.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, usize) {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let r = f();
+    (r, ALLOCS.load(Ordering::Relaxed) - before)
+}
+
+fn metric_updates_on_existing_series_allocate_nothing() {
+    const BOUNDS: &[f64] = &[1e-3, 1e-2, 1e-1];
+    let r = Registry::new();
+    let label_sets: [&[(&str, &str)]; 4] = [
+        &[],
+        &[("model", "lenet5")],
+        &[("model", "lenet5"), ("reason", "deadline")],
+        &[("reason", "deadline"), ("model", "lenet5")],
+    ];
+    let update = |k: usize| {
+        let labels = label_sets[k % label_sets.len()];
+        r.counter_inc("serve_hot_total", "Hot counter.", labels);
+        r.gauge_max("serve_hot_requests", "Hot gauge.", labels, k as f64);
+        r.histogram_observe("serve_hot_seconds", "Hot histogram.", labels, BOUNDS, 5e-3);
+    };
+    for k in 0..label_sets.len() {
+        update(k);
+    }
+    let ((), allocs) = counted(|| (0..1000).for_each(update));
+    assert_eq!(allocs, 0, "1000 updates of existing series allocated");
+    // The two orders of the two-label set are one series.
+    let two = [("model", "lenet5"), ("reason", "deadline")];
+    assert_eq!(r.value("serve_hot_total", &two), Some(502.0));
+}
+
+fn a_full_flight_ring_records_without_allocating() {
+    let flight = FlightRecorder::enabled(256);
+    let record = |id: u64| {
+        flight.record(
+            id as f64 * 1e-4,
+            "serve",
+            "completion",
+            format_args!("req {id}"),
+            format_args!("lenet5 x8 on s10sx-{}, latency {:.3} ms", id % 3, 1.5),
+        );
+    };
+    (0..256).for_each(record);
+    let ((), allocs) = counted(|| (256..1256).for_each(record));
+    assert_eq!(allocs, 0, "1000 records into a full ring allocated");
+    assert_eq!(flight.len(), 256);
+}
+
+fn warm_open_loop_serving_allocates_under_one_per_request() {
+    let config = optimized_config(Model::LeNet5, FpgaPlatform::Stratix10Sx);
+    let mut template = DevicePool::new();
+    for _ in 0..3 {
+        let d = template.add_device(FpgaPlatform::Stratix10Sx);
+        template
+            .deploy(d, Model::LeNet5, &config)
+            .expect("LeNet-5 fits");
+    }
+    // Every run deploys from the template's warm cache, so it neither
+    // compiles nor calibrates.
+    let replica = || {
+        let mut pool = DevicePool::with_cache(template.cache().clone());
+        for _ in 0..3 {
+            let d = pool.add_device(FpgaPlatform::Stratix10Sx);
+            pool.deploy(d, Model::LeNet5, &config)
+                .expect("cached design");
+        }
+        pool
+    };
+    let capacity: f64 = template
+        .devices()
+        .iter()
+        .filter_map(|d| d.latency_model(Model::LeNet5))
+        .map(|lm| 1.0 / lm.per_image_s)
+        .sum();
+    // Past capacity, so requests queue, batch, complete and shed.
+    let n = 10_000;
+    let trace = || {
+        with_deadline(
+            open_loop_poisson(7, 1.2 * capacity, n, &[Model::LeNet5]),
+            0.05,
+        )
+    };
+    Server::new(replica(), ServeConfig::default()).run_open_loop(trace());
+    let (server, requests) = (Server::new(replica(), ServeConfig::default()), trace());
+    let (result, allocs) = counted(|| server.run_open_loop(requests));
+    assert!(!result.completions.is_empty() && !result.sheds.is_empty());
+    let per_request = allocs as f64 / n as f64;
+    assert!(
+        per_request < 1.0,
+        "serving made {allocs} allocations for {n} requests ({per_request:.2} each)"
+    );
+}
+
+fn simulated_events_allocate_under_one_each() {
+    let config = optimized_config(Model::LeNet5, FpgaPlatform::Stratix10Sx);
+    let d = Flow::new(Model::LeNet5, FpgaPlatform::Stratix10Sx)
+        .compile(&config)
+        .expect("LeNet-5 fits");
+    let per_image = match &d.plan {
+        ExecutionPlan::Pipelined(stages) => stages.len(),
+        ExecutionPlan::Folded(plan) => plan.invocations.len(),
+        ExecutionPlan::Dataflow(plan) => plan.ops_per_image(),
+    };
+    // An input write, one event per kernel invocation, an output read.
+    let events = 16 * (2 + per_image);
+    let warm = d.simulate_batch(16);
+    let (stats, allocs) = counted(|| d.simulate_batch(16));
+    assert_eq!(stats.seconds, warm.seconds);
+    let per_event = allocs as f64 / events as f64;
+    assert!(
+        per_event < 1.0,
+        "simulate_batch(16) made {allocs} allocations for {events} events ({per_event:.2} each)"
+    );
+}
+
+#[test]
+fn hot_paths_allocate_only_for_new_series_names_and_buffers() {
+    metric_updates_on_existing_series_allocate_nothing();
+    a_full_flight_ring_records_without_allocating();
+    warm_open_loop_serving_allocates_under_one_per_request();
+    simulated_events_allocate_under_one_each();
+}
