@@ -17,10 +17,10 @@
 //! `FPGACCEL_CHAOS_POSTMORTEM` names a JSON file to write the anomaly
 //! flight recorder's postmortem snapshots of the committed run to.
 
-use crate::serving::{batched, build_pool_injected, mixed_trace};
+use crate::serving::{build_pool_injected, deadline_free_trace};
 use crate::table::Table;
 use fpgaccel_fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan, FaultSpec};
-use fpgaccel_serve::{Request, RunResult, ServeConfig, Server};
+use fpgaccel_serve::{AdmissionPolicy, RunResult, ServeConfig, Server};
 use fpgaccel_trace::json::Json;
 use fpgaccel_trace::{FlightRecorder, Tracer};
 
@@ -68,17 +68,6 @@ pub fn committed_plan() -> FaultPlan {
     FaultPlan::new(CHAOS_SEED, events)
 }
 
-/// The serve workload with deadlines stripped: chaos measures pure
-/// completion under faults, so a late answer still counts as served
-/// rather than vanishing into a deadline shed.
-fn chaos_trace(pool: &fpgaccel_serve::DevicePool, mult: f64) -> Vec<Request> {
-    let mut trace = mixed_trace(pool, mult);
-    for r in &mut trace {
-        r.deadline_s = None;
-    }
-    trace
-}
-
 /// Offered load relative to full-pool capacity. Chaos runs with headroom:
 /// losing one of three devices must leave the survivors able to absorb
 /// well over the 60% graceful-degradation floor, so the experiment
@@ -102,20 +91,19 @@ fn run_with_flight(
         None => FaultInjector::disabled(),
     };
     let pool = build_pool_injected(&Tracer::disabled(), &injector);
-    let trace = chaos_trace(&pool, CHAOS_LOAD);
+    // Deadline-free: chaos measures pure completion under faults.
+    let trace = deadline_free_trace(&pool, CHAOS_LOAD);
     let offered = trace.len();
     let result = Server::new(
         pool,
         ServeConfig {
-            batch: batched(),
             // Deep queue: redistribution bursts after a device loss queue
             // up instead of shedding; deadline-free requests drain late.
-            admission: fpgaccel_serve::AdmissionPolicy {
+            admission: AdmissionPolicy {
                 queue_capacity: 256,
                 default_deadline_s: None,
             },
-            fault: Default::default(),
-            brownout: Default::default(),
+            ..ServeConfig::default()
         },
     )
     .with_tracer(tracer)

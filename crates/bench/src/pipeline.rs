@@ -36,7 +36,7 @@ const BATCH: usize = 32;
 /// The evaluated configurations. The A10 doubles as the over-budget
 /// demonstration: two MobileNet segments exceed its BRAM budget and the
 /// planner degrades them to staged execution.
-const CONFIGS: [(Model, FpgaPlatform); 4] = [
+pub(crate) const CONFIGS: [(Model, FpgaPlatform); 4] = [
     (Model::LeNet5, FpgaPlatform::Stratix10Sx),
     (Model::MobileNetV1, FpgaPlatform::Stratix10Sx),
     (Model::MobileNetV1, FpgaPlatform::Stratix10Mx),
@@ -45,7 +45,7 @@ const CONFIGS: [(Model, FpgaPlatform); 4] = [
 
 /// The staged (layer-by-layer) baseline: every activation tensor makes a
 /// full global-memory round trip between layers.
-fn staged_config(model: Model, platform: FpgaPlatform) -> OptimizationConfig {
+pub(crate) fn staged_config(model: Model, platform: FpgaPlatform) -> OptimizationConfig {
     match model {
         Model::LeNet5 => OptimizationConfig::folded(TilingPreset::Naive),
         _ => optimized_config(model, platform),
@@ -53,7 +53,8 @@ fn staged_config(model: Model, platform: FpgaPlatform) -> OptimizationConfig {
 }
 
 /// The dataflow base configuration the planner knobs are tuned on top of.
-fn dataflow_base(model: Model, platform: FpgaPlatform) -> OptimizationConfig {
+/// The bench trajectory compiles it untuned, with the default knobs.
+pub(crate) fn dataflow_base(model: Model, platform: FpgaPlatform) -> OptimizationConfig {
     match model {
         Model::LeNet5 => OptimizationConfig::dataflow(TilingPreset::Naive),
         _ => OptimizationConfig::dataflow(TilingPreset::MobileNet {

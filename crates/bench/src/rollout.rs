@@ -18,11 +18,10 @@
 //! Environment knob: `FPGACCEL_ROLLOUT_REPORT` names a JSON file to write
 //! the machine-readable summary to (for CI).
 
-use crate::serving::{batched, build_pool_injected, mixed_trace};
+use crate::serving::{build_pool_injected, deadline_free_trace, tuned_config};
 use crate::table::Table;
 use fpgaccel_aoc::{AocOptions, Precision};
 use fpgaccel_core::bitstreams::optimized_config;
-use fpgaccel_core::{OptimizationConfig, TilingPreset};
 use fpgaccel_device::FpgaPlatform;
 use fpgaccel_fault::{shadow_target, FaultEvent, FaultInjector, FaultKind, FaultPlan};
 use fpgaccel_serve::{
@@ -43,15 +42,6 @@ const UPGRADE_1_S: f64 = 0.05;
 const UPGRADE_2_S: f64 = 0.18;
 /// When the canary-verified LeNet upgrade starts.
 const UPGRADE_3_S: f64 = 0.30;
-
-/// The auto-tuned folded MobileNet configuration (the warm
-/// `Flow::with_tuned_config` shape: A10 Table 6.6 tile, F32).
-fn tuned_config() -> OptimizationConfig {
-    let mut cfg = OptimizationConfig::folded(TilingPreset::Custom1x1 { tile: (7, 8, 8) });
-    cfg.label = "Folded-Tuned".into();
-    cfg.aoc = AocOptions::with_precision(Precision::F32);
-    cfg
-}
 
 /// The committed sabotage: the first reprogram attempt of the upgrade
 /// fails (absorbed by retry), and the canary's shadow read-back is
@@ -79,23 +69,17 @@ pub fn committed_plan() -> FaultPlan {
 fn rollout_specs() -> Vec<RolloutSpec> {
     let mut lenet_v2 = optimized_config(Model::LeNet5, FpgaPlatform::Stratix10Sx);
     lenet_v2.label = format!("{}-v2", lenet_v2.label);
+    let mobilenet = |at_s| RolloutSpec {
+        at_s,
+        model: Model::MobileNetV1,
+        to: tuned_config(),
+        verify_input: None,
+        adopt: Vec::new(),
+        policy: RolloutPolicy::default(),
+    };
     vec![
-        RolloutSpec {
-            at_s: UPGRADE_1_S,
-            model: Model::MobileNetV1,
-            to: tuned_config(),
-            verify_input: None,
-            adopt: Vec::new(),
-            policy: RolloutPolicy::default(),
-        },
-        RolloutSpec {
-            at_s: UPGRADE_2_S,
-            model: Model::MobileNetV1,
-            to: tuned_config(),
-            verify_input: None,
-            adopt: Vec::new(),
-            policy: RolloutPolicy::default(),
-        },
+        mobilenet(UPGRADE_1_S),
+        mobilenet(UPGRADE_2_S),
         RolloutSpec {
             at_s: UPGRADE_3_S,
             model: Model::LeNet5,
@@ -107,17 +91,6 @@ fn rollout_specs() -> Vec<RolloutSpec> {
     ]
 }
 
-/// The serve workload with deadlines stripped: the rollout scenario
-/// measures completion through upgrades, so a request delayed by a
-/// draining device still counts as served.
-fn rollout_trace(pool: &DevicePool, mult: f64) -> Vec<Request> {
-    let mut trace = mixed_trace(pool, mult);
-    for r in &mut trace {
-        r.deadline_s = None;
-    }
-    trace
-}
-
 /// Offered load relative to full-pool capacity, with headroom for the
 /// drained devices' traffic to land elsewhere.
 const ROLLOUT_LOAD: f64 = 0.75;
@@ -125,12 +98,12 @@ const ROLLOUT_LOAD: f64 = 0.75;
 fn run_committed(tracer: &Tracer) -> (usize, RunResult) {
     let injector = FaultInjector::new(committed_plan());
     let pool = build_pool_injected(&Tracer::disabled(), &injector);
-    let trace = rollout_trace(&pool, ROLLOUT_LOAD);
+    // Deadline-free: a request delayed by a draining device still counts.
+    let trace = deadline_free_trace(&pool, ROLLOUT_LOAD);
     let offered = trace.len();
     let mut server = Server::new(
         pool,
         ServeConfig {
-            batch: batched(),
             // Deep queue, no deadlines: during a wave the surviving
             // devices fall behind by design — requests queue up and drain
             // after promotion instead of shedding, so the acceptance bar
@@ -139,8 +112,7 @@ fn run_committed(tracer: &Tracer) -> (usize, RunResult) {
                 queue_capacity: 4096,
                 default_deadline_s: None,
             },
-            fault: Default::default(),
-            brownout: Default::default(),
+            ..ServeConfig::default()
         },
     )
     .with_tracer(tracer);
@@ -258,17 +230,13 @@ fn brownout_run(enabled: bool) -> BrownoutOutcome {
                 max_batch: 4,
                 max_wait_s: spacing,
             },
-            admission: AdmissionPolicy {
-                queue_capacity: 64,
-                default_deadline_s: None,
-            },
-            fault: Default::default(),
             brownout: BrownoutPolicy {
                 enabled,
                 trigger_sheds: 4,
                 window_s: 40.0 * spacing,
                 promote_idle_s: 60.0 * max_img,
             },
+            ..ServeConfig::default()
         },
     )
     .run_open_loop(reqs);

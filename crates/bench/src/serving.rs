@@ -13,11 +13,10 @@
 
 use crate::table::Table;
 use fpgaccel_core::bitstreams::optimized_config;
+use fpgaccel_core::{OptimizationConfig, TilingPreset};
 use fpgaccel_device::FpgaPlatform;
 use fpgaccel_serve::loadgen::{open_loop_poisson, with_deadline};
-use fpgaccel_serve::{
-    AdmissionPolicy, BatchPolicy, DevicePool, Request, RunResult, ServeConfig, Server,
-};
+use fpgaccel_serve::{BatchPolicy, DevicePool, Request, RunResult, ServeConfig, Server};
 use fpgaccel_tensor::models::Model;
 use fpgaccel_trace::Tracer;
 
@@ -30,20 +29,6 @@ const LENET_DEADLINE_S: f64 = 0.05;
 const MOBILENET_DEADLINE_S: f64 = 4.0;
 
 const SERVED: [Model; 2] = [Model::LeNet5, Model::MobileNetV1];
-
-pub(crate) fn batched() -> BatchPolicy {
-    BatchPolicy {
-        max_batch: 8,
-        max_wait_s: 2e-3,
-    }
-}
-
-pub(crate) fn admission() -> AdmissionPolicy {
-    AdmissionPolicy {
-        queue_capacity: 64,
-        default_deadline_s: None,
-    }
-}
 
 /// Builds the three-device pool serving both models.
 pub fn build_pool() -> DevicePool {
@@ -125,14 +110,31 @@ pub(crate) fn mixed_trace(pool: &DevicePool, mult: f64) -> Vec<Request> {
     trace
 }
 
+/// [`mixed_trace`] with the deadlines stripped, for scenarios that measure
+/// completion through faults or upgrades: a late answer still counts as
+/// served rather than vanishing into a deadline shed.
+pub(crate) fn deadline_free_trace(pool: &DevicePool, mult: f64) -> Vec<Request> {
+    let mut trace = mixed_trace(pool, mult);
+    for r in &mut trace {
+        r.deadline_s = None;
+    }
+    trace
+}
+
+/// The MobileNet upgrade target: the auto-tuned folded configuration (the
+/// warm `Flow::with_tuned_config` shape: A10 Table 6.6 tile, F32).
+pub(crate) fn tuned_config() -> OptimizationConfig {
+    let mut cfg = OptimizationConfig::folded(TilingPreset::Custom1x1 { tile: (7, 8, 8) });
+    cfg.label = "Folded-Tuned".into();
+    cfg
+}
+
 fn serve_trace(trace: Vec<Request>, batch: BatchPolicy) -> RunResult {
     Server::new(
         build_pool(),
         ServeConfig {
             batch,
-            admission: admission(),
-            fault: Default::default(),
-            brownout: Default::default(),
+            ..ServeConfig::default()
         },
     )
     .run_open_loop(trace)
@@ -146,30 +148,17 @@ fn serve_trace(trace: Vec<Request>, batch: BatchPolicy) -> RunResult {
 pub fn traced_run(tracer: &Tracer) -> RunResult {
     let pool = build_pool_traced(tracer);
     let trace = mixed_trace(&pool, 1.0);
-    let mut tuned =
-        fpgaccel_core::OptimizationConfig::folded(fpgaccel_core::TilingPreset::Custom1x1 {
-            tile: (7, 8, 8),
-        });
-    tuned.label = "Folded-Tuned".into();
-    Server::new(
-        pool,
-        ServeConfig {
-            batch: batched(),
-            admission: admission(),
-            fault: Default::default(),
-            brownout: Default::default(),
-        },
-    )
-    .with_tracer(tracer)
-    .with_rollout(fpgaccel_serve::RolloutSpec {
-        at_s: TRACE_S / 2.0,
-        model: Model::MobileNetV1,
-        to: tuned,
-        verify_input: None,
-        adopt: Vec::new(),
-        policy: fpgaccel_serve::RolloutPolicy::default(),
-    })
-    .run_open_loop(trace)
+    Server::new(pool, ServeConfig::default())
+        .with_tracer(tracer)
+        .with_rollout(fpgaccel_serve::RolloutSpec {
+            at_s: TRACE_S / 2.0,
+            model: Model::MobileNetV1,
+            to: tuned_config(),
+            verify_input: None,
+            adopt: Vec::new(),
+            policy: fpgaccel_serve::RolloutPolicy::default(),
+        })
+        .run_open_loop(trace)
 }
 
 fn ms(s: f64) -> String {
@@ -208,7 +197,7 @@ pub fn serve() -> String {
     );
     let mut achieved = [0.0f64; 2];
     for (i, (label, policy)) in [
-        ("batch<=8/2ms", batched()),
+        ("batch<=8/2ms", BatchPolicy::default()),
         ("batch=1", BatchPolicy::unbatched()),
     ]
     .into_iter()
@@ -246,7 +235,7 @@ pub fn serve() -> String {
     for mult in [0.25, 0.5, 0.75, 1.0, 1.5, 2.0] {
         let trace = mixed_trace(&pool, mult);
         let offered = trace.len();
-        let r = serve_trace(trace, batched());
+        let r = serve_trace(trace, BatchPolicy::default());
         sweep.row(&[
             format!("{mult:.2}x"),
             offered.to_string(),
@@ -292,7 +281,7 @@ mod tests {
                 LENET_DEADLINE_S,
             )
         };
-        let b = serve_trace(trace(), batched());
+        let b = serve_trace(trace(), BatchPolicy::default());
         let u = serve_trace(trace(), BatchPolicy::unbatched());
         assert!(
             b.metrics.throughput_rps() > 1.2 * u.metrics.throughput_rps(),
@@ -307,8 +296,8 @@ mod tests {
     #[test]
     fn overload_sheds_while_p99_stays_bounded() {
         let pool = build_pool();
-        let light = serve_trace(mixed_trace(&pool, 0.5), batched());
-        let heavy = serve_trace(mixed_trace(&pool, 2.0), batched());
+        let light = serve_trace(mixed_trace(&pool, 0.5), BatchPolicy::default());
+        let heavy = serve_trace(mixed_trace(&pool, 2.0), BatchPolicy::default());
         assert!(
             light.metrics.shed_rate() < 0.02,
             "light load shed {:.1}%",

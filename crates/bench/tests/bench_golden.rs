@@ -7,7 +7,8 @@
 //! `FPGACCEL_BENCH_OUT=BENCH_core.json repro bench` from the repository
 //! root and commit the refreshed baseline alongside the change.
 
-use fpgaccel_obs::{collect, compare, BenchRecord, SCHEMA_VERSION};
+use fpgaccel_bench::trajectory::collect;
+use fpgaccel_obs::{compare, BenchRecord, SCHEMA_VERSION};
 use fpgaccel_trace::json::Json;
 
 fn committed() -> String {
