@@ -93,6 +93,13 @@ impl Json {
         }
     }
 
+    /// The value as a count: a number that is a non-negative integer.
+    pub fn as_count(&self) -> Option<u64> {
+        self.as_f64()
+            .filter(|n| *n >= 0.0 && n.fract() == 0.0)
+            .map(|n| n as u64)
+    }
+
     /// An object with `fields` in the given order.
     pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
         Json::Obj(
@@ -212,6 +219,94 @@ impl From<String> for Json {
 impl<T: Into<Json>> From<Vec<T>> for Json {
     fn from(items: Vec<T>) -> Json {
         Json::Arr(items.into_iter().map(Into::into).collect())
+    }
+}
+
+/// The fields of one record in an array of records, read with the checks
+/// every reader of a stored file shares. Each error names the array, the
+/// record's index in it and the field.
+pub struct Fields<'a> {
+    section: &'static str,
+    index: usize,
+    json: &'a Json,
+}
+
+impl<'a> Fields<'a> {
+    /// The fields of `json`, record `index` of the array `section`.
+    pub fn new(section: &'static str, index: usize, json: &'a Json) -> Fields<'a> {
+        Fields {
+            section,
+            index,
+            json,
+        }
+    }
+
+    /// Where an error was found: the section and the record's index.
+    fn at(&self) -> String {
+        format!("`{}` record {}", self.section, self.index)
+    }
+
+    /// An error naming the record and `field`.
+    pub fn error(&self, field: &str, problem: &str) -> String {
+        format!("{}: `{field}` {problem}", self.at())
+    }
+
+    fn get(&self, field: &str) -> Result<&'a Json, String> {
+        let v = self.json.get(field);
+        v.ok_or_else(|| format!("{}: missing `{field}`", self.at()))
+    }
+
+    /// A string.
+    pub fn text(&self, field: &str) -> Result<String, String> {
+        let v = self.get(field)?.as_str();
+        v.map(str::to_string)
+            .ok_or_else(|| self.error(field, "must be a string"))
+    }
+
+    /// A count: a non-negative integer.
+    pub fn count(&self, field: &str) -> Result<u64, String> {
+        let v = self.get(field)?.as_count();
+        v.ok_or_else(|| self.error(field, "must be a non-negative integer"))
+    }
+
+    /// A finite number of either sign.
+    pub fn finite(&self, field: &str) -> Result<f64, String> {
+        let v = self.get(field)?.as_f64();
+        v.filter(|n| n.is_finite())
+            .ok_or_else(|| self.error(field, "must be a finite number"))
+    }
+
+    /// A finite number `>= 0`.
+    pub fn real(&self, field: &str) -> Result<f64, String> {
+        let v = self.get(field)?.as_f64();
+        v.filter(|n| n.is_finite() && *n >= 0.0)
+            .ok_or_else(|| self.error(field, "must be a finite number >= 0"))
+    }
+
+    /// A latency: a finite number `> 0`.
+    pub fn seconds(&self, field: &str) -> Result<f64, String> {
+        let v = self.get(field)?.as_f64();
+        v.filter(|n| n.is_finite() && *n > 0.0)
+            .ok_or_else(|| self.error(field, "must be a finite number > 0"))
+    }
+
+    /// An array whose every entry `item` accepts.
+    pub fn list<T>(
+        &self,
+        field: &str,
+        what: &str,
+        item: impl Fn(&Json) -> Option<T>,
+    ) -> Result<Vec<T>, String> {
+        let entries = self.get(field)?.as_array();
+        let entries = entries.ok_or_else(|| self.error(field, "must be an array"))?;
+        entries
+            .iter()
+            .enumerate()
+            .map(|(i, v)| {
+                item(v)
+                    .ok_or_else(|| self.error(&format!("{field}[{i}]"), &format!("must be {what}")))
+            })
+            .collect()
     }
 }
 

@@ -13,7 +13,7 @@
 
 use crate::candidate::Candidate;
 use fpgaccel_aoc::Precision;
-use fpgaccel_trace::json::Json;
+use fpgaccel_trace::json::{Fields, Json};
 use std::borrow::Borrow;
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt::Debug;
@@ -211,7 +211,9 @@ impl Record for TuneRecord {
     }
 
     fn read(f: &Fields) -> Result<(DbKey, TuneRecord), String> {
-        let tile = f.list("tile", "an integer >= 1", |v| count(v).filter(|&n| n >= 1))?;
+        let tile = f.list("tile", "an integer >= 1", |v| {
+            v.as_count().filter(|&n| n >= 1)
+        })?;
         let [w2, c2, c1] = tile[..] else {
             return Err(f.error("tile", "must have 3 factors"));
         };
@@ -340,7 +342,7 @@ impl Record for PlacementRecord {
                 [model, platform, n] => Some((
                     model.as_str()?.to_string(),
                     platform.as_str()?.to_string(),
-                    count(n)? as usize,
+                    n.as_count()? as usize,
                 )),
                 _ => None,
             })?,
@@ -348,82 +350,6 @@ impl Record for PlacementRecord {
             evaluations: f.count("evaluations")? as usize,
         };
         Ok((f.text("spec")?, record))
-    }
-}
-
-/// A JSON number that is a non-negative integer.
-fn count(v: &Json) -> Option<u64> {
-    v.as_f64()
-        .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-        .map(|n| n as u64)
-}
-
-/// The fields of one stored record, read with the checks every section
-/// shares. Each error names the section, the record's index in it and the
-/// field.
-pub struct Fields<'a> {
-    section: &'static str,
-    index: usize,
-    json: &'a Json,
-}
-
-impl<'a> Fields<'a> {
-    /// Where an error was found: the section and the record's index.
-    fn at(&self) -> String {
-        format!("`{}` record {}", self.section, self.index)
-    }
-
-    fn error(&self, field: &str, problem: &str) -> String {
-        format!("{}: `{field}` {problem}", self.at())
-    }
-
-    fn get(&self, field: &str) -> Result<&'a Json, String> {
-        let v = self.json.get(field);
-        v.ok_or_else(|| format!("{}: missing `{field}`", self.at()))
-    }
-
-    fn text(&self, field: &str) -> Result<String, String> {
-        let v = self.get(field)?.as_str();
-        v.map(str::to_string)
-            .ok_or_else(|| self.error(field, "must be a string"))
-    }
-
-    /// A count: a non-negative integer.
-    fn count(&self, field: &str) -> Result<u64, String> {
-        count(self.get(field)?).ok_or_else(|| self.error(field, "must be a non-negative integer"))
-    }
-
-    /// A finite number `>= 0`.
-    fn real(&self, field: &str) -> Result<f64, String> {
-        let v = self.get(field)?.as_f64();
-        v.filter(|n| n.is_finite() && *n >= 0.0)
-            .ok_or_else(|| self.error(field, "must be a finite number >= 0"))
-    }
-
-    /// A latency: a finite number `> 0`.
-    fn seconds(&self, field: &str) -> Result<f64, String> {
-        let v = self.get(field)?.as_f64();
-        v.filter(|n| n.is_finite() && *n > 0.0)
-            .ok_or_else(|| self.error(field, "must be a finite number > 0"))
-    }
-
-    /// An array whose every entry `item` accepts.
-    fn list<T>(
-        &self,
-        field: &str,
-        what: &str,
-        item: impl Fn(&Json) -> Option<T>,
-    ) -> Result<Vec<T>, String> {
-        let entries = self.get(field)?.as_array();
-        let entries = entries.ok_or_else(|| self.error(field, "must be an array"))?;
-        entries
-            .iter()
-            .enumerate()
-            .map(|(i, v)| {
-                item(v)
-                    .ok_or_else(|| self.error(&format!("{field}[{i}]"), &format!("must be {what}")))
-            })
-            .collect()
     }
 }
 
@@ -506,12 +432,7 @@ impl<R: Record> Section<R> {
             .as_array()
             .ok_or_else(|| format!("`{}` is not an array", R::SECTION))?;
         for (index, json) in records.iter().enumerate() {
-            let f = Fields {
-                section: R::SECTION,
-                index,
-                json,
-            };
-            let (key, record) = R::read(&f)?;
+            let (key, record) = R::read(&Fields::new(R::SECTION, index, json))?;
             section.insert(key, record);
         }
         Ok(section)
