@@ -36,7 +36,7 @@
 //! runs 64), `FPGACCEL_FLEETCHAOS_REPORT` names a JSON file for the
 //! machine-readable summary.
 
-use crate::fleet::{build_spec, tenants_for};
+use crate::fleet::{build_spec, fleet_devices, tenants_for};
 use crate::table::Table;
 use fpgaccel_fault::{FaultKind, FaultPlan, FaultSpec};
 use fpgaccel_fleet::{
@@ -69,17 +69,6 @@ const DEMAND_SHARE: [(Model, f64); 4] = [
     (Model::ResNet18, 0.11),
     (Model::ResNet34, 0.06),
 ];
-
-/// Default fleet size; CI smokes the same scenario at 64.
-const DEFAULT_DEVICES: usize = 500;
-
-fn fleet_devices() -> usize {
-    std::env::var("FPGACCEL_FLEETCHAOS_DEVICES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 10)
-        .unwrap_or(DEFAULT_DEVICES)
-}
 
 /// The fixed scenario one `fleetchaos_at` call runs twice.
 struct Scenario {
@@ -447,7 +436,7 @@ fn fleetchaos_at(devices: usize) -> String {
 
 /// The `fleetchaos` experiment report.
 pub fn fleetchaos() -> String {
-    fleetchaos_at(fleet_devices())
+    fleetchaos_at(fleet_devices("FPGACCEL_FLEETCHAOS_DEVICES"))
 }
 
 #[cfg(test)]
