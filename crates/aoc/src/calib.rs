@@ -38,7 +38,9 @@ pub struct Calib {
 
     // ---- External-memory efficiency (§2.4.3) --------------------------
     /// DDR efficiency of narrow (< 4-element) scattered accesses: mostly
-    /// wasted bursts. Fit: depthwise-conv GFLOPS of Table 6.8.
+    /// wasted bursts. Meant to fit the depthwise-conv GFLOPS of Table 6.8,
+    /// but only the S10MX cell matches: the model gives 1.96 / 10.96 /
+    /// 5.07 (S10MX / S10SX / A10) against the paper's 1.81 / 1.72 / 1.65.
     pub mem_eff_narrow: f64,
     /// Efficiency of mid-width (4–15 element) accesses.
     pub mem_eff_mid: f64,
@@ -51,7 +53,10 @@ pub struct Calib {
     /// fit entirely in the 512-kbit cache and are re-read for every output
     /// row, so nearly all weight reads hit (§5.1.2: "Reading weights ...
     /// influences the kernel's global memory utilization" only through the
-    /// cold pass). Fit: 3x3-conv GFLOPS of Tables 6.8/6.16.
+    /// cold pass). Matches ResNet-34's 3x3 s=1 conv on the S10SX in Table
+    /// 6.16 (70.89 GFLOPS against 70.36). Misses MobileNet's 3x3 conv in
+    /// Table 6.8 by 2.6-2.8x: 1.50 / 3.23 / 2.32 (S10MX / S10SX / A10)
+    /// against 4.23 / 8.48 / 6.54.
     pub weight_cache_reuse: f64,
     /// Additional per-iteration stall per replicated narrow LSU contending
     /// for the memory system (arbitration, §2.4.5).

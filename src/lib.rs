@@ -34,6 +34,8 @@
 //!   sim-time, the injector handle, retry/backoff policy.
 //! * [`fleet`] — sharded fleet serving: placement optimization,
 //!   consistent-hash routing, multi-tenant QoS, fleet-wide rollouts.
+//! * [`obs`] — the trace-only record and comparator crate: the
+//!   `BENCH_core.json` schema and the baseline comparator.
 //!
 //! ## Quickstart
 //!
