@@ -78,10 +78,12 @@ fn run_with(plan: Option<FaultPlan>, tracer: &Tracer) -> (usize, RunResult) {
     run_with_flight(plan, tracer, &FlightRecorder::disabled())
 }
 
-/// [`run_with`] with an anomaly flight recorder attached: device hangs,
-/// quarantines and losses trigger bounded postmortem snapshots that come
-/// back on [`RunResult::postmortems`].
-fn run_with_flight(
+/// Runs the chaos workload under `plan` (fault-free for `None`) with an
+/// anomaly flight recorder attached: device hangs, quarantines and losses
+/// trigger bounded postmortem snapshots that come back on
+/// [`RunResult::postmortems`]. Returns the offered request count and the
+/// run.
+pub fn run_with_flight(
     plan: Option<FaultPlan>,
     tracer: &Tracer,
     flight: &FlightRecorder,

@@ -30,7 +30,7 @@ use fpgaccel_serve::{
 };
 use fpgaccel_tensor::{data, models::Model};
 use fpgaccel_trace::json::Json;
-use fpgaccel_trace::Tracer;
+use fpgaccel_trace::{FlightRecorder, Tracer};
 
 /// Seed recorded on the committed plan (provenance only — the schedule is
 /// hand-written).
@@ -95,7 +95,10 @@ fn rollout_specs() -> Vec<RolloutSpec> {
 /// drained devices' traffic to land elsewhere.
 const ROLLOUT_LOAD: f64 = 0.75;
 
-fn run_committed(tracer: &Tracer) -> (usize, RunResult) {
+/// Runs the committed scenario (sabotage plan and the three rollouts) with
+/// `tracer` and `flight` attached. Returns the offered request count and
+/// the run.
+pub fn run_committed(tracer: &Tracer, flight: &FlightRecorder) -> (usize, RunResult) {
     let injector = FaultInjector::new(committed_plan());
     let pool = build_pool_injected(&Tracer::disabled(), &injector);
     // Deadline-free: a request delayed by a draining device still counts.
@@ -115,7 +118,8 @@ fn run_committed(tracer: &Tracer) -> (usize, RunResult) {
             ..ServeConfig::default()
         },
     )
-    .with_tracer(tracer);
+    .with_tracer(tracer)
+    .with_flight_recorder(flight);
     for spec in rollout_specs() {
         server.schedule_rollout(spec);
     }
@@ -324,8 +328,8 @@ fn json_report(
 pub fn rollout() -> String {
     // The committed scenario, traced, run twice for the determinism check.
     let tracer = Tracer::enabled();
-    let (offered, r) = run_committed(&tracer);
-    let (_, second) = run_committed(&Tracer::disabled());
+    let (offered, r) = run_committed(&tracer, &FlightRecorder::disabled());
+    let (_, second) = run_committed(&Tracer::disabled(), &FlightRecorder::disabled());
     let deterministic = digest(offered, &r) == digest(offered, &second);
 
     let plan = committed_plan();
@@ -479,7 +483,7 @@ mod tests {
 
     #[test]
     fn committed_scenario_rolls_back_once_then_promotes_cleanly() {
-        let (offered, r) = run_committed(&Tracer::disabled());
+        let (offered, r) = run_committed(&Tracer::disabled(), &FlightRecorder::disabled());
         assert_eq!(
             r.metrics.completed as usize + r.metrics.shed() as usize + r.failures.len(),
             offered
