@@ -71,6 +71,19 @@ pub enum BatchOutcome {
     },
 }
 
+impl BatchOutcome {
+    /// When the host learns how the batch ended: its completion, or the
+    /// watchdog's firing for a hung batch.
+    pub(crate) fn end_s(&self) -> f64 {
+        match *self {
+            BatchOutcome::Done { completion_s } | BatchOutcome::Corrupted { completion_s } => {
+                completion_s
+            }
+            BatchOutcome::TimedOut { fail_s, .. } => fail_s,
+        }
+    }
+}
+
 /// The record of one quarantine: the reprogram attempts made on a hung
 /// device and whether it returned to service.
 #[derive(Clone, Debug)]
@@ -102,10 +115,6 @@ pub struct PooledDevice {
     /// ladder the longer the overload persists).
     brownout_deployments: HashMap<Model, Vec<Arc<Deployment>>>,
     brownout_lms: HashMap<Model, Vec<BatchLatencyModel>>,
-    /// Simulated seconds per deployed batch size (and ladder rung; 0 =
-    /// primary), memoized — dispatching re-runs the same discrete-event
-    /// simulation for identical sizes.
-    batch_seconds: HashMap<(Model, usize, usize), f64>,
     /// Simulated time until which the device executes already-dispatched
     /// batches.
     busy_until_s: f64,
@@ -126,7 +135,6 @@ impl PooledDevice {
             latency_models: HashMap::new(),
             brownout_deployments: HashMap::new(),
             brownout_lms: HashMap::new(),
-            batch_seconds: HashMap::new(),
             busy_until_s: 0.0,
             busy_s: 0.0,
             health: DeviceHealth::Healthy,
@@ -175,25 +183,6 @@ impl PooledDevice {
                 .get(&model)
                 .and_then(|v| v.get(rung - 1))
         }
-    }
-
-    /// Simulated execution seconds for a batch of `n` images of `model`
-    /// (exact `simulate_batch` result, memoized per size).
-    pub fn batch_seconds(&mut self, model: Model, n: usize) -> f64 {
-        self.batch_seconds_variant(model, n, 0)
-    }
-
-    /// [`PooledDevice::batch_seconds`] for any ladder rung (`rung ≥ 1`
-    /// simulates the staged relaxed-precision deployment of that rung).
-    pub fn batch_seconds_variant(&mut self, model: Model, n: usize, rung: usize) -> f64 {
-        let d = Arc::clone(
-            self.serving_deployment(model, rung)
-                .expect("queried rung is deployed"),
-        );
-        *self
-            .batch_seconds
-            .entry((model, n, rung))
-            .or_insert_with(|| d.simulate_batch(n).seconds)
     }
 
     /// When the device becomes idle, simulated seconds.
@@ -411,11 +400,6 @@ impl DevicePool {
         let dev = &mut self.devices[device];
         dev.deployments.insert(model, d);
         dev.latency_models.insert(model, lm);
-        // The deployment changed; memoized batch timings for it are stale
-        // (brownout-rung entries belong to different bitstreams and
-        // survive).
-        dev.batch_seconds
-            .retain(|&(m, _, r), _| m != model || r > 0);
         self.invalidate_index();
         Ok(())
     }
@@ -445,8 +429,6 @@ impl DevicePool {
         let dev = &mut self.devices[device];
         dev.brownout_deployments.insert(model, ds);
         dev.brownout_lms.insert(model, lms);
-        dev.batch_seconds
-            .retain(|&(m, _, r), _| m != model || r == 0);
         self.invalidate_index();
         Ok(())
     }
@@ -659,12 +641,6 @@ impl DevicePool {
             .any(|d| d.health == DeviceHealth::Draining && d.latency_models.contains_key(&model))
     }
 
-    /// Whether any non-lost device holds a staged brownout ladder of
-    /// `model` (at least one rung).
-    pub fn has_brownout(&self, model: Model) -> bool {
-        self.brownout_rungs(model) > 0
-    }
-
     /// Deepest brownout ladder rung staged for `model` on any non-lost
     /// device (0 when no device stages a ladder). The server never
     /// descends past this.
@@ -696,21 +672,11 @@ impl DevicePool {
         self.invalidate_index();
     }
 
-    /// Earliest time at or after `now_s` any non-lost device serving
-    /// `model` is free. `None` when no such device exists.
-    pub fn earliest_available_s(&self, model: Model, now_s: f64) -> Option<f64> {
-        self.devices
-            .iter()
-            .filter(|d| d.health != DeviceHealth::Lost && d.latency_models.contains_key(&model))
-            .map(|d| now_s.max(d.busy_until_s))
-            .min_by(f64::total_cmp)
-    }
-
     /// Executes a dispatched batch of `n` images of `model` on `device`
     /// starting at `start_s`, under the attached fault injector.
     ///
-    /// Without faults in play this is exactly the memoized
-    /// [`PooledDevice::batch_seconds`] fast path. When the plan has events
+    /// Without faults in play this is the clean execution time, memoized
+    /// per deployment and batch size. When the plan has events
     /// covering the window, the batch is re-simulated under the injector's
     /// time view: a simulated duration past the hang watchdog becomes
     /// [`BatchOutcome::TimedOut`] (declared `timeout_mult` × the clean
@@ -770,9 +736,8 @@ impl DevicePool {
     /// (deployment identity, batch size) at pool scope. Devices sharing an
     /// `Arc<Deployment>` (the common case — the cache hands the same
     /// deployment to every device of a class) pay for one discrete-event
-    /// simulation per batch size, not one per device. Values are identical
-    /// to [`PooledDevice::batch_seconds_variant`]: the simulation is a pure
-    /// function of the deployment and the size.
+    /// simulation per batch size, not one per device: the simulation is a
+    /// pure function of the deployment and the size.
     fn batch_seconds_shared(&mut self, device: usize, model: Model, n: usize, rung: usize) -> f64 {
         let d = Arc::clone(
             self.devices[device]
@@ -808,41 +773,23 @@ impl DevicePool {
         // Health and busy-time transitions below restructure dispatch
         // eligibility; drop the ready index wholesale.
         self.invalidate_index();
-        let name = self.devices[device].name.clone();
-        {
-            let d = &self.devices[device];
-            if d.health == DeviceHealth::Lost || hang_s <= d.cleared_s {
-                return None;
-            }
+        let d = &self.devices[device];
+        if d.health == DeviceHealth::Lost || hang_s <= d.cleared_s {
+            return None;
         }
-        let mut attempts = Vec::new();
-        let mut t = fail_s;
-        for _ in 0..max_attempts.max(1) {
-            let ok = !self.fault.take_reprogram_fail(&name);
-            attempts.push((t, t + reprogram_s, ok));
-            t += reprogram_s;
-            if ok {
-                let d = &mut self.devices[device];
-                d.health = DeviceHealth::Quarantined { until_s: t };
-                d.cleared_s = d.cleared_s.max(t);
-                d.busy_until_s = d.busy_until_s.max(t);
-                return Some(Recovery {
-                    device,
-                    fail_s,
-                    hang_s,
-                    attempts,
-                    until_s: Some(t),
-                });
-            }
+        let rep = self.reprogram_attempts(device, fail_s, reprogram_s, max_attempts);
+        if rep.ok {
+            let d = &mut self.devices[device];
+            d.health = DeviceHealth::Quarantined { until_s: rep.end_s };
+            d.cleared_s = d.cleared_s.max(rep.end_s);
+            d.busy_until_s = d.busy_until_s.max(rep.end_s);
         }
-        let d = &mut self.devices[device];
-        d.health = DeviceHealth::Lost;
         Some(Recovery {
             device,
             fail_s,
             hang_s,
-            attempts,
-            until_s: None,
+            attempts: rep.attempts,
+            until_s: rep.ok.then_some(rep.end_s),
         })
     }
 
@@ -864,33 +811,49 @@ impl DevicePool {
         reprogram_s: f64,
         max_attempts: u32,
     ) -> Result<Reprogram, FlowError> {
-        let name = self.devices[device].name.clone();
+        let rep = self.reprogram_attempts(device, at_s, reprogram_s, max_attempts);
+        if rep.ok {
+            self.deploy(device, model, config)?;
+            let d = &mut self.devices[device];
+            d.cleared_s = d.cleared_s.max(rep.end_s);
+            d.busy_until_s = d.busy_until_s.max(rep.end_s);
+        }
+        self.invalidate_index();
+        Ok(rep)
+    }
+
+    /// The reprogram loop shared by quarantine and rollout: attempts of
+    /// `reprogram_s` each from `at_s` until one succeeds or `max_attempts`
+    /// (at least one) are spent, each consuming one pending `ReprogramFail`
+    /// event of the device. Exhausting the attempts loses the device.
+    fn reprogram_attempts(
+        &mut self,
+        device: usize,
+        at_s: f64,
+        reprogram_s: f64,
+        max_attempts: u32,
+    ) -> Reprogram {
+        let name = &self.devices[device].name;
         let mut attempts = Vec::new();
         let mut t = at_s;
         for _ in 0..max_attempts.max(1) {
-            let ok = !self.fault.take_reprogram_fail(&name);
+            let ok = !self.fault.take_reprogram_fail(name);
             attempts.push((t, t + reprogram_s, ok));
             t += reprogram_s;
             if ok {
-                self.deploy(device, model, config)?;
-                let d = &mut self.devices[device];
-                d.cleared_s = d.cleared_s.max(t);
-                d.busy_until_s = d.busy_until_s.max(t);
-                self.invalidate_index();
-                return Ok(Reprogram {
+                return Reprogram {
                     attempts,
                     end_s: t,
                     ok: true,
-                });
+                };
             }
         }
         self.devices[device].health = DeviceHealth::Lost;
-        self.invalidate_index();
-        Ok(Reprogram {
+        Reprogram {
             attempts,
             end_s: t,
             ok: false,
-        })
+        }
     }
 }
 
@@ -1039,10 +1002,15 @@ mod tests {
     #[test]
     fn batch_seconds_memoizes_the_simulation() {
         let mut pool = pool_with_two_s10(Model::LeNet5);
-        let dev = &mut pool.devices[0];
-        let a = dev.batch_seconds(Model::LeNet5, 8);
-        let b = dev.batch_seconds(Model::LeNet5, 8);
-        assert_eq!(a, b);
-        assert!(dev.batch_seconds(Model::LeNet5, 16) > a);
+        let mut run = |device, n| match pool.execute_batch(device, Model::LeNet5, n, 0.0, 4.0, 0) {
+            BatchOutcome::Done { completion_s } => completion_s,
+            other => panic!("a fault-free batch ended {other:?}"),
+        };
+        let a = run(0, 8);
+        // The second device shares the cached deployment, so its batch of
+        // the same size reads the same memo entry.
+        assert_eq!(run(1, 8), a);
+        assert!(run(0, 16) > a);
+        assert_eq!(pool.batch_memo.len(), 2);
     }
 }

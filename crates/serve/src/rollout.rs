@@ -240,6 +240,8 @@ pub(crate) struct RolloutRun {
     finished_s: f64,
     wave_started_s: f64,
     outcome: Option<RolloutOutcome>,
+    /// Events already handed out by [`RolloutRun::unseen_events`].
+    seen: usize,
 }
 
 impl RolloutRun {
@@ -259,6 +261,7 @@ impl RolloutRun {
             finished_s: at,
             wave_started_s: at,
             outcome: None,
+            seen: 0,
         }
     }
 
@@ -276,10 +279,11 @@ impl RolloutRun {
         self.finished_s
     }
 
-    /// The structured event log so far (the server mirrors new entries
-    /// into its flight recorder after each step).
-    pub(crate) fn events(&self) -> &[RolloutEvent] {
-        &self.events
+    /// Events logged since the previous call: the server mirrors each
+    /// step's new events into its flight recorder.
+    pub(crate) fn unseen_events(&mut self) -> &[RolloutEvent] {
+        let seen = std::mem::replace(&mut self.seen, self.events.len());
+        &self.events[seen..]
     }
 
     fn event(&mut self, t_s: f64, device: &str, action: &str, detail: String) {
@@ -421,12 +425,7 @@ impl RolloutRun {
         let name = pool.devices()[device].name.clone();
         let n = pol.canary_shadow.max(1);
         let outcome = pool.execute_batch(device, model, n, t, timeout_mult, 0);
-        let end = match outcome {
-            BatchOutcome::Done { completion_s } | BatchOutcome::Corrupted { completion_s } => {
-                completion_s
-            }
-            BatchOutcome::TimedOut { fail_s, .. } => fail_s,
-        };
+        let end = outcome.end_s();
         pool.commit(device, t, end);
         if tracer.is_enabled() {
             tracer.span(
@@ -474,16 +473,165 @@ impl RolloutRun {
         (failure, end)
     }
 
-    /// Emits the per-wave span and returns wave devices to dispatch.
-    fn promote_wave(
+    /// Advances the state machine at simulated time `t` (the armed
+    /// `next_s`). Each call performs one phase's work and re-arms the
+    /// timer; a finished rollout reports `next_s() = ∞`.
+    pub(crate) fn step(
         &mut self,
-        wave: usize,
-        devices: &[usize],
         t: f64,
         pool: &mut DevicePool,
         tracer: &Tracer,
+        registry: &mut Registry,
+        timeout_mult: f64,
     ) {
-        for &d in devices {
+        match self.phase {
+            Phase::Scheduled => self.start(t, pool, tracer, registry),
+            Phase::Drain { wave } => self.drained(Phase::Reprogram { wave }, t, registry),
+            Phase::Reprogram { wave } => self.reprogram(wave, t, pool, tracer, registry),
+            Phase::Canary => self.canary(t, pool, tracer, registry, timeout_mult),
+            Phase::Promote { wave } => self.promote(wave, t, pool, tracer, registry),
+            Phase::RollbackDrain => self.drained(Phase::RollbackReprogram, t, registry),
+            Phase::RollbackReprogram => self.rollback_reprogram(t, pool, tracer, registry),
+            Phase::Done => {}
+        }
+    }
+
+    /// Captures the eligible devices' deployments, splits them into waves
+    /// and starts draining the first; fails when no device serves the
+    /// model.
+    fn start(&mut self, t: f64, pool: &mut DevicePool, tracer: &Tracer, registry: &mut Registry) {
+        self.started_s = t;
+        self.finished_s = t;
+        let model = self.spec.model;
+        // Serving devices convert; `adopt`-named devices (the self-healing
+        // migration path) join the waves even though they do not serve the
+        // model yet.
+        let eligible: Vec<usize> = pool
+            .devices()
+            .iter()
+            .enumerate()
+            .filter(|(_, d)| {
+                d.health() != crate::pool::DeviceHealth::Lost
+                    && (d.latency_model(model).is_some() || self.spec.adopt.contains(&d.name))
+            })
+            .map(|(i, _)| i)
+            .collect();
+        if eligible.is_empty() {
+            self.event(
+                t,
+                model.name(),
+                "canary-fail",
+                "no device serves the model".into(),
+            );
+            self.finish(RolloutOutcome::Failed, t, registry, STATE_IDLE);
+            return;
+        }
+        for &d in &eligible {
+            let dev = &pool.devices()[d];
+            // Adopted devices have no prior deployment: nothing to capture,
+            // no guardband baseline, nothing to roll back to.
+            let (Some(dep), Some(lm)) = (dev.deployment(model), dev.latency_model(model)) else {
+                continue;
+            };
+            self.old.push((d, dep.config.clone(), lm.seconds(1)));
+        }
+        self.waves = eligible
+            .chunks(self.spec.policy.wave_size.max(1))
+            .map(<[usize]>::to_vec)
+            .collect();
+        self.set_state(registry, STATE_DRAINING);
+        self.begin_wave_drain(0, t, pool, tracer);
+    }
+
+    /// A drain (of a wave, or of the converted devices before a rollback)
+    /// completed: reprogram next, at once.
+    fn drained(&mut self, next: Phase, t: f64, registry: &mut Registry) {
+        self.set_state(registry, STATE_REPROGRAMMING);
+        self.phase = next;
+        self.next_s = t;
+    }
+
+    /// Reprograms a drained wave to the target; the first wave goes on to
+    /// its canary, later waves straight to promotion.
+    fn reprogram(
+        &mut self,
+        wave: usize,
+        t: f64,
+        pool: &mut DevicePool,
+        tracer: &Tracer,
+        registry: &mut Registry,
+    ) {
+        let devices = self.waves[wave].clone();
+        let to = self.spec.to.clone();
+        let (done, end) = self.reprogram_wave(&devices, &to, t, pool, tracer, "reprogram-ok");
+        self.converted.extend(&done);
+        if self.converted.is_empty() && wave == 0 {
+            // The whole first wave was lost before any canary could run;
+            // nothing converted, nothing to roll back.
+            self.finish(RolloutOutcome::Failed, end, registry, STATE_IDLE);
+            return;
+        }
+        if wave == 0 {
+            self.set_state(registry, STATE_CANARY);
+            self.phase = Phase::Canary;
+        } else {
+            self.phase = Phase::Promote { wave };
+        }
+        self.next_s = self.next_s.max(end);
+    }
+
+    /// Runs the canary on the first wave's converted devices: a clean
+    /// pass arms the wave's promotion, the first failure starts the
+    /// rollback.
+    fn canary(
+        &mut self,
+        t: f64,
+        pool: &mut DevicePool,
+        tracer: &Tracer,
+        registry: &mut Registry,
+        timeout_mult: f64,
+    ) {
+        let wave0 = self.waves[0].clone();
+        let mut end = t;
+        for &d in &wave0 {
+            if !self.converted.contains(&d) {
+                continue;
+            }
+            let (failure, e) = self.canary_check(d, end, pool, tracer, timeout_mult);
+            end = end.max(e);
+            if let Some(f) = failure {
+                return self.begin_rollback(d, f, end, pool, tracer, registry);
+            }
+        }
+        for &d in &wave0 {
+            if self.converted.contains(&d) {
+                let name = pool.devices()[d].name.clone();
+                self.event(
+                    end,
+                    &name,
+                    "canary-pass",
+                    format!("x{} shadow batch clean", self.spec.policy.canary_shadow),
+                );
+            }
+        }
+        self.phase = Phase::Promote { wave: 0 };
+        self.next_s = end;
+    }
+
+    /// Returns the wave's converted devices to dispatch and emits its
+    /// span, then drains the next wave or, after the last, finishes.
+    fn promote(
+        &mut self,
+        wave: usize,
+        t: f64,
+        pool: &mut DevicePool,
+        tracer: &Tracer,
+        registry: &mut Registry,
+    ) {
+        for d in self.waves[wave].clone() {
+            if !self.converted.contains(&d) {
+                continue;
+            }
             let name = pool.devices()[d].name.clone();
             pool.return_to_service(d);
             self.event(
@@ -503,267 +651,127 @@ impl RolloutRun {
                 t,
             );
         }
-    }
-
-    /// Advances the state machine at simulated time `t` (the armed
-    /// `next_s`). Each call performs one phase's work and re-arms the
-    /// timer; a finished rollout reports `next_s() = ∞`.
-    pub(crate) fn step(
-        &mut self,
-        t: f64,
-        pool: &mut DevicePool,
-        tracer: &Tracer,
-        registry: &mut Registry,
-        timeout_mult: f64,
-    ) {
-        let model = self.spec.model;
-        match self.phase {
-            Phase::Scheduled => {
-                self.started_s = t;
-                self.finished_s = t;
-                let pol = self.spec.policy;
-                // Serving devices convert; `adopt`-named devices (the
-                // self-healing migration path) join the waves even though
-                // they do not serve the model yet.
-                let eligible: Vec<usize> = pool
-                    .devices()
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, d)| {
-                        d.health() != crate::pool::DeviceHealth::Lost
-                            && (d.latency_model(model).is_some()
-                                || self.spec.adopt.contains(&d.name))
-                    })
-                    .map(|(i, _)| i)
-                    .collect();
-                if eligible.is_empty() {
-                    self.event(
-                        t,
-                        model.name(),
-                        "canary-fail",
-                        "no device serves the model".into(),
-                    );
-                    self.finish(RolloutOutcome::Failed, t, registry, STATE_IDLE);
-                    return;
-                }
-                for &d in &eligible {
-                    let dev = &pool.devices()[d];
-                    // Adopted devices have no prior deployment: nothing to
-                    // capture, no guardband baseline, nothing to roll back
-                    // to.
-                    let (Some(dep), Some(lm)) = (dev.deployment(model), dev.latency_model(model))
-                    else {
-                        continue;
-                    };
-                    self.old.push((d, dep.config.clone(), lm.seconds(1)));
-                }
-                self.waves = eligible
-                    .chunks(pol.wave_size.max(1))
-                    .map(|c| c.to_vec())
-                    .collect();
-                self.set_state(registry, STATE_DRAINING);
-                self.begin_wave_drain(0, t, pool, tracer);
-            }
-            Phase::Drain { wave } => {
-                self.set_state(registry, STATE_REPROGRAMMING);
-                self.phase = Phase::Reprogram { wave };
-                self.next_s = t;
-            }
-            Phase::Reprogram { wave } => {
-                let devices = self.waves[wave].clone();
-                let to = self.spec.to.clone();
-                let (done, end) =
-                    self.reprogram_wave(&devices, &to, t, pool, tracer, "reprogram-ok");
-                self.converted.extend(&done);
-                if self.converted.is_empty() && wave == 0 {
-                    // The whole first wave was lost before any canary could
-                    // run; nothing converted, nothing to roll back.
-                    self.finish(RolloutOutcome::Failed, end, registry, STATE_IDLE);
-                    return;
-                }
-                if wave == 0 {
-                    self.set_state(registry, STATE_CANARY);
-                    self.phase = Phase::Canary;
-                } else {
-                    self.phase = Phase::Promote { wave };
-                }
-                self.next_s = self.next_s.max(end);
-            }
-            Phase::Canary => {
-                let wave0 = self.waves[0].clone();
-                let mut end = t;
-                let mut failure = None;
-                for &d in &wave0 {
-                    if !self.converted.contains(&d) {
-                        continue;
-                    }
-                    let (f, e) = self.canary_check(d, end, pool, tracer, timeout_mult);
-                    end = end.max(e);
-                    if let Some(f) = f {
-                        failure = Some((d, f));
-                        break;
-                    }
-                }
-                match failure {
-                    None => {
-                        for &d in &wave0 {
-                            if self.converted.contains(&d) {
-                                let name = pool.devices()[d].name.clone();
-                                self.event(
-                                    end,
-                                    &name,
-                                    "canary-pass",
-                                    format!(
-                                        "x{} shadow batch clean",
-                                        self.spec.policy.canary_shadow
-                                    ),
-                                );
-                            }
-                        }
-                        self.phase = Phase::Promote { wave: 0 };
-                        self.next_s = end;
-                    }
-                    Some((d, f)) => {
-                        let name = pool.devices()[d].name.clone();
-                        let detail = match &f {
-                            CanaryFailure::OutputMismatch(e) => format!("{e}"),
-                            CanaryFailure::LatencyRegression { ratio } => {
-                                format!("per-image latency {ratio:.3}x the old deployment")
-                            }
-                            CanaryFailure::ReadbackCorrupt => {
-                                "shadow read-back failed verification".into()
-                            }
-                            CanaryFailure::Hang => "shadow batch hung the device".into(),
-                        };
-                        if tracer.is_enabled() {
-                            tracer.instant(
-                                PID_SERVE,
-                                ROLLOUT_LANE,
-                                "canary",
-                                &format!("canary-fail {} ({})", name, f.label()),
-                                end,
-                            );
-                        }
-                        self.event(end, &name, "canary-fail", detail);
-                        self.canary_failure = Some(f);
-                        registry.counter_inc(
-                            "serve_rollbacks_total",
-                            "Rollouts rolled back by a failed canary.",
-                            &[("model", model.name())],
-                        );
-                        for &c in &self.converted.clone() {
-                            let cname = pool.devices()[c].name.clone();
-                            self.event(
-                                end,
-                                &cname,
-                                "rollback-begin",
-                                "draining for rollback".into(),
-                            );
-                        }
-                        self.set_state(registry, STATE_DRAINING);
-                        // Converted devices are still draining (never
-                        // promoted); wait out the shadow work, then
-                        // reprogram back.
-                        let quiesce = self
-                            .converted
-                            .iter()
-                            .map(|&c| pool.devices()[c].busy_until())
-                            .fold(end, f64::max);
-                        self.phase = Phase::RollbackDrain;
-                        self.next_s = quiesce;
-                    }
-                }
-            }
-            Phase::Promote { wave } => {
-                let done: Vec<usize> = self.waves[wave]
-                    .iter()
-                    .copied()
-                    .filter(|d| self.converted.contains(d))
-                    .collect();
-                self.promote_wave(wave, &done, t, pool, tracer);
-                self.advance_past_wave(wave, t, pool, tracer, registry);
-                self.next_s = self.next_s.max(t);
-            }
-            Phase::RollbackDrain => {
-                self.set_state(registry, STATE_REPROGRAMMING);
-                self.phase = Phase::RollbackReprogram;
-                self.next_s = t;
-            }
-            Phase::RollbackReprogram => {
-                let converted = self.converted.clone();
-                let mut end = t;
-                let mut restored = 0usize;
-                for &d in &converted {
-                    let Some(old_cfg) = self
-                        .old
-                        .iter()
-                        .find(|&&(i, _, _)| i == d)
-                        .map(|(_, c, _)| c.clone())
-                    else {
-                        // Adopted during a heal: no prior deployment to
-                        // restore. Keep the new bitstream (reversing an
-                        // adoption would shrink capacity) and return the
-                        // device to dispatch.
-                        let name = pool.devices()[d].name.clone();
-                        pool.return_to_service(d);
-                        self.event(
-                            end.max(t),
-                            &name,
-                            "adopt-released",
-                            "no prior deployment; keeping the adopted bitstream".into(),
-                        );
-                        continue;
-                    };
-                    let (done, e) = self.reprogram_wave(
-                        &[d],
-                        &old_cfg,
-                        end.max(t),
-                        pool,
-                        tracer,
-                        "rolled-back",
-                    );
-                    end = end.max(e);
-                    for &r in &done {
-                        pool.return_to_service(r);
-                        restored += 1;
-                    }
-                }
-                if tracer.is_enabled() {
-                    tracer.span(
-                        PID_SERVE,
-                        ROLLOUT_LANE,
-                        "rollout",
-                        &format!("{} rollback", model.name()),
-                        self.wave_started_s,
-                        end,
-                    );
-                }
-                let outcome = if restored > 0 || pool.serves(model) {
-                    RolloutOutcome::RolledBack
-                } else {
-                    RolloutOutcome::Failed
-                };
-                self.finish(outcome, end, registry, STATE_ROLLED_BACK);
-            }
-            Phase::Done => {}
-        }
-    }
-
-    /// Moves on after wave `wave` resolved: drain the next wave or finish.
-    fn advance_past_wave(
-        &mut self,
-        wave: usize,
-        t: f64,
-        pool: &mut DevicePool,
-        tracer: &Tracer,
-        registry: &mut Registry,
-    ) {
         if wave + 1 < self.waves.len() {
             self.set_state(registry, STATE_DRAINING);
             self.begin_wave_drain(wave + 1, t, pool, tracer);
         } else {
             self.finish(RolloutOutcome::Promoted, t, registry, STATE_PROMOTED);
         }
+        self.next_s = self.next_s.max(t);
+    }
+
+    /// The canary on device `d` failed with `f` at `end`: logs and counts
+    /// the rollback, then drains every converted device (still out of
+    /// dispatch) until its shadow work completes.
+    fn begin_rollback(
+        &mut self,
+        d: usize,
+        f: CanaryFailure,
+        end: f64,
+        pool: &DevicePool,
+        tracer: &Tracer,
+        registry: &mut Registry,
+    ) {
+        let model = self.spec.model;
+        let name = pool.devices()[d].name.clone();
+        let detail = match &f {
+            CanaryFailure::OutputMismatch(e) => format!("{e}"),
+            CanaryFailure::LatencyRegression { ratio } => {
+                format!("per-image latency {ratio:.3}x the old deployment")
+            }
+            CanaryFailure::ReadbackCorrupt => "shadow read-back failed verification".into(),
+            CanaryFailure::Hang => "shadow batch hung the device".into(),
+        };
+        if tracer.is_enabled() {
+            tracer.instant(
+                PID_SERVE,
+                ROLLOUT_LANE,
+                "canary",
+                &format!("canary-fail {} ({})", name, f.label()),
+                end,
+            );
+        }
+        self.event(end, &name, "canary-fail", detail);
+        self.canary_failure = Some(f);
+        registry.counter_inc(
+            "serve_rollbacks_total",
+            "Rollouts rolled back by a failed canary.",
+            &[("model", model.name())],
+        );
+        for c in self.converted.clone() {
+            let cname = pool.devices()[c].name.clone();
+            self.event(
+                end,
+                &cname,
+                "rollback-begin",
+                "draining for rollback".into(),
+            );
+        }
+        self.set_state(registry, STATE_DRAINING);
+        self.phase = Phase::RollbackDrain;
+        self.next_s = self
+            .converted
+            .iter()
+            .map(|&c| pool.devices()[c].busy_until())
+            .fold(end, f64::max);
+    }
+
+    /// Reprograms every converted device back to its old deployment (an
+    /// adopted device keeps its new one) and resolves the rollout.
+    fn rollback_reprogram(
+        &mut self,
+        t: f64,
+        pool: &mut DevicePool,
+        tracer: &Tracer,
+        registry: &mut Registry,
+    ) {
+        let model = self.spec.model;
+        let mut end = t;
+        let mut restored = 0usize;
+        for d in self.converted.clone() {
+            let Some(old_cfg) = self
+                .old
+                .iter()
+                .find(|&&(i, _, _)| i == d)
+                .map(|(_, c, _)| c.clone())
+            else {
+                // Adopted during a heal: no prior deployment to restore.
+                // Keep the new bitstream (reversing an adoption would
+                // shrink capacity) and return the device to dispatch.
+                let name = pool.devices()[d].name.clone();
+                pool.return_to_service(d);
+                self.event(
+                    end.max(t),
+                    &name,
+                    "adopt-released",
+                    "no prior deployment; keeping the adopted bitstream".into(),
+                );
+                continue;
+            };
+            let (done, e) =
+                self.reprogram_wave(&[d], &old_cfg, end.max(t), pool, tracer, "rolled-back");
+            end = end.max(e);
+            for &r in &done {
+                pool.return_to_service(r);
+                restored += 1;
+            }
+        }
+        if tracer.is_enabled() {
+            tracer.span(
+                PID_SERVE,
+                ROLLOUT_LANE,
+                "rollout",
+                &format!("{} rollback", model.name()),
+                self.wave_started_s,
+                end,
+            );
+        }
+        let outcome = if restored > 0 || pool.serves(model) {
+            RolloutOutcome::RolledBack
+        } else {
+            RolloutOutcome::Failed
+        };
+        self.finish(outcome, end, registry, STATE_ROLLED_BACK);
     }
 
     fn finish(&mut self, outcome: RolloutOutcome, t: f64, registry: &mut Registry, state: f64) {
