@@ -31,6 +31,7 @@
 //! its inputs, so experiments reproduce byte for byte.
 
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 pub mod admission;
 pub mod batcher;

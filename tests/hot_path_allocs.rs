@@ -90,7 +90,7 @@ fn a_full_flight_ring_records_without_allocating() {
     assert_eq!(flight.len(), 256);
 }
 
-fn warm_open_loop_serving_allocates_under_one_per_request() {
+fn warm_open_loop_serving_allocates_under_one_per_twenty_requests() {
     let config = optimized_config(Model::LeNet5, FpgaPlatform::Stratix10Sx);
     let mut template = DevicePool::new();
     for _ in 0..3 {
@@ -128,10 +128,12 @@ fn warm_open_loop_serving_allocates_under_one_per_request() {
     let (server, requests) = (Server::new(replica(), ServeConfig::default()), trace());
     let (result, allocs) = counted(|| server.run_open_loop(requests));
     assert!(!result.completions.is_empty() && !result.sheds.is_empty());
+    // About one batch per ten requests: one allocation per batch would
+    // reach 0.1 per request and fail.
     let per_request = allocs as f64 / n as f64;
     assert!(
-        per_request < 1.0,
-        "serving made {allocs} allocations for {n} requests ({per_request:.2} each)"
+        per_request < 0.05,
+        "serving made {allocs} allocations for {n} requests ({per_request:.3} each)"
     );
 }
 
@@ -161,6 +163,6 @@ fn simulated_events_allocate_under_one_each() {
 fn hot_paths_allocate_only_for_new_series_names_and_buffers() {
     metric_updates_on_existing_series_allocate_nothing();
     a_full_flight_ring_records_without_allocating();
-    warm_open_loop_serving_allocates_under_one_per_request();
+    warm_open_loop_serving_allocates_under_one_per_twenty_requests();
     simulated_events_allocate_under_one_each();
 }
