@@ -86,13 +86,8 @@ impl BufferDecl {
 
     /// Resolved element count.
     pub fn resolved_len(&self, b: &Binding) -> usize {
-        let env = binding_to_env(b);
-        self.len.eval(&env).max(0) as usize
+        self.len.eval(b).max(0) as usize
     }
-}
-
-fn binding_to_env(b: &Binding) -> Binding {
-    b.clone()
 }
 
 /// An Intel OpenCL channel declaration (program scope, §4.6).
