@@ -8,16 +8,14 @@
 //! synthesis model) and the materializer that turns the abstract plan into
 //! kernels, channel couplings and an executable step list.
 
-use crate::kernels::{self, Invocation, PlanError};
+use crate::kernels::{self, DenseRule, Invocation, PlanError};
 use crate::options::OptimizationConfig;
 use fpgaccel_aoc::{synthesize_kernel, Calib};
 use fpgaccel_device::{DeviceModel, Resources};
 use fpgaccel_pipeline::{ChainNode, Estimator, PipelinePlan, PlanItem};
 use fpgaccel_tensor::graph::{Graph, Node, NodeId, Op};
-use fpgaccel_tir::compute::{
-    self, ConvDims, ConvSchedule, ConvSpec, DenseSchedule, DenseSpec, IoMode, PoolKind,
-};
-use fpgaccel_tir::{Dim, Kernel};
+use fpgaccel_tir::compute::{self, ConvSchedule, IoMode};
+use fpgaccel_tir::Kernel;
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 
@@ -167,11 +165,11 @@ pub(crate) fn chain_of(graph: &Graph) -> Vec<ChainNode> {
         .collect()
 }
 
-/// Lowers one node as a dedicated pipeline stage. Unlike the per-layer
-/// pipelined lowering (which always uses the fused `F×F`-unrolled
-/// schedule), stages adopt the folded tiling preset when the layer's
-/// dimensions divide it — the pipeline then matches the folded pool's
-/// per-layer speed while dropping the global-memory round trip.
+/// Lowers one node as a dedicated pipeline stage. Stages with a channel
+/// input stream depthwise convolution, pooling and padding; other
+/// convolutions take [`stage_schedule`], and the remaining nodes lower as
+/// in a pipelined plan but with dense layers unrolled by the tiling
+/// preset.
 pub(crate) fn lower_stage(
     graph: &Graph,
     node: &Node,
@@ -179,142 +177,83 @@ pub(crate) fn lower_stage(
     io_out: IoMode,
     config: &OptimizationConfig,
 ) -> Result<Kernel, PlanError> {
-    let in_shape = &graph.nodes[node.inputs[0]].out_shape;
-    Ok(match &node.op {
+    let streams = matches!(io_in, IoMode::Channel { .. });
+    match &node.op {
         Op::Conv2d { .. } => {
-            let (c2, c1, h2, w2, f, s, dw) = kernels::conv_geometry(graph, node);
+            let (c2, c1, _, w2, f, s, dw) = kernels::conv_geometry(graph, node);
             // §4.6 charges a full-fmap local cache for channel-input
             // kernels — the BRAM wall that kept big-fmap layers out of
             // pipelines. Depthwise convolution is a per-channel op and
             // activations stream c-major, so a ring buffer of the last F
             // input rows is all the reuse window the stage needs.
-            if dw && s <= f && matches!(io_in, IoMode::Channel { .. }) {
-                return Ok(compute::conv2d_dw_stream(&ConvSpec {
-                    name: node.name.clone(),
-                    dims: ConvDims::constant(c2, c1, h2, w2, f, s)
-                        .with_input(Dim::Const(in_shape.dim(1)), Dim::Const(in_shape.dim(2))),
-                    depthwise: true,
-                    epilogue: kernels::epilogue_of(node),
-                    io_in,
-                    io_out,
-                    schedule: ConvSchedule::Fused { unroll_ff: true },
-                    explicit_strides: false,
-                }));
+            if dw && s <= f && streams {
+                let spec = kernels::conv_spec(graph, node, io_in, io_out, ConvSchedule::Base);
+                return Ok(compute::conv2d_dw_stream(&spec));
             }
-            // A dedicated stage does not need the full-fat engine folded
-            // execution amortizes over many layers — it only needs to keep
-            // up with the pipeline bottleneck. Lean schedules (a narrowed
-            // 1x1 tile, plain F x F unrolling for depthwise) cut each
-            // stage's ALUT/BRAM footprint severalfold, which is what lets
-            // more than a couple of layers fit on the chip at once.
-            let schedule = if config.optimized_schedules {
-                if dw {
-                    ConvSchedule::Fused { unroll_ff: true }
-                } else {
-                    match config.tiling.schedule(dw, f, s) {
-                        ConvSchedule::Tiled {
-                            w2vec,
-                            c2vec,
-                            c1vec,
-                        } => {
-                            let (c2vec, c1vec) = (c2vec.min(4), c1vec.min(4));
-                            if w2.is_multiple_of(w2vec)
-                                && c2.is_multiple_of(c2vec)
-                                && c1.is_multiple_of(c1vec)
-                            {
-                                ConvSchedule::Tiled {
-                                    w2vec,
-                                    c2vec,
-                                    c1vec,
-                                }
-                            } else {
-                                ConvSchedule::Fused { unroll_ff: true }
-                            }
-                        }
-                        _ => ConvSchedule::Fused { unroll_ff: true },
-                    }
-                }
-            } else {
-                ConvSchedule::Base
-            };
-            compute::conv2d(&ConvSpec {
-                name: node.name.clone(),
-                dims: ConvDims::constant(c2, c1, h2, w2, f, s)
-                    .with_input(Dim::Const(in_shape.dim(1)), Dim::Const(in_shape.dim(2))),
-                depthwise: dw,
-                epilogue: kernels::epilogue_of(node),
-                io_in,
-                io_out,
-                schedule,
-                explicit_strides: false,
-            })
-        }
-        Op::Dense { units } => {
-            let n = in_shape.dim(0);
-            let schedule = match config.tiling.dense_unroll() {
-                Some(factor) if config.optimized_schedules && n.is_multiple_of(factor) => {
-                    DenseSchedule::Unrolled { factor }
-                }
-                _ => DenseSchedule::Base,
-            };
-            compute::dense(&DenseSpec {
-                name: node.name.clone(),
-                m: Dim::Const(*units),
-                n: Dim::Const(n),
-                epilogue: kernels::epilogue_of(node),
-                io_in,
-                io_out,
-                schedule,
-            })
+            let schedule = stage_schedule(config, dw, f, c2, c1, w2);
+            Ok(compute::conv2d(&kernels::conv_spec(
+                graph, node, io_in, io_out, schedule,
+            )))
         }
         // Pool and pad are per-channel ops too: the streaming variants
         // replace the full-fmap cache with an F-row ring (pool) or nothing
         // at all (pad), and with channel output they are autorun-eligible.
-        Op::MaxPool {
-            window,
-            stride,
-            pad,
-        } if *pad == 0 && *stride <= *window && matches!(io_in, IoMode::Channel { .. }) => {
-            compute::pool_stream(
-                &node.name,
-                PoolKind::Max,
-                in_shape.dim(0),
-                in_shape.dim(1),
-                in_shape.dim(2),
-                *window,
-                *stride,
-                io_in,
-                io_out,
-            )
+        Op::Pad { pad } if streams => {
+            let [c, h, w] = kernels::input_chw(graph, node);
+            Ok(compute::pad_stream(
+                &node.name, c, h, w, *pad, io_in, io_out,
+            ))
         }
-        Op::AvgPool {
-            window,
-            stride,
-            pad,
-        } if *pad == 0 && *stride <= *window && matches!(io_in, IoMode::Channel { .. }) => {
-            compute::pool_stream(
-                &node.name,
-                PoolKind::Avg,
-                in_shape.dim(0),
-                in_shape.dim(1),
-                in_shape.dim(2),
-                *window,
-                *stride,
-                io_in,
-                io_out,
-            )
+        op => match kernels::pool_params(op) {
+            Some((kind, window, stride)) if streams && stride <= window => {
+                let [c, h, w] = kernels::input_chw(graph, node);
+                Ok(compute::pool_stream(
+                    &node.name, kind, c, h, w, window, stride, io_in, io_out,
+                ))
+            }
+            _ => kernels::lower_node(graph, node, io_in, io_out, config, DenseRule::Preset),
+        },
+    }
+}
+
+/// A stage convolution's schedule. Unlike the per-layer pipelined lowering
+/// (which always uses the fused `F×F`-unrolled schedule), stages adopt the
+/// folded tiling preset when the layer's dimensions divide it — the
+/// pipeline then matches the folded pool's per-layer speed while dropping
+/// the global-memory round trip. A dedicated stage does not need the
+/// full-fat engine folded execution amortizes over many layers — it only
+/// needs to keep up with the pipeline bottleneck. Lean schedules (a
+/// narrowed 1x1 tile, plain F x F unrolling for depthwise) cut each stage's
+/// ALUT/BRAM footprint severalfold, which is what lets more than a couple
+/// of layers fit on the chip at once.
+fn stage_schedule(
+    config: &OptimizationConfig,
+    dw: bool,
+    f: usize,
+    c2: usize,
+    c1: usize,
+    w2: usize,
+) -> ConvSchedule {
+    match config.tiling.schedule(dw, f) {
+        _ if !config.optimized_schedules => ConvSchedule::Base,
+        ConvSchedule::Tiled {
+            w2vec,
+            c2vec,
+            c1vec,
+        } if !dw => {
+            let (c2vec, c1vec) = (c2vec.min(4), c1vec.min(4));
+            if w2.is_multiple_of(w2vec) && c2.is_multiple_of(c2vec) && c1.is_multiple_of(c1vec) {
+                ConvSchedule::Tiled {
+                    w2vec,
+                    c2vec,
+                    c1vec,
+                }
+            } else {
+                ConvSchedule::Fused { unroll_ff: true }
+            }
         }
-        Op::Pad { pad } if matches!(io_in, IoMode::Channel { .. }) => compute::pad_stream(
-            &node.name,
-            in_shape.dim(0),
-            in_shape.dim(1),
-            in_shape.dim(2),
-            *pad,
-            io_in,
-            io_out,
-        ),
-        _ => kernels::lower_node(graph, node, io_in, io_out, config, &mut 0)?,
-    })
+        _ => ConvSchedule::Fused { unroll_ff: true },
+    }
 }
 
 /// Stage-cost memo key: (node id, channel-in depth, channel-out depth).

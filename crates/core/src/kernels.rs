@@ -118,12 +118,107 @@ pub(crate) fn conv_geometry(
     )
 }
 
+/// The constant-shape spec of a conv node under `schedule`.
+pub(crate) fn conv_spec(
+    graph: &Graph,
+    node: &Node,
+    io_in: IoMode,
+    io_out: IoMode,
+    schedule: ConvSchedule,
+) -> ConvSpec {
+    let (c2, c1, h2, w2, f, s, depthwise) = conv_geometry(graph, node);
+    let [_, h1, w1] = input_chw(graph, node);
+    ConvSpec {
+        name: node.name.clone(),
+        dims: ConvDims::constant(c2, c1, h2, w2, f, s).with_input(Dim::Const(h1), Dim::Const(w1)),
+        depthwise,
+        epilogue: epilogue_of(node),
+        io_in,
+        io_out,
+        schedule,
+        explicit_strides: false,
+    }
+}
+
+/// The `[C, H, W]` extents of a node's (first) input.
+pub(crate) fn input_chw(graph: &Graph, node: &Node) -> [usize; 3] {
+    let in_shape = &graph.nodes[node.inputs[0]].out_shape;
+    [in_shape.dim(0), in_shape.dim(1), in_shape.dim(2)]
+}
+
+/// A pool node's flavour, window and stride; `None` for other ops.
+///
+/// # Panics
+/// Panics if the pool still carries padding.
+pub(crate) fn pool_params(op: &Op) -> Option<(PoolKind, usize, usize)> {
+    let (kind, window, stride, pad) = match *op {
+        Op::MaxPool {
+            window,
+            stride,
+            pad,
+        } => (PoolKind::Max, window, stride, pad),
+        Op::AvgPool {
+            window,
+            stride,
+            pad,
+        } => (PoolKind::Avg, window, stride, pad),
+        _ => return None,
+    };
+    assert_eq!(pad, 0, "pool padding must be materialized");
+    Some((kind, window, stride))
+}
+
 pub(crate) fn epilogue_of(node: &Node) -> EpilogueSpec {
     EpilogueSpec {
         bias: node.bias.is_some(),
         bn: node.fused.bn.is_some(),
         residual: node.fused.add_from.is_some(),
         activation: node.fused.activation,
+    }
+}
+
+/// Which unroll factor a dense layer's kernel gets under optimized
+/// schedules.
+pub(crate) enum DenseRule<'a> {
+    /// Entry `i` of [`OptimizationConfig::dense_unroll`] for the `i`-th
+    /// dense layer, counted through the reference: the per-layer ladder of
+    /// pipelined and per-layer folded plans. A factor that does not divide
+    /// the layer's input is a plan error.
+    PerLayer(&'a mut usize),
+    /// The tiling preset's factor wherever it divides the layer's input:
+    /// the fixed kernels of a parameterized folded pool and dataflow
+    /// stages.
+    Preset,
+}
+
+/// The schedule of dense node `node` over `n` inputs under `rule`.
+fn dense_schedule(
+    node: &Node,
+    n: usize,
+    config: &OptimizationConfig,
+    rule: DenseRule<'_>,
+) -> Result<DenseSchedule, PlanError> {
+    let factor = match rule {
+        DenseRule::PerLayer(seen) => {
+            *seen += 1;
+            config.dense_unroll.get(*seen - 1).copied()
+        }
+        DenseRule::Preset => config
+            .tiling
+            .dense_unroll()
+            .filter(|f| n.is_multiple_of(*f)),
+    };
+    match factor {
+        Some(factor) if config.optimized_schedules => {
+            if !n.is_multiple_of(factor) {
+                return Err(PlanError(format!(
+                    "dense unroll factor {factor} does not divide N = {n} for `{}`",
+                    node.name
+                )));
+            }
+            Ok(DenseSchedule::Unrolled { factor })
+        }
+        _ => Ok(DenseSchedule::Base),
     }
 }
 
@@ -174,7 +269,8 @@ pub fn build_pipelined(
             IoMode::Global
         };
 
-        let mut kernel = lower_node(graph, node, io_in, io_out, config, &mut dense_seen)?;
+        let dense = DenseRule::PerLayer(&mut dense_seen);
+        let mut kernel = lower_node(graph, node, io_in, io_out, config, dense)?;
         let autorun = config.autorun && kernel.autorun_eligible();
         if autorun {
             kernel.mark_autorun();
@@ -188,50 +284,35 @@ pub fn build_pipelined(
     Ok(stages)
 }
 
+/// Lowers one node to its kernel with the per-layer schedules: the fused
+/// `F x F`-unrolled convolution and the optimized softmax under
+/// `optimized_schedules`, dense layers per `dense`.
 pub(crate) fn lower_node(
     graph: &Graph,
     node: &Node,
     io_in: IoMode,
     io_out: IoMode,
     config: &OptimizationConfig,
-    dense_seen: &mut usize,
+    dense: DenseRule<'_>,
 ) -> Result<Kernel, PlanError> {
     let in_shape = &graph.nodes[node.inputs[0]].out_shape;
+    if let Some((kind, window, stride)) = pool_params(&node.op) {
+        let [c, h, w] = input_chw(graph, node);
+        return Ok(compute::pool(
+            &node.name, kind, c, h, w, window, stride, io_in, io_out,
+        ));
+    }
     Ok(match &node.op {
         Op::Conv2d { .. } => {
-            let (c2, c1, h2, w2, f, s, dw) = conv_geometry(graph, node);
-            let spec = ConvSpec {
-                name: node.name.clone(),
-                dims: ConvDims::constant(c2, c1, h2, w2, f, s)
-                    .with_input(Dim::Const(in_shape.dim(1)), Dim::Const(in_shape.dim(2))),
-                depthwise: dw,
-                epilogue: epilogue_of(node),
-                io_in,
-                io_out,
-                schedule: if config.optimized_schedules {
-                    ConvSchedule::Fused { unroll_ff: true }
-                } else {
-                    ConvSchedule::Base
-                },
-                explicit_strides: false,
+            let schedule = if config.optimized_schedules {
+                ConvSchedule::Fused { unroll_ff: true }
+            } else {
+                ConvSchedule::Base
             };
-            compute::conv2d(&spec)
+            compute::conv2d(&conv_spec(graph, node, io_in, io_out, schedule))
         }
         Op::Dense { units } => {
             let n = in_shape.dim(0);
-            let schedule = match config.dense_unroll.get(*dense_seen) {
-                Some(&factor) if config.optimized_schedules => {
-                    if !n.is_multiple_of(factor) {
-                        return Err(PlanError(format!(
-                            "dense unroll factor {factor} does not divide N = {n} for `{}`",
-                            node.name
-                        )));
-                    }
-                    DenseSchedule::Unrolled { factor }
-                }
-                _ => DenseSchedule::Base,
-            };
-            *dense_seen += 1;
             compute::dense(&DenseSpec {
                 name: node.name.clone(),
                 m: Dim::Const(*units),
@@ -239,62 +320,18 @@ pub(crate) fn lower_node(
                 epilogue: epilogue_of(node),
                 io_in,
                 io_out,
-                schedule,
+                schedule: dense_schedule(node, n, config, dense)?,
             })
         }
-        Op::MaxPool {
-            window,
-            stride,
-            pad,
-        } => {
-            assert_eq!(*pad, 0, "pool padding must be materialized");
-            compute::pool(
-                &node.name,
-                PoolKind::Max,
-                in_shape.dim(0),
-                in_shape.dim(1),
-                in_shape.dim(2),
-                *window,
-                *stride,
-                io_in,
-                io_out,
-            )
+        Op::Pad { pad } => {
+            let [c, h, w] = input_chw(graph, node);
+            compute::pad(&node.name, c, h, w, *pad, io_in, io_out)
         }
-        Op::AvgPool {
-            window,
-            stride,
-            pad,
-        } => {
-            assert_eq!(*pad, 0, "pool padding must be materialized");
-            compute::pool(
-                &node.name,
-                PoolKind::Avg,
-                in_shape.dim(0),
-                in_shape.dim(1),
-                in_shape.dim(2),
-                *window,
-                *stride,
-                io_in,
-                io_out,
-            )
-        }
-        Op::Pad { pad } => compute::pad(
-            &node.name,
-            in_shape.dim(0),
-            in_shape.dim(1),
-            in_shape.dim(2),
-            *pad,
-            io_in,
-            io_out,
-        ),
         Op::Flatten => compute::copy(&node.name, in_shape.numel(), io_in, io_out),
-        Op::Softmax => compute::softmax(
-            &node.name,
-            in_shape.dim(0),
-            io_in,
-            io_out,
-            config.optimized_schedules,
-        ),
+        Op::Softmax => {
+            let optimized = config.optimized_schedules;
+            compute::softmax(&node.name, in_shape.dim(0), io_in, io_out, optimized)
+        }
         other => {
             return Err(PlanError(format!(
                 "op {:?} should have been fused before lowering",
@@ -400,7 +437,7 @@ pub(crate) fn build_folded_subset(
             io_in: IoMode::Global,
             io_out: IoMode::Global,
             schedule: if config.optimized_schedules {
-                config.tiling.schedule(key.depthwise, key.f, key.s)
+                config.tiling.schedule(key.depthwise, key.f)
             } else {
                 ConvSchedule::Base
             },
@@ -417,7 +454,6 @@ pub(crate) fn build_folded_subset(
 
     // Pass 3: fixed kernels + the invocation schedule.
     let mut invocations = Vec::new();
-    let mut dense_seen = 0usize;
     for node in graph.kernel_nodes() {
         if !included(node.id) {
             continue;
@@ -441,7 +477,7 @@ pub(crate) fn build_folded_subset(
                         w2vec,
                         c2vec,
                         c1vec,
-                    } = config.tiling.schedule(key.depthwise, key.f, key.s)
+                    } = config.tiling.schedule(key.depthwise, key.f)
                     {
                         let check = |what: &str, v: usize, tile: usize| {
                             if !v.is_multiple_of(tile) {
@@ -460,7 +496,7 @@ pub(crate) fn build_folded_subset(
                         }
                     }
                 }
-                let in_shape = &graph.nodes[node.inputs[0]].out_shape;
+                let [_, h1, w1] = input_chw(graph, node);
                 let mut binding = Binding::empty();
                 binding.set("ff", c2);
                 if !dw {
@@ -468,8 +504,8 @@ pub(crate) fn build_folded_subset(
                 }
                 binding.set("hh", h2);
                 binding.set("ww", w2);
-                binding.set("ih", in_shape.dim(1));
-                binding.set("iw", in_shape.dim(2));
+                binding.set("ih", h1);
+                binding.set("iw", w1);
                 invocations.push(Invocation {
                     node_id: node.id,
                     kernel_name: key.kernel_name(),
@@ -477,11 +513,11 @@ pub(crate) fn build_folded_subset(
                 });
             }
             Op::Pad { pad } => {
-                let in_shape = &graph.nodes[node.inputs[0]].out_shape;
+                let [c, h, w] = input_chw(graph, node);
                 let mut binding = Binding::empty();
-                binding.set("pc", in_shape.dim(0));
-                binding.set("ph", in_shape.dim(1));
-                binding.set("pw", in_shape.dim(2));
+                binding.set("pc", c);
+                binding.set("ph", h);
+                binding.set("pw", w);
                 binding.set("pp", *pad);
                 invocations.push(Invocation {
                     node_id: node.id,
@@ -491,23 +527,8 @@ pub(crate) fn build_folded_subset(
             }
             _ => {
                 // Fixed single-layer kernel (pools, dense, softmax, flatten).
-                let mut cfg = config.clone();
-                if let Some(factor) = config.tiling.dense_unroll() {
-                    let n = graph.nodes[node.inputs[0]].out_shape.dim(0);
-                    cfg.dense_unroll = if config.optimized_schedules && n.is_multiple_of(factor) {
-                        vec![factor; 8]
-                    } else {
-                        vec![]
-                    };
-                }
-                let kernel = lower_node(
-                    graph,
-                    node,
-                    IoMode::Global,
-                    IoMode::Global,
-                    &cfg,
-                    &mut dense_seen,
-                )?;
+                let (io_in, io_out) = (IoMode::Global, IoMode::Global);
+                let kernel = lower_node(graph, node, io_in, io_out, config, DenseRule::Preset)?;
                 invocations.push(Invocation {
                     node_id: node.id,
                     kernel_name: kernel.name.clone(),
@@ -539,14 +560,8 @@ fn build_folded_per_layer(
         if !included(node.id) {
             continue;
         }
-        let kernel = lower_node(
-            graph,
-            node,
-            IoMode::Global,
-            IoMode::Global,
-            config,
-            &mut dense_seen,
-        )?;
+        let dense = DenseRule::PerLayer(&mut dense_seen);
+        let kernel = lower_node(graph, node, IoMode::Global, IoMode::Global, config, dense)?;
         invocations.push(Invocation {
             node_id: node.id,
             kernel_name: kernel.name.clone(),
@@ -565,6 +580,7 @@ mod tests {
     use super::*;
     use crate::options::TilingPreset;
     use fpgaccel_tensor::models::Model;
+    use fpgaccel_tir::Scope;
 
     fn lenet_graph() -> Graph {
         Model::LeNet5.build().fuse().materialize_padding()
@@ -689,6 +705,28 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.0.contains("not divisible"), "{err}");
+    }
+
+    #[test]
+    fn parameterized_folded_plans_unroll_every_dense_layer() {
+        // Ten dense layers, more than any zoo model has: the preset's
+        // factor of 32 divides each 64-element input.
+        let mut g = Graph::new("dense10", fpgaccel_tensor::Shape::d1(64));
+        for i in 0..10 {
+            let from = g.output;
+            g.push(format!("fc{i}"), Op::Dense { units: 64 }, vec![from]);
+        }
+        let tiling = TilingPreset::MobileNet {
+            one_by_one: (7, 8, 8),
+        };
+        let plan = build_folded(&g, &OptimizationConfig::folded(tiling)).unwrap();
+        assert_eq!(plan.kernels.len(), 10);
+        for k in &plan.kernels {
+            // Listing 5.6 caches the dot product in a private register;
+            // the base schedule accumulates through global memory.
+            let dot = k.buf("dot").expect("dense accumulator");
+            assert_eq!(dot.scope, Scope::Private, "{} is not unrolled", k.name);
+        }
     }
 
     #[test]

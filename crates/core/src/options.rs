@@ -64,9 +64,9 @@ pub enum TilingPreset {
 }
 
 impl TilingPreset {
-    /// The convolution schedule for a folded group with filter `f`, stride
-    /// `s`, depthwise flag `dw`.
-    pub fn schedule(&self, dw: bool, f: usize, s: usize) -> ConvSchedule {
+    /// The convolution schedule for a folded group with filter `f` and
+    /// depthwise flag `dw` (every preset tiles both strides alike).
+    pub fn schedule(&self, dw: bool, f: usize) -> ConvSchedule {
         match self {
             TilingPreset::Naive => ConvSchedule::Base,
             TilingPreset::MobileNet { one_by_one } => {
@@ -109,7 +109,6 @@ impl TilingPreset {
                     }
                 } else {
                     // 1x1 projections: unroll C1 = 8 (Table 6.13).
-                    let _ = s;
                     ConvSchedule::Tiled {
                         w2vec: 1,
                         c2vec: 1,
@@ -118,7 +117,6 @@ impl TilingPreset {
                 }
             }
             TilingPreset::AlexNet => {
-                let _ = s;
                 if f >= 5 {
                     ConvSchedule::Tiled {
                         w2vec: 1,
@@ -141,7 +139,7 @@ impl TilingPreset {
                         c1vec: tile.2,
                     }
                 } else {
-                    TilingPreset::MobileNet { one_by_one: *tile }.schedule(dw, f, s)
+                    TilingPreset::MobileNet { one_by_one: *tile }.schedule(dw, f)
                 }
             }
             TilingPreset::Uniform {
@@ -333,18 +331,7 @@ impl OptimizationConfig {
         OptimizationConfig {
             label: "Folded-Base".into(),
             mode: ExecMode::Folded,
-            optimized_schedules: false,
-            dense_unroll: vec![],
-            channels: false,
-            autorun: false,
-            concurrent: false,
-            parameterized: false,
-            tiling: TilingPreset::Naive,
-            pipeline: PipelineOpts::default(),
-            explicit_strides: false,
-            aoc: AocOptions::default(),
-            profiling: false,
-            quant: None,
+            ..Self::base()
         }
     }
 
@@ -436,7 +423,7 @@ mod tests {
             one_by_one: (7, 16, 4),
         };
         assert_eq!(
-            t.schedule(false, 1, 1),
+            t.schedule(false, 1),
             ConvSchedule::Tiled {
                 w2vec: 7,
                 c2vec: 16,
@@ -444,7 +431,7 @@ mod tests {
             }
         );
         assert_eq!(
-            t.schedule(true, 3, 2),
+            t.schedule(true, 3),
             ConvSchedule::Tiled {
                 w2vec: 7,
                 c2vec: 1,
@@ -452,7 +439,7 @@ mod tests {
             }
         );
         assert_eq!(
-            t.schedule(false, 3, 2),
+            t.schedule(false, 3),
             ConvSchedule::Tiled {
                 w2vec: 1,
                 c2vec: 1,
@@ -466,7 +453,7 @@ mod tests {
     fn resnet_preset_matches_table_6_13() {
         let t = TilingPreset::ResNet;
         assert_eq!(
-            t.schedule(false, 3, 1),
+            t.schedule(false, 3),
             ConvSchedule::Tiled {
                 w2vec: 7,
                 c2vec: 1,
@@ -474,7 +461,7 @@ mod tests {
             }
         );
         assert_eq!(
-            t.schedule(false, 7, 2),
+            t.schedule(false, 7),
             ConvSchedule::Tiled {
                 w2vec: 1,
                 c2vec: 1,
@@ -482,7 +469,7 @@ mod tests {
             }
         );
         assert_eq!(
-            t.schedule(false, 1, 2),
+            t.schedule(false, 1),
             ConvSchedule::Tiled {
                 w2vec: 1,
                 c2vec: 1,
@@ -493,10 +480,7 @@ mod tests {
 
     #[test]
     fn naive_preset_keeps_base_schedules() {
-        assert_eq!(
-            TilingPreset::Naive.schedule(false, 1, 1),
-            ConvSchedule::Base
-        );
+        assert_eq!(TilingPreset::Naive.schedule(false, 1), ConvSchedule::Base);
         assert_eq!(TilingPreset::Naive.dense_unroll(), None);
     }
 
