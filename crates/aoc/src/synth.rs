@@ -502,14 +502,14 @@ fn infer_lsu(a: &AccessFact, precision: Precision) -> LsuReport {
 /// # Errors
 /// Returns [`SynthesisError`] when the design exceeds chip resources or
 /// routing capacity.
-pub fn synthesize(
-    kernels: &[Kernel],
+pub fn synthesize<'a>(
+    kernels: impl IntoIterator<Item = &'a Kernel>,
     device: &DeviceModel,
     opts: &AocOptions,
     calib: &Calib,
 ) -> Result<BitstreamReport, SynthesisError> {
     let reports: Vec<KernelReport> = kernels
-        .iter()
+        .into_iter()
         .map(|k| synthesize_kernel(k, device, opts, calib))
         .collect();
     assemble_bitstream(reports, device, calib)

@@ -228,41 +228,13 @@ pub fn fig6_3() -> String {
 
 fn sweep_base_1x1_seconds() -> f64 {
     // The naive 1x1 schedule timed the same way as the sweep points.
-    use fpgaccel_aoc::synthesize;
-    use fpgaccel_core::kernels::build_folded;
-    use fpgaccel_runtime::Sim;
     let graph = Model::MobileNetV1.build().fuse().materialize_padding();
     let mut cfg = OptimizationConfig::folded(fpgaccel_core::TilingPreset::Naive);
     cfg.optimized_schedules = false;
-    let plan = build_folded(&graph, &cfg).unwrap();
-    let device = FpgaPlatform::Arria10Gx.model();
-    let flow = Flow::new(Model::MobileNetV1, FpgaPlatform::Arria10Gx);
-    let only_1x1: Vec<_> = plan
-        .kernels
-        .iter()
-        .filter(|k| k.name.starts_with("conv2d_1x1"))
-        .cloned()
-        .collect();
-    let bitstream = synthesize(&only_1x1, &device, &cfg.aoc, &flow.calib).unwrap();
-    let mut sim = Sim::new(device, cfg.aoc, flow.calib.clone(), bitstream.fmax_mhz);
-    let q = sim.create_queue();
-    for inv in plan
-        .invocations
-        .iter()
-        .filter(|i| i.kernel_name.starts_with("conv2d_1x1"))
-    {
-        sim.enqueue_kernel(
-            q,
-            bitstream.kernel(&inv.kernel_name),
-            &inv.binding,
-            &[],
-            &[],
-        );
-    }
-    sim.events()
-        .iter()
-        .map(fpgaccel_runtime::SimEvent::duration)
-        .sum()
+    let calib = fpgaccel_aoc::Calib::default();
+    fpgaccel_core::time_conv1x1(&graph, &cfg, FpgaPlatform::Arria10Gx, &calib)
+        .unwrap()
+        .1
 }
 
 /// Table 6.7: the deployed MobileNet kernel set per platform.

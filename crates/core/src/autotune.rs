@@ -11,9 +11,10 @@
 
 use crate::flow::{Flow, FlowError};
 use crate::options::{OptimizationConfig, QuantSpec, TilingPreset};
-use fpgaccel_aoc::{synthesize, synthesize_mixed, AocOptions, Precision};
+use fpgaccel_aoc::{synthesize, synthesize_mixed, AocOptions, BitstreamReport, Calib, Precision};
 use fpgaccel_device::FpgaPlatform;
 use fpgaccel_pipeline::PipelineOpts;
+use fpgaccel_runtime::{Sim, SimEvent};
 use fpgaccel_tensor::graph::{Graph, Op};
 use fpgaccel_tensor::models::Model;
 use fpgaccel_tensor::quant::{self, Calibration, QuantPrecision, QuantizedGraph};
@@ -111,60 +112,46 @@ impl FlowEvaluator {
     }
 }
 
+/// Times every 1x1 convolution of `graph` under `cfg`'s folded plan: the
+/// bitstream holding only the plan's 1x1 kernels, and the device seconds of
+/// each 1x1 invocation run once, one after another on one queue — the
+/// quantity Table 6.6 and the auto-tuner compare.
+///
+/// # Errors
+/// Returns the plan or synthesis error as text, or a note that the graph
+/// has no 1x1 convolution.
+pub fn time_conv1x1(
+    graph: &Graph,
+    cfg: &OptimizationConfig,
+    platform: FpgaPlatform,
+    calib: &Calib,
+) -> Result<(BitstreamReport, f64), String> {
+    let is_1x1 = |name: &str| name.starts_with("conv2d_1x1");
+    let plan = crate::kernels::build_folded(graph, cfg).map_err(|e| e.to_string())?;
+    if !plan.kernels.iter().any(|k| is_1x1(&k.name)) {
+        return Err("model has no 1x1 convolutions".to_string());
+    }
+    let only_1x1 = plan.kernels.iter().filter(|k| is_1x1(&k.name));
+    let device = platform.model();
+    let bitstream = synthesize(only_1x1, &device, &cfg.aoc, calib).map_err(|e| e.to_string())?;
+    let mut sim = Sim::new(device, cfg.aoc, calib.clone(), bitstream.fmax_mhz);
+    let q = sim.create_queue();
+    for inv in plan.invocations.iter().filter(|i| is_1x1(&i.kernel_name)) {
+        let report = bitstream.kernel(&inv.kernel_name);
+        sim.enqueue_kernel(Some(q), report, &inv.binding, &[], None);
+    }
+    let seconds = sim.events().iter().map(SimEvent::duration).sum();
+    Ok((bitstream, seconds))
+}
+
 impl Evaluate for FlowEvaluator {
     fn evaluate(&self, c: &Candidate) -> Result<Measured, EvalError> {
-        use crate::kernels::build_folded;
-        use fpgaccel_runtime::Sim;
-
         // Each evaluation owns its own flow (workers never share one).
         let flow = self.flow.clone();
-        let device = flow.platform.model();
         let mut cfg = OptimizationConfig::folded(TilingPreset::Custom1x1 { tile: c.tile });
         cfg.aoc = AocOptions::with_precision(c.precision);
-
-        let plan = build_folded(&self.graph, &cfg).map_err(|e| EvalError(e.to_string()))?;
-        let only_1x1: Vec<_> = plan
-            .kernels
-            .iter()
-            .filter(|k| k.name.starts_with("conv2d_1x1"))
-            .cloned()
-            .collect();
-        if only_1x1.is_empty() {
-            return Err(EvalError("model has no 1x1 convolutions".to_string()));
-        }
-        let bitstream = synthesize(&only_1x1, &device, &cfg.aoc, &flow.calib)
-            .map_err(|e| EvalError(e.to_string()))?;
-
-        // Time every 1x1 layer once through the lone kernel.
-        let mut sim = Sim::new(
-            device.clone(),
-            cfg.aoc,
-            flow.calib.clone(),
-            bitstream.fmax_mhz,
-        );
-        let q = sim.create_queue();
-        let mut prev = None;
-        for inv in plan
-            .invocations
-            .iter()
-            .filter(|i| i.kernel_name.starts_with("conv2d_1x1"))
-        {
-            let deps: Vec<_> = prev.into_iter().collect();
-            prev = Some(sim.enqueue_kernel(
-                q,
-                bitstream.kernel(&inv.kernel_name),
-                &inv.binding,
-                &deps,
-                &[],
-            ));
-        }
-        sim.finish();
-        let conv1x1_seconds = sim
-            .events()
-            .iter()
-            .map(fpgaccel_runtime::SimEvent::duration)
-            .sum();
-
+        let (bitstream, conv1x1_seconds) =
+            time_conv1x1(&self.graph, &cfg, flow.platform, &flow.calib).map_err(EvalError)?;
         let seconds_per_image = flow.compile(&cfg).ok().map(|d| d.simulate_batch(1).seconds);
         Ok(Measured {
             seconds_per_image,

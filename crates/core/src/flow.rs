@@ -1,5 +1,7 @@
 //! The end-to-end compilation flow (Chapter 3, Figure 3.1).
 
+#![warn(clippy::too_many_lines)]
+
 use crate::dataflow::build_dataflow;
 use crate::deploy::{Deployment, DeploymentQuant, ExecutionPlan};
 use crate::kernels::{build_folded, build_pipelined, PlanError};
@@ -10,7 +12,7 @@ use fpgaccel_tensor::graph::{Graph, NodeId, Op};
 use fpgaccel_tensor::models::Model;
 use fpgaccel_tensor::quant::{self, Calibration, QuantError};
 use fpgaccel_tensor::Tensor;
-use fpgaccel_tir::{quantize_kernel, Kernel, KernelQuant};
+use fpgaccel_tir::{quantize_kernel, KernelQuant};
 use fpgaccel_trace::Tracer;
 use std::collections::HashMap;
 
@@ -153,23 +155,14 @@ impl Flow {
         };
         let device = self.platform.model();
 
-        let (mut plan, mut kernel_list): (ExecutionPlan, Vec<Kernel>) = {
+        let mut plan = {
             let _p = self.tracer.phase("flow", "schedule+codegen");
             match config.mode {
-                ExecMode::Pipelined => {
-                    let stages = build_pipelined(&graph, config)?;
-                    let kernels = stages.iter().map(|s| s.kernel.clone()).collect();
-                    (ExecutionPlan::Pipelined(stages), kernels)
-                }
-                ExecMode::Folded => {
-                    let plan = build_folded(&graph, config)?;
-                    let kernels = plan.kernels.clone();
-                    (ExecutionPlan::Folded(plan), kernels)
-                }
+                ExecMode::Pipelined => ExecutionPlan::Pipelined(build_pipelined(&graph, config)?),
+                ExecMode::Folded => ExecutionPlan::Folded(build_folded(&graph, config)?),
                 ExecMode::Dataflow => {
                     let plan = build_dataflow(&graph, config, &device, &self.calib)?;
-                    let kernels = plan.kernels.clone();
-                    (ExecutionPlan::Dataflow(plan), kernels)
+                    ExecutionPlan::Dataflow(plan)
                 }
             }
         };
@@ -183,12 +176,11 @@ impl Flow {
                 let batch = self.calibration_batch(spec);
                 let calib = quant::calibrate(&graph, &batch, spec.percentile)?;
                 let qmap = kernel_quant_map(&graph, &plan, spec, &calib)?;
-                for k in kernel_list.iter_mut() {
+                for k in plan.kernels_mut() {
                     if let Some(q) = qmap.get(&k.name) {
                         *k = quantize_kernel(k, q);
                     }
                 }
-                apply_quant(&mut plan, &qmap);
                 Some(DeploymentQuant {
                     precision: spec.precision,
                     calib,
@@ -197,34 +189,10 @@ impl Flow {
             None => None,
         };
 
-        // Device-memory budget: weights stay resident; in folded mode every
-        // layer's activation buffer does too (feature maps ping-pong through
-        // global memory, §3.1).
+        // Device-memory budget: weights stay resident, and so do the
+        // activations the plan keeps in global memory.
         let elem = config.aoc.precision.bytes();
-        let weight_bytes = elem * graph.param_count() as u64;
-        let activation_bytes: u64 = match config.mode {
-            ExecMode::Pipelined => {
-                // Only the network input/output live in global memory.
-                elem * (graph.input_shape().numel() + graph.nodes[graph.output].out_shape.numel())
-                    as u64
-            }
-            ExecMode::Folded => {
-                elem * graph
-                    .kernel_nodes()
-                    .map(|n| n.out_shape.numel() as u64)
-                    .sum::<u64>()
-            }
-            ExecMode::Dataflow => {
-                // The input plus every segment boundary / staged activation
-                // that still round-trips through global memory.
-                let boundary = match &plan {
-                    ExecutionPlan::Dataflow(p) => p.boundary_elems,
-                    _ => unreachable!("Dataflow mode builds a dataflow plan"),
-                };
-                elem * (graph.input_shape().numel() as u64 + boundary)
-            }
-        };
-        let required = weight_bytes + activation_bytes;
+        let required = elem * (graph.param_count() as u64 + plan.global_activation_elems(&graph));
         {
             let _p = self.tracer.phase("flow", "memory check");
             if required > device.global_mem_bytes {
@@ -237,7 +205,7 @@ impl Flow {
 
         let bitstream = {
             let _p = self.tracer.phase("flow", "aoc synthesis");
-            synthesize(&kernel_list, &device, &config.aoc, &self.calib)?
+            synthesize(plan.kernels(), &device, &config.aoc, &self.calib)?
         };
         let mut d = Deployment::new(
             graph,
@@ -277,37 +245,10 @@ fn kernel_quant_map(
     spec: &QuantSpec,
     calib: &Calibration,
 ) -> Result<HashMap<String, KernelQuant>, FlowError> {
-    let pairs: Vec<(NodeId, &str)> = match plan {
-        ExecutionPlan::Pipelined(stages) => stages
-            .iter()
-            .map(|s| (s.node_id, s.kernel.name.as_str()))
-            .collect(),
-        ExecutionPlan::Folded(p) => p
-            .invocations
-            .iter()
-            .map(|inv| (inv.node_id, inv.kernel_name.as_str()))
-            .collect(),
-        ExecutionPlan::Dataflow(p) => p
-            .steps
-            .iter()
-            .flat_map(|step| -> Vec<(NodeId, &str)> {
-                match step {
-                    crate::dataflow::DataflowStep::Segment(stages) => stages
-                        .iter()
-                        .map(|s| (s.node_id, s.kernel.name.as_str()))
-                        .collect(),
-                    crate::dataflow::DataflowStep::Staged(invs) => invs
-                        .iter()
-                        .map(|inv| (inv.node_id, inv.kernel_name.as_str()))
-                        .collect(),
-                }
-            })
-            .collect(),
-    };
-
     let mut owner: HashMap<&str, NodeId> = HashMap::new();
     let mut qmap = HashMap::new();
-    for (node_id, kernel_name) in pairs {
+    for op in plan.ops() {
+        let (node_id, kernel_name) = (op.node_id, op.kernel.name.as_str());
         if let Some(&prev) = owner.get(kernel_name) {
             if prev != node_id {
                 return Err(FlowError::Plan(PlanError(format!(
@@ -342,40 +283,6 @@ fn kernel_quant_map(
         qmap.insert(kernel_name.to_string(), q);
     }
     Ok(qmap)
-}
-
-/// Rewrites every kernel held inside the plan (plans own kernel clones
-/// separate from the synthesis list).
-fn apply_quant(plan: &mut ExecutionPlan, qmap: &HashMap<String, KernelQuant>) {
-    let rw = |k: &mut Kernel| {
-        if let Some(q) = qmap.get(&k.name) {
-            *k = quantize_kernel(k, q);
-        }
-    };
-    match plan {
-        ExecutionPlan::Pipelined(stages) => {
-            for s in stages {
-                rw(&mut s.kernel);
-            }
-        }
-        ExecutionPlan::Folded(p) => {
-            for k in &mut p.kernels {
-                rw(k);
-            }
-        }
-        ExecutionPlan::Dataflow(p) => {
-            for k in &mut p.kernels {
-                rw(k);
-            }
-            for step in &mut p.steps {
-                if let crate::dataflow::DataflowStep::Segment(stages) = step {
-                    for s in stages {
-                        rw(&mut s.kernel);
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

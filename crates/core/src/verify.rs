@@ -6,8 +6,10 @@
 //! This closes the loop between simulated time and real data: the kernels
 //! the AOC model synthesized are the kernels whose arithmetic is checked.
 
-use crate::deploy::{Deployment, ExecutionPlan};
-use fpgaccel_tensor::graph::NodeId;
+#![warn(clippy::too_many_lines)]
+
+use crate::deploy::Deployment;
+use fpgaccel_tensor::graph::{Node, NodeId};
 use fpgaccel_tensor::Tensor;
 use fpgaccel_tir::interp::Interp;
 use fpgaccel_tir::kernel::{BufRole, Kernel};
@@ -157,113 +159,18 @@ pub fn verify_deployment(d: &Deployment, input: &Tensor, rtol: f32) -> Result<()
     let mut out_bufs: HashMap<NodeId, (String, BufRole)> = HashMap::new();
     outputs.insert(0, input.data().to_vec());
 
-    let runs: Vec<(NodeId, &Kernel, Binding)> = match &d.plan {
-        ExecutionPlan::Pipelined(stages) => stages
-            .iter()
-            .map(|s| (s.node_id, &s.kernel, Binding::empty()))
-            .collect(),
-        ExecutionPlan::Folded(plan) => plan
-            .invocations
-            .iter()
-            .map(|inv| {
-                let k = plan
-                    .kernels
-                    .iter()
-                    .find(|k| k.name == inv.kernel_name)
-                    .expect("invocation kernel exists");
-                (inv.node_id, k, inv.binding.clone())
-            })
-            .collect(),
-        ExecutionPlan::Dataflow(plan) => plan
-            .steps
-            .iter()
-            .flat_map(|step| -> Vec<(NodeId, &Kernel, Binding)> {
-                match step {
-                    crate::dataflow::DataflowStep::Segment(stages) => stages
-                        .iter()
-                        .map(|s| (s.node_id, &s.kernel, Binding::empty()))
-                        .collect(),
-                    crate::dataflow::DataflowStep::Staged(invs) => invs
-                        .iter()
-                        .map(|inv| {
-                            let k = plan
-                                .kernels
-                                .iter()
-                                .find(|k| k.name == inv.kernel_name)
-                                .expect("invocation kernel exists");
-                            (inv.node_id, k, inv.binding.clone())
-                        })
-                        .collect(),
-                }
-            })
-            .collect(),
-    };
-
-    for (node_id, kernel, binding) in runs {
-        let node = &d.graph.nodes[node_id];
-        let mut inputs: HashMap<String, Vec<f32>> = HashMap::new();
-        for buf in kernel.global_bufs() {
-            let expected_len = buf.resolved_len(&binding);
-            let data: Vec<f32> = match buf.role {
-                BufRole::Input => outputs
-                    .get(&node.inputs[0])
-                    .ok_or_else(|| VerifyError::ProducerUnavailable {
-                        node: node.name.clone(),
-                    })?
-                    .clone(),
-                BufRole::Weights => node
-                    .weights
-                    .as_ref()
-                    .ok_or_else(|| VerifyError::MissingWeights {
-                        node: node.name.clone(),
-                    })?
-                    .data()
-                    .to_vec(),
-                // Group kernels carry the *union* epilogue; members without
-                // a given parameter bind the identity.
-                BufRole::Bias => node.bias.clone().unwrap_or_else(|| vec![0.0; expected_len]),
-                BufRole::BnScale => node
-                    .fused
-                    .bn
-                    .as_ref()
-                    .map(|(s, _)| s.clone())
-                    .unwrap_or_else(|| vec![1.0; expected_len]),
-                BufRole::BnShift => node
-                    .fused
-                    .bn
-                    .as_ref()
-                    .map(|(_, b)| b.clone())
-                    .unwrap_or_else(|| vec![0.0; expected_len]),
-                BufRole::Residual => match node.fused.add_from {
-                    Some(src) => activations
-                        .get(&src)
-                        .map(|t| t.data().to_vec())
-                        .ok_or_else(|| VerifyError::ResidualMissing {
-                            node: node.name.clone(),
-                        })?,
-                    None => vec![0.0; expected_len],
-                },
-                BufRole::Output | BufRole::Scratch => continue,
-            };
-            if data.len() != expected_len {
-                return Err(VerifyError::BufferLen {
-                    node: node.name.clone(),
-                    buf: buf.name.clone(),
-                    expected: expected_len,
-                    got: data.len(),
-                });
-            }
-            inputs.insert(buf.name.clone(), data);
-        }
-
-        let result = interp.run(kernel, &binding, &inputs);
-        if let Some(out_buf) = kernel
+    for op in d.plan.ops() {
+        let node = &d.graph.nodes[op.node_id];
+        let inputs = bind_inputs(node, op.kernel, op.binding, &outputs, &activations)?;
+        let result = interp.run(op.kernel, op.binding, &inputs);
+        if let Some(out_buf) = op
+            .kernel
             .bufs
             .iter()
             .find(|b| b.role == BufRole::Output && b.scope == fpgaccel_tir::Scope::Global)
         {
-            outputs.insert(node_id, result[&out_buf.name].clone());
-            out_bufs.insert(node_id, (out_buf.name.clone(), out_buf.role));
+            outputs.insert(op.node_id, result[&out_buf.name].clone());
+            out_bufs.insert(op.node_id, (out_buf.name.clone(), out_buf.role));
         }
     }
 
@@ -289,42 +196,18 @@ pub fn verify_deployment(d: &Deployment, input: &Tensor, rtol: f32) -> Result<()
             // the network output, which the length check above covers.
             continue;
         }
-        let (buf_name, buf_role) = &out_bufs[&node_id];
-        // Quantized deployments compare under the rung's documented
-        // per-layer tolerance, with the reference clamped onto the
-        // calibrated grid span (softmax excepted — it stays f32).
-        let node = &d.graph.nodes[node_id];
-        let quant_tol = d.quant.as_ref().and_then(|q| {
-            let range = q.calib.activation(node).ok()?;
-            let (q_rtol, q_atol) = q.precision.tolerance(range);
-            let clamp = (q.precision.qmax().is_some()
-                && !matches!(node.op, fpgaccel_tensor::graph::Op::Softmax))
-            .then_some(range.amax_clip);
-            Some((q_rtol, q_atol, clamp))
-        });
-        for (i, (&g, &e)) in observed.iter().zip(reference.data()).enumerate() {
-            let (e, tol) = match quant_tol {
-                Some((q_rtol, q_atol, clamp)) => {
-                    let e = match clamp {
-                        Some(c) => e.clamp(-c, c),
-                        None => e,
-                    };
-                    (e, q_atol + q_rtol * e.abs())
-                }
-                None => (e, 1e-4 + rtol * e.abs().max(g.abs())),
-            };
-            if (g - e).abs() > tol {
-                return Err(VerifyError::Mismatch {
-                    node_id,
-                    node: node.name.clone(),
-                    buf: buf_name.clone(),
-                    role: *buf_role,
-                    index: i,
-                    got: g,
-                    want: e,
-                });
+        let (buf, role) = &out_bufs[&node_id];
+        compare_node(d, node_id, observed, reference, rtol).map_err(|(index, got, want)| {
+            VerifyError::Mismatch {
+                node_id,
+                node: d.graph.nodes[node_id].name.clone(),
+                buf: buf.clone(),
+                role: *role,
+                index,
+                got,
+                want,
             }
-        }
+        })?;
     }
     // Channels must drain completely — leftover elements mean a deadlocked
     // or mis-sized pipeline.
@@ -334,6 +217,114 @@ pub fn verify_deployment(d: &Deployment, input: &Tensor, rtol: f32) -> Result<()
                 channel: name.clone(),
                 len: fifo.len(),
             });
+        }
+    }
+    Ok(())
+}
+
+/// The data for each of `kernel`'s global input buffers when it computes
+/// `node`: the producer's observed output, the node's parameters, and
+/// identity stand-ins for epilogue parameters a group kernel carries but
+/// the node lacks.
+fn bind_inputs(
+    node: &Node,
+    kernel: &Kernel,
+    binding: &Binding,
+    outputs: &HashMap<NodeId, Vec<f32>>,
+    activations: &HashMap<NodeId, Tensor>,
+) -> Result<HashMap<String, Vec<f32>>, VerifyError> {
+    let mut inputs: HashMap<String, Vec<f32>> = HashMap::new();
+    for buf in kernel.global_bufs() {
+        let expected_len = buf.resolved_len(binding);
+        let data: Vec<f32> = match buf.role {
+            BufRole::Input => outputs
+                .get(&node.inputs[0])
+                .ok_or_else(|| VerifyError::ProducerUnavailable {
+                    node: node.name.clone(),
+                })?
+                .clone(),
+            BufRole::Weights => node
+                .weights
+                .as_ref()
+                .ok_or_else(|| VerifyError::MissingWeights {
+                    node: node.name.clone(),
+                })?
+                .data()
+                .to_vec(),
+            // Group kernels carry the *union* epilogue; members without
+            // a given parameter bind the identity.
+            BufRole::Bias => node.bias.clone().unwrap_or_else(|| vec![0.0; expected_len]),
+            BufRole::BnScale => node
+                .fused
+                .bn
+                .as_ref()
+                .map(|(s, _)| s.clone())
+                .unwrap_or_else(|| vec![1.0; expected_len]),
+            BufRole::BnShift => node
+                .fused
+                .bn
+                .as_ref()
+                .map(|(_, b)| b.clone())
+                .unwrap_or_else(|| vec![0.0; expected_len]),
+            BufRole::Residual => match node.fused.add_from {
+                Some(src) => activations
+                    .get(&src)
+                    .map(|t| t.data().to_vec())
+                    .ok_or_else(|| VerifyError::ResidualMissing {
+                        node: node.name.clone(),
+                    })?,
+                None => vec![0.0; expected_len],
+            },
+            BufRole::Output | BufRole::Scratch => continue,
+        };
+        if data.len() != expected_len {
+            return Err(VerifyError::BufferLen {
+                node: node.name.clone(),
+                buf: buf.name.clone(),
+                expected: expected_len,
+                got: data.len(),
+            });
+        }
+        inputs.insert(buf.name.clone(), data);
+    }
+    Ok(inputs)
+}
+
+/// Compares one node's observed output with its reference activation and
+/// returns the first element out of tolerance as `(index, got, want)`.
+///
+/// Quantized deployments compare under the rung's documented per-layer
+/// tolerance, with the reference clamped onto the calibrated grid span
+/// (softmax excepted — it stays f32).
+fn compare_node(
+    d: &Deployment,
+    node_id: NodeId,
+    observed: &[f32],
+    reference: &Tensor,
+    rtol: f32,
+) -> Result<(), (usize, f32, f32)> {
+    let node = &d.graph.nodes[node_id];
+    let quant_tol = d.quant.as_ref().and_then(|q| {
+        let range = q.calib.activation(node).ok()?;
+        let (q_rtol, q_atol) = q.precision.tolerance(range);
+        let clamp = (q.precision.qmax().is_some()
+            && !matches!(node.op, fpgaccel_tensor::graph::Op::Softmax))
+        .then_some(range.amax_clip);
+        Some((q_rtol, q_atol, clamp))
+    });
+    for (i, (&g, &e)) in observed.iter().zip(reference.data()).enumerate() {
+        let (e, tol) = match quant_tol {
+            Some((q_rtol, q_atol, clamp)) => {
+                let e = match clamp {
+                    Some(c) => e.clamp(-c, c),
+                    None => e,
+                };
+                (e, q_atol + q_rtol * e.abs())
+            }
+            None => (e, 1e-4 + rtol * e.abs().max(g.abs())),
+        };
+        if (g - e).abs() > tol {
+            return Err((i, g, e));
         }
     }
     Ok(())

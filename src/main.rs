@@ -8,7 +8,6 @@
 //! ```
 
 use fpgaccel::core::bitstreams::{baseline_config, lenet_ladder, optimized_config};
-use fpgaccel::core::deploy::ExecutionPlan;
 use fpgaccel::core::{Flow, OptimizationConfig};
 use fpgaccel::device::FpgaPlatform;
 use fpgaccel::tensor::data;
@@ -137,11 +136,7 @@ fn main() -> ExitCode {
             }
         }
         "codegen" => {
-            let kernels: Vec<_> = match &deployment.plan {
-                ExecutionPlan::Pipelined(stages) => stages.iter().map(|s| &s.kernel).collect(),
-                ExecutionPlan::Folded(plan) => plan.kernels.iter().collect(),
-                ExecutionPlan::Dataflow(plan) => plan.kernels.iter().collect(),
-            };
+            let kernels: Vec<_> = deployment.plan.kernels().collect();
             println!("{}", emit_program(&kernels));
         }
         "report" => {
