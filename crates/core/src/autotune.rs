@@ -378,7 +378,7 @@ impl PrecisionEvaluator {
     /// [`FlowError`] when calibration or kernel planning fails.
     pub fn new(flow: &Flow, spec: &QuantSpec) -> Result<PrecisionEvaluator, FlowError> {
         let graph = flow.import_graph();
-        let batch = flow.calibration_batch(spec);
+        let batch = crate::flow::calibration_batch(&graph, spec);
         let calib_q = quant::calibrate(&graph, &batch, spec.percentile)?;
         // Per-layer kernels (kernel name == node name), exactly what a
         // quantized compile lowers: shared parameterized kernels cannot

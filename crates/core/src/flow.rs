@@ -125,7 +125,8 @@ impl Flow {
 
     /// Runs just the frontend: model import, Relay-style fusion and padding
     /// materialization — the graph every later stage (and the auto-tuner's
-    /// shape extraction) consumes.
+    /// shape extraction) consumes. A flow over a prebuilt graph imports a
+    /// clone that shares the graph's weights.
     pub fn import_graph(&self) -> fpgaccel_tensor::graph::Graph {
         match &self.source {
             FlowSource::Model(m) => m.build(),
@@ -173,7 +174,7 @@ impl Flow {
         let quant_state = match &config.quant {
             Some(spec) => {
                 let _p = self.tracer.phase("flow", "calibrate+quantize");
-                let batch = self.calibration_batch(spec);
+                let batch = calibration_batch(&graph, spec);
                 let calib = quant::calibrate(&graph, &batch, spec.percentile)?;
                 let qmap = kernel_quant_map(&graph, &plan, spec, &calib)?;
                 for k in plan.kernels_mut() {
@@ -224,12 +225,17 @@ impl Flow {
     /// that are *covered* by the calibration — per-layer error bounds only
     /// hold for saturation-free inputs.
     pub fn calibration_batch(&self, spec: &QuantSpec) -> Vec<Tensor> {
-        fpgaccel_tensor::data::calibration_batch(
-            self.import_graph().input_shape(),
-            spec.calibration_samples.max(1),
-            spec.calibration_seed,
-        )
+        calibration_batch(&self.import_graph(), spec)
     }
+}
+
+/// The seeded calibration batch of `spec` for an imported graph.
+pub(crate) fn calibration_batch(graph: &Graph, spec: &QuantSpec) -> Vec<Tensor> {
+    fpgaccel_tensor::data::calibration_batch(
+        graph.input_shape(),
+        spec.calibration_samples.max(1),
+        spec.calibration_seed,
+    )
 }
 
 /// Per-kernel quantization specs derived from the calibration: every kernel

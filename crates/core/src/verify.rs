@@ -245,7 +245,7 @@ fn bind_inputs(
                 .clone(),
             BufRole::Weights => node
                 .weights
-                .as_ref()
+                .as_deref()
                 .ok_or_else(|| VerifyError::MissingWeights {
                     node: node.name.clone(),
                 })?

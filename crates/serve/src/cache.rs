@@ -4,10 +4,13 @@
 //! Synthesis is by far the most expensive step of bringing a model onto a
 //! device, and a serving pool deploys the same model onto several devices
 //! (and re-deploys it after reconfiguration). The cache makes every compile
-//! after the first a lookup returning a shared [`Arc<Deployment>`].
+//! after the first a lookup returning a shared [`Arc<Deployment>`]. It also
+//! builds each model's graph once: every board and configuration compiles
+//! from that one graph, so all of a model's deployments share its weights.
 
 use fpgaccel_core::{BatchLatencyModel, Deployment, Flow, FlowError, OptimizationConfig};
 use fpgaccel_device::FpgaPlatform;
+use fpgaccel_tensor::graph::Graph;
 use fpgaccel_tensor::models::Model;
 use fpgaccel_trace::{Tracer, PID_SERVE};
 use std::collections::HashMap;
@@ -15,13 +18,15 @@ use std::sync::Arc;
 
 /// A cache of compiled deployments.
 ///
-/// Cloning is cheap (shared `Arc`s) and carries the compiled entries and
-/// calibration memos along — a fleet builds one warm template cache and
-/// hands each shard pool a clone, so hundreds of devices cost one compile
-/// and one calibration per deployment.
+/// Cloning is cheap (shared `Arc`s) and carries the compiled entries, model
+/// graphs and calibration memos along — a fleet builds one warm template
+/// cache and hands each shard pool a clone, so hundreds of devices cost one
+/// compile and one calibration per deployment.
 #[derive(Clone, Default)]
 pub struct DeploymentCache {
     entries: HashMap<String, Arc<Deployment>>,
+    /// Each model's source graph, built on its first compile.
+    graphs: HashMap<Model, Arc<Graph>>,
     /// Latency models memoized per (deployment identity, probe size).
     /// Calibration is a pure function of the deployment, and cached
     /// deployments are pinned for the cache's lifetime, so the allocation
@@ -42,6 +47,15 @@ impl DeploymentCache {
     /// `Debug` rendering is a faithful structural key.
     fn key(model: Model, platform: FpgaPlatform, config: &OptimizationConfig) -> String {
         format!("{model:?}/{platform:?}/{config:?}")
+    }
+
+    /// A flow for `model` on `platform` over the model's cached graph.
+    fn flow(&mut self, model: Model, platform: FpgaPlatform) -> Flow {
+        let graph = self
+            .graphs
+            .entry(model)
+            .or_insert_with(|| Arc::new(model.build()));
+        Flow::for_graph(Graph::clone(graph), platform)
     }
 
     /// Returns the cached deployment for the triple, compiling (and
@@ -81,7 +95,7 @@ impl DeploymentCache {
             &format!("deploy {model:?}/{platform} (cache miss)"),
         );
         let d = Arc::new(
-            Flow::new(model, platform)
+            self.flow(model, platform)
                 .with_tracer(tracer)
                 .compile(config)?,
         );
@@ -132,7 +146,8 @@ impl DeploymentCache {
         db: &fpgaccel_tune::TuningDb,
         fallback: &OptimizationConfig,
     ) -> Result<Arc<Deployment>, FlowError> {
-        let config = Flow::new(model, platform)
+        let config = self
+            .flow(model, platform)
             .with_tuned_config(db)
             .unwrap_or_else(|| fallback.clone());
         self.get_or_compile(model, platform, &config)

@@ -17,6 +17,7 @@ use crate::ops::{self, Activation, Conv2dParams};
 use crate::shape::{conv_out_shape, Shape};
 use crate::tensor::Tensor;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Index of a node within its graph.
 pub type NodeId = usize;
@@ -134,8 +135,10 @@ pub struct Node {
     pub op: Op,
     /// Producer node ids (one for most ops, two for `Add`).
     pub inputs: Vec<NodeId>,
-    /// Convolution/dense weights.
-    pub weights: Option<Tensor>,
+    /// Convolution/dense weights. Immutable once built: every clone of the
+    /// graph, and every graph the passes derive from it, shares the one
+    /// buffer.
+    pub weights: Option<Arc<Tensor>>,
     /// Bias.
     pub bias: Option<Vec<f32>>,
     /// Standalone folded batch-norm parameters (before fusion).
@@ -149,7 +152,7 @@ pub struct Node {
 impl Node {
     /// Number of trainable parameters carried by this node.
     pub fn param_count(&self) -> usize {
-        self.weights.as_ref().map_or(0, Tensor::numel)
+        self.weights.as_deref().map_or(0, Tensor::numel)
             + self.bias.as_ref().map_or(0, Vec::len)
             + self.bn.as_ref().map_or(0, |(s, b)| s.len() + b.len())
             + self.fused.bn.as_ref().map_or(0, |(s, b)| s.len() + b.len())
@@ -215,10 +218,23 @@ impl Graph {
         bias: Option<Vec<f32>>,
         bn: Option<(Vec<f32>, Vec<f32>)>,
     ) -> NodeId {
+        self.push_shared(name, op, inputs, weights.map(Arc::new), bias, bn)
+    }
+
+    /// [`Graph::push_with_params`] over weights another graph may share.
+    fn push_shared(
+        &mut self,
+        name: impl Into<String>,
+        op: Op,
+        inputs: Vec<NodeId>,
+        weights: Option<Arc<Tensor>>,
+        bias: Option<Vec<f32>>,
+        bn: Option<(Vec<f32>, Vec<f32>)>,
+    ) -> NodeId {
         for &i in &inputs {
             assert!(i < self.nodes.len(), "input node {i} does not exist");
         }
-        let out_shape = self.infer_shape(&op, &inputs, weights.as_ref());
+        let out_shape = self.infer_shape(&op, &inputs, weights.as_deref());
         let id = self.nodes.len();
         self.nodes.push(Node {
             id,
@@ -433,7 +449,7 @@ impl Graph {
                         node.fused.activation
                     },
                 };
-                let w = node.weights.as_ref().expect("conv weights");
+                let w = node.weights.as_deref().expect("conv weights");
                 if *depthwise {
                     ops::depthwise_conv2d(arg(0), w, &p)
                 } else {
@@ -444,7 +460,7 @@ impl Graph {
             }
             Op::Dense { .. } => ops::dense(
                 arg(0),
-                node.weights.as_ref().expect("dense weights"),
+                node.weights.as_deref().expect("dense weights"),
                 node.bias.as_deref(),
                 node.fused.activation,
             ),
@@ -483,7 +499,7 @@ impl Graph {
     /// Only single-consumer edges are fused.
     ///
     /// Consumes the graph and moves its parameters into the result; clone
-    /// it first to keep the unfused graph.
+    /// it first to keep the unfused graph (the clone shares the weights).
     pub fn fuse(self) -> Graph {
         let mut g = self;
         loop {
@@ -581,7 +597,7 @@ impl Graph {
     /// matching the kernels TVM's codegen emits (§3.1, Tables 6.8/6.16).
     ///
     /// Consumes the graph and moves its parameters into the result; clone
-    /// it first to keep the unpadded graph.
+    /// it first to keep the unpadded graph (the clone shares the weights).
     pub fn materialize_padding(self) -> Graph {
         let mut g = Graph::new(self.name, self.nodes[0].out_shape.clone());
         // old id -> new id of the node producing the equivalent value
@@ -602,7 +618,7 @@ impl Graph {
                         Op::Pad { pad },
                         vec![new_inputs[0]],
                     );
-                    let conv_id = g.push_with_params(
+                    let conv_id = g.push_shared(
                         node.name,
                         Op::Conv2d {
                             out_channels,
@@ -644,14 +660,8 @@ impl Graph {
                     )
                 }
                 op => {
-                    let id = g.push_with_params(
-                        node.name,
-                        op,
-                        new_inputs,
-                        node.weights,
-                        node.bias,
-                        node.bn,
-                    );
+                    let id =
+                        g.push_shared(node.name, op, new_inputs, node.weights, node.bias, node.bn);
                     g.nodes[id].fused = node.fused;
                     id
                 }
@@ -891,6 +901,17 @@ mod tests {
         assert!(matches!(m.nodes[2].op, Op::Conv2d { pad: 0, .. }));
         let x = Tensor::random(Shape::chw(1, 4, 4), 11, 1.0);
         assert!(crate::allclose(&g.execute(&x), &m.execute(&x), 1e-6, 1e-6));
+    }
+
+    #[test]
+    fn clones_and_passes_share_the_weights() {
+        let g = projection_block();
+        let compiled = g.clone().fuse().materialize_padding();
+        for n in g.nodes.iter().filter(|n| n.weights.is_some()) {
+            let c = compiled.nodes.iter().find(|c| c.name == n.name).unwrap();
+            let (a, b) = (n.weights.as_ref().unwrap(), c.weights.as_ref().unwrap());
+            assert!(Arc::ptr_eq(a, b), "{} copied its weights", n.name);
+        }
     }
 
     /// A projection block: `x -> conv_a -> conv_b -> add -> relu`, with the

@@ -304,7 +304,7 @@ pub fn calibrate(
 
     let mut weights = BTreeMap::new();
     for node in &graph.nodes {
-        if let Some(w) = &node.weights {
+        if let Some(w) = node.weights.as_deref() {
             // Weights are known exactly; clipping them only wastes grid.
             let range = range_of(&[w], 1.0, &node.name, "weights")?;
             weights.insert(node.id, range);
@@ -597,7 +597,7 @@ impl<'a> QuantizedGraph<'a> {
                     bn: node.fused.bn.clone(),
                     activation: act,
                 };
-                let w = node.weights.as_ref().expect("conv weights");
+                let w = node.weights.as_deref().expect("conv weights");
                 match self.node_precision(node.id).map(|p| p.qmax()) {
                     Some(Some(qmax)) => self.qconv(node, arg(0), w, &p, *depthwise, qmax)?,
                     weights_rounding => {
@@ -620,7 +620,7 @@ impl<'a> QuantizedGraph<'a> {
                 }
             }
             Op::Dense { .. } => {
-                let w = node.weights.as_ref().expect("dense weights");
+                let w = node.weights.as_deref().expect("dense weights");
                 match self.node_precision(node.id).map(|p| p.qmax()) {
                     Some(Some(qmax)) => self.qdense(node, arg(0), w, act, qmax)?,
                     Some(None) => ops::dense(arg(0), &half_tensor(w), node.bias.as_deref(), act),

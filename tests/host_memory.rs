@@ -1,13 +1,20 @@
-//! Host-memory regression guard for the f32 graph executor.
+//! Host-memory regression guard for the f32 graph executor and the compile
+//! path.
 //!
 //! `Graph::execute` drops every activation after its last consumer, so a
 //! forward pass holds only the live frontier of the graph rather than every
-//! layer's output. This binary installs its own counting, peak-tracking
-//! global allocator and holds exactly one test, so no concurrently running
-//! test moves the counters.
+//! layer's output. A graph's weights are immutable and shared: compiling
+//! copies none of them, and every deployment of a model shares one copy.
+//! This binary installs its own counting, peak-tracking global allocator
+//! and holds exactly one test, so no concurrently running test moves the
+//! counters.
 
+use fpgaccel::core::bitstreams::optimized_config;
+use fpgaccel::core::Flow;
+use fpgaccel::device::FpgaPlatform;
+use fpgaccel::serve::DeploymentCache;
+use fpgaccel::tensor::data;
 use fpgaccel::tensor::models::Model;
-use fpgaccel::tensor::{data, Graph, Tensor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -53,17 +60,25 @@ unsafe impl GlobalAlloc for PeakAlloc {
 #[global_allocator]
 static GLOBAL: PeakAlloc = PeakAlloc;
 
-/// Runs `g.execute(x)` and returns how far it raised the live heap above
-/// its starting level (bytes) and how many allocations it made.
-fn measure(g: &Graph, x: &Tensor) -> (usize, usize) {
+/// Runs `f` and returns how far it raised the live heap above its starting
+/// level at its peak (bytes), how many allocations it made, and what it
+/// returned, which is dropped only after the counters are read.
+fn measure<T>(f: impl FnOnce() -> T) -> (usize, usize, T) {
     let base = LIVE.load(Ordering::Relaxed);
     PEAK.store(base, Ordering::Relaxed);
     let allocs = ALLOCS.load(Ordering::Relaxed);
-    let y = g.execute(x);
+    let out = f();
     let made = ALLOCS.load(Ordering::Relaxed) - allocs;
     let raised = PEAK.load(Ordering::Relaxed).saturating_sub(base);
-    drop(y);
-    (raised, made)
+    (raised, made, out)
+}
+
+/// Runs `f` and returns the live heap bytes that what it returned still
+/// holds.
+fn held<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    let base = LIVE.load(Ordering::Relaxed);
+    let out = f();
+    (LIVE.load(Ordering::Relaxed).saturating_sub(base), out)
 }
 
 #[test]
@@ -71,16 +86,49 @@ fn executor_frees_activations_and_stays_within_its_allocation_budget() {
     // Every activation of compiled MobileNetV1 together is 35.2 MB; the
     // largest set alive at once is 6.54 MB.
     let mobilenet = Model::MobileNetV1.build().fuse().materialize_padding();
-    let (raised, _) = measure(&mobilenet, &data::imagenet_input(3));
+    let x = data::imagenet_input(3);
+    let (raised, _, _) = measure(|| mobilenet.execute(&x));
     assert!(
         raised <= 8_000_000,
         "MobileNetV1 execute raised the live heap by {raised} bytes"
     );
 
     let lenet = Model::LeNet5.build().fuse().materialize_padding();
-    let (_, allocs) = measure(&lenet, &data::synthetic_digit(7, 3));
+    let x = data::synthetic_digit(7, 3);
+    let (_, allocs, _) = measure(|| lenet.execute(&x));
     assert!(
         allocs <= 50,
         "one LeNet-5 execute made {allocs} allocations"
+    );
+
+    // MobileNetV1's weights are 16.9 MB. Compiling from a prebuilt graph
+    // copies none of them: neither the flow's graph nor the deployment's.
+    let source = Model::MobileNetV1.build();
+    let s10sx = FpgaPlatform::Stratix10Sx;
+    let config = optimized_config(Model::MobileNetV1, s10sx);
+    let (raised, _, _) = measure(|| {
+        let flow = Flow::for_graph(source.clone(), s10sx);
+        flow.compile(&config).expect("MobileNetV1 fits the S10SX")
+    });
+    assert!(
+        raised <= 2_000_000,
+        "a MobileNetV1 compile raised the live heap by {raised} bytes"
+    );
+
+    // One cache builds the model once, so its deployments on all three
+    // boards share one copy of the weights.
+    let (bytes, _) = held(|| {
+        let mut cache = DeploymentCache::new();
+        for p in FpgaPlatform::ALL {
+            let config = optimized_config(Model::MobileNetV1, p);
+            cache
+                .get_or_compile(Model::MobileNetV1, p, &config)
+                .unwrap_or_else(|e| panic!("MobileNetV1 on {p}: {e}"));
+        }
+        cache
+    });
+    assert!(
+        bytes <= 20_000_000,
+        "three MobileNetV1 deployments hold {bytes} bytes"
     );
 }
