@@ -6,6 +6,7 @@ use fpgaccel_device::{DeviceModel, FpgaPlatform, Resources};
 use fpgaccel_tir::analysis::{analyze, AccessFact, AccumKind, KernelFacts};
 use fpgaccel_tir::kernel::Scope;
 use fpgaccel_tir::Kernel;
+use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -135,9 +136,8 @@ pub struct LsuReport {
 pub struct KernelReport {
     /// Kernel name.
     pub name: String,
-    /// The kernel as synthesized (after platform auto-unroll).
-    pub kernel: Kernel,
-    /// Structural facts of the synthesized kernel.
+    /// Structural facts of the kernel as synthesized (after platform
+    /// auto-unroll).
     pub facts: KernelFacts,
     /// Inferred LSUs.
     pub lsus: Vec<LsuReport>,
@@ -281,9 +281,9 @@ pub fn synthesize_kernel(
 ) -> KernelReport {
     // Quartus < 19.1 auto-unrolls small loops (footnote 4, §6.3.1).
     let kernel = if device.auto_unrolls_small_loops() {
-        auto_unroll_small_loops(kernel, AUTO_UNROLL_MAX_TRIPS)
+        Cow::Owned(auto_unroll_small_loops(kernel, AUTO_UNROLL_MAX_TRIPS))
     } else {
-        kernel.clone()
+        Cow::Borrowed(kernel)
     };
     let facts = analyze(&kernel);
 
@@ -400,7 +400,6 @@ pub fn synthesize_kernel(
         lsus,
         resources: res,
         ii,
-        kernel,
     }
 }
 

@@ -24,9 +24,15 @@ pub const AUTO_UNROLL_MAX_WORK: i64 = 16;
 /// giving the `F x F` factor of footnote 4, while a tiled reduction whose
 /// body is already a 16-wide unrolled block is left scheduled).
 pub fn auto_unroll_small_loops(kernel: &Kernel, max_trips: i64) -> Kernel {
-    let mut k = kernel.clone();
-    k.body = rewrite(&k.body, max_trips);
-    k
+    Kernel {
+        name: kernel.name.clone(),
+        bufs: kernel.bufs.clone(),
+        int_params: kernel.int_params.clone(),
+        chan_in: kernel.chan_in.clone(),
+        chan_out: kernel.chan_out.clone(),
+        body: rewrite(&kernel.body, max_trips),
+        autorun: kernel.autorun,
+    }
 }
 
 fn rewrite(stmt: &Stmt, max_trips: i64) -> Stmt {

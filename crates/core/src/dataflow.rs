@@ -8,7 +8,7 @@
 //! synthesis model) and the materializer that turns the abstract plan into
 //! kernels, channel couplings and an executable step list.
 
-use crate::kernels::{self, DenseRule, Invocation, PlanError, Stage};
+use crate::kernels::{self, DenseRule, Invocation, PlanError, Pool, PoolMember, Stage};
 use crate::options::OptimizationConfig;
 use fpgaccel_aoc::{synthesize_kernel, Calib};
 use fpgaccel_device::{DeviceModel, Resources};
@@ -247,6 +247,13 @@ fn stage_schedule(
 /// Stage-cost memo key: (node id, channel-in depth, channel-out depth).
 type StageKey = (usize, Option<usize>, Option<usize>);
 
+/// A member of the staged pool as the estimator lowered and priced it.
+struct Priced {
+    member: PoolMember,
+    kernel: Kernel,
+    resources: Resources,
+}
+
 /// Prices placements for the planner by lowering candidate kernels and
 /// running them through the AOC synthesis resource model — the same model
 /// the final [`fpgaccel_aoc::synthesize`] pass charges, so a plan that fits
@@ -257,7 +264,62 @@ struct FlowEstimator<'a> {
     device: &'a DeviceModel,
     calib: &'a Calib,
     stage_cache: RefCell<HashMap<StageKey, Resources>>,
-    staged_cache: RefCell<HashMap<Vec<usize>, Resources>>,
+    /// Every staged-pool member lowered so far, each once, in order.
+    pool: RefCell<Vec<Priced>>,
+}
+
+impl<'a> FlowEstimator<'a> {
+    fn new(
+        graph: &'a Graph,
+        config: &'a OptimizationConfig,
+        device: &'a DeviceModel,
+        calib: &'a Calib,
+    ) -> Self {
+        FlowEstimator {
+            graph,
+            config,
+            device,
+            calib,
+            stage_cache: RefCell::new(HashMap::new()),
+            pool: RefCell::new(Vec::new()),
+        }
+    }
+
+    /// The index of `member` in [`FlowEstimator::pool`], lowering and
+    /// pricing it on first use.
+    fn priced(&self, member: &PoolMember) -> Result<usize, PlanError> {
+        let mut pool = self.pool.borrow_mut();
+        if let Some(at) = pool.iter().position(|p| p.member == *member) {
+            return Ok(at);
+        }
+        let kernel = member.lower(self.graph, self.config)?;
+        let resources =
+            synthesize_kernel(&kernel, self.device, &self.config.aoc, self.calib).resources;
+        pool.push(Priced {
+            member: member.clone(),
+            kernel,
+            resources,
+        });
+        Ok(pool.len() - 1)
+    }
+
+    /// The staged pool over `ids`, priced as the sum of its members.
+    fn pool_cost(&self, ids: &[NodeId]) -> Result<Resources, PlanError> {
+        let pool = Pool::new(self.graph, self.config, |id| ids.contains(&id));
+        let prices = pool.lower_each(self.graph, self.config, |m| {
+            let at = self.priced(m)?;
+            Ok(self.pool.borrow()[at].resources)
+        })?;
+        Ok(prices
+            .into_iter()
+            .fold(Resources::default(), Resources::add))
+    }
+
+    /// A pool member's kernel, as lowered to price it.
+    fn kernel(&self, member: &PoolMember) -> Result<Kernel, PlanError> {
+        let at = self.priced(member)?;
+        Ok(self.pool.borrow()[at].kernel.clone())
+    }
 }
 
 impl Estimator for FlowEstimator<'_> {
@@ -291,19 +353,7 @@ impl Estimator for FlowEstimator<'_> {
     }
 
     fn staged_cost(&self, ids: &[usize]) -> Result<Resources, String> {
-        let mut key: Vec<usize> = ids.to_vec();
-        key.sort_unstable();
-        if let Some(r) = self.staged_cache.borrow().get(&key) {
-            return Ok(*r);
-        }
-        let include: HashSet<NodeId> = ids.iter().copied().collect();
-        let plan = kernels::build_folded_subset(self.graph, self.config, Some(&include))
-            .map_err(|e| e.to_string())?;
-        let res = plan.kernels.iter().fold(Resources::default(), |acc, k| {
-            acc.add(synthesize_kernel(k, self.device, &self.config.aoc, self.calib).resources)
-        });
-        self.staged_cache.borrow_mut().insert(key, res);
-        Ok(res)
+        self.pool_cost(ids).map_err(|e| e.to_string())
     }
 }
 
@@ -325,16 +375,16 @@ pub fn build_dataflow(
     device: &DeviceModel,
     calib: &Calib,
 ) -> Result<DataflowPlan, PlanError> {
+    build_with(&FlowEstimator::new(graph, config, device, calib))
+}
+
+/// [`build_dataflow`] priced by `est`, whose lowered pool kernels the
+/// staged pool reuses.
+fn build_with(est: &FlowEstimator<'_>) -> Result<DataflowPlan, PlanError> {
+    let (graph, config) = (est.graph, est.config);
     let chain = chain_of(graph);
-    let est = FlowEstimator {
-        graph,
-        config,
-        device,
-        calib,
-        stage_cache: RefCell::new(HashMap::new()),
-        staged_cache: RefCell::new(HashMap::new()),
-    };
-    let summary = fpgaccel_pipeline::plan(&chain, &est, device.kernel_budget(), config.pipeline)
+    let budget = est.device.kernel_budget();
+    let summary = fpgaccel_pipeline::plan(&chain, est, budget, config.pipeline)
         .map_err(|e| PlanError(e.0))?;
 
     let produced: HashMap<NodeId, usize> = chain.iter().map(|c| (c.id, c.out_numel)).collect();
@@ -354,7 +404,12 @@ pub fn build_dataflow(
     let mut kernels: Vec<Kernel> = Vec::new();
     let mut inv_by_node: HashMap<NodeId, Invocation> = HashMap::new();
     if !staged_ids.is_empty() {
-        let folded = kernels::build_folded_subset(graph, config, Some(&staged_ids))?;
+        let folded = kernels::build_folded_subset(
+            graph,
+            config,
+            |id| staged_ids.contains(&id),
+            |m| est.kernel(m),
+        )?;
         kernels.extend(folded.kernels);
         for inv in folded.invocations {
             inv_by_node.insert(inv.node_id, inv);
@@ -485,6 +540,140 @@ mod tests {
                 |f| matches!(f.reason, FallbackReason::OverBudget(o) if !o.limiting.is_empty()),
             );
         assert!(over, "expected a structured over-budget fallback");
+    }
+
+    /// Records every staged set the planner prices.
+    struct Recording<'a> {
+        est: &'a FlowEstimator<'a>,
+        sets: RefCell<Vec<Vec<usize>>>,
+    }
+
+    impl Estimator for Recording<'_> {
+        fn stage_cost(
+            &self,
+            id: usize,
+            chan_in: Option<usize>,
+            chan_out: Option<usize>,
+        ) -> Result<Resources, String> {
+            self.est.stage_cost(id, chan_in, chan_out)
+        }
+
+        fn staged_cost(&self, ids: &[usize]) -> Result<Resources, String> {
+            self.sets.borrow_mut().push(ids.to_vec());
+            self.est.staged_cost(ids)
+        }
+    }
+
+    /// The staged pool over `ids` priced kernel by kernel, as built.
+    fn built_cost(est: &FlowEstimator<'_>, ids: &[usize]) -> Result<Resources, PlanError> {
+        let (graph, config) = (est.graph, est.config);
+        let include = |id| ids.contains(&id);
+        let plan =
+            kernels::build_folded_subset(graph, config, include, |m| m.lower(graph, config))?;
+        Ok(plan.kernels.iter().fold(Resources::default(), |acc, k| {
+            acc.add(synthesize_kernel(k, est.device, &config.aoc, est.calib).resources)
+        }))
+    }
+
+    #[test]
+    fn the_pool_is_priced_as_the_sum_of_its_built_kernels() {
+        use fpgaccel_device::FpgaPlatform;
+        let mobilenet = Model::MobileNetV1.build().fuse().materialize_padding();
+        let resnet = Model::ResNet18.build().fuse().materialize_padding();
+        let designs = FpgaPlatform::ALL
+            .map(|p| {
+                let tile = crate::bitstreams::mobilenet_tile(p);
+                let tiling = TilingPreset::MobileNet { one_by_one: tile };
+                (&mobilenet, p, OptimizationConfig::dataflow(tiling))
+            })
+            .into_iter()
+            .chain([(
+                &resnet,
+                FpgaPlatform::Stratix10Sx,
+                OptimizationConfig::dataflow(TilingPreset::ResNet),
+            )]);
+        for (graph, platform, config) in designs {
+            let (device, calib) = (platform.model(), Calib::default());
+            let est = FlowEstimator::new(graph, &config, &device, &calib);
+            // One compile lowers each pool member once: the planner prices
+            // it, and the staged pool reuses the priced kernel.
+            kernels::LOWERED.with(|n| n.set(0));
+            build_with(&est).unwrap();
+            let members: Vec<PoolMember> =
+                est.pool.borrow().iter().map(|p| p.member.clone()).collect();
+            let lowered = kernels::LOWERED.with(|n| n.get());
+            assert_eq!(lowered, members.len(), "{}/{platform}", graph.name);
+            for (i, m) in members.iter().enumerate() {
+                assert!(!members[..i].contains(m), "{m:?} lowered twice");
+            }
+
+            let rec = Recording {
+                est: &est,
+                sets: RefCell::new(Vec::new()),
+            };
+            fpgaccel_pipeline::plan(
+                &chain_of(graph),
+                &rec,
+                device.kernel_budget(),
+                config.pipeline,
+            )
+            .unwrap();
+            let sets = rec.sets.into_inner();
+            assert!(!sets.is_empty(), "{}/{platform}", graph.name);
+            for ids in &sets {
+                assert_eq!(est.pool_cost(ids), built_cost(&est, ids), "{ids:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn random_staged_sets_price_as_built_or_fail_alike() {
+        use fpgaccel_device::FpgaPlatform;
+        use fpgaccel_tensor::rng::Rng64;
+        let mobilenet = Model::MobileNetV1.build().fuse().materialize_padding();
+        let resnet = Model::ResNet18.build().fuse().materialize_padding();
+        let lenet = Model::LeNet5.build().fuse().materialize_padding();
+        let tiled =
+            |one_by_one| OptimizationConfig::dataflow(TilingPreset::MobileNet { one_by_one });
+        let per_layer = |mut c: OptimizationConfig| {
+            c.parameterized = false;
+            c
+        };
+        // A 48-wide output tile does not divide MobileNet's 64-channel
+        // layers; LeNet's per-layer unroll of 40 divides neither 84 nor
+        // the input of whichever dense layer a subset numbers second. A
+        // ResNet group's epilogue carries the residual add only when the
+        // set holds a block's second convolution.
+        let mut lenet_ladder = per_layer(OptimizationConfig::dataflow(TilingPreset::Naive));
+        lenet_ladder.dense_unroll = vec![40, 40, 4];
+        let cases = [
+            (&mobilenet, tiled((7, 16, 4))),
+            (&mobilenet, tiled((7, 48, 4))),
+            (&mobilenet, per_layer(tiled((7, 8, 8)))),
+            (&resnet, OptimizationConfig::dataflow(TilingPreset::ResNet)),
+            (&lenet, lenet_ladder),
+        ];
+        let mut rng = Rng64::seed_from_u64(0x9001);
+        let mut failed = 0;
+        for (i, (graph, config)) in cases.iter().enumerate() {
+            let platform = FpgaPlatform::ALL[i % FpgaPlatform::ALL.len()];
+            let (device, calib) = (platform.model(), Calib::default());
+            let est = FlowEstimator::new(graph, config, &device, &calib);
+            let nodes: Vec<NodeId> = graph.kernel_nodes().map(|n| n.id).collect();
+            for _ in 0..24 {
+                // A window of the network, thinned at random.
+                let mut pick = || rng.below(nodes.len() as u64) as usize;
+                let (a, b) = (pick(), pick());
+                let keep = rng.below(4) + 1;
+                let ids: Vec<NodeId> = (nodes[a.min(b)..=a.max(b)].iter().copied())
+                    .filter(|_| rng.below(4) < keep)
+                    .collect();
+                let priced = est.pool_cost(&ids);
+                failed += usize::from(priced.is_err());
+                assert_eq!(priced, built_cost(&est, &ids), "{}: {ids:?}", graph.name);
+            }
+        }
+        assert!(failed > 0, "no random set failed to plan");
     }
 
     #[test]

@@ -63,6 +63,24 @@ pub struct GroupKey {
 }
 
 impl GroupKey {
+    /// The group of a convolution node; `None` for any other op.
+    pub fn of(node: &Node) -> Option<GroupKey> {
+        match node.op {
+            Op::Conv2d {
+                kernel,
+                stride,
+                depthwise,
+                ..
+            } => Some(GroupKey {
+                depthwise,
+                f: kernel,
+                s: stride,
+                activation: node.fused.activation,
+            }),
+            _ => None,
+        }
+    }
+
     /// Kernel name for this group (e.g. `conv2d_3x3_s1_relu`).
     pub fn kernel_name(&self) -> String {
         let op = if self.depthwise {
@@ -182,12 +200,13 @@ pub(crate) fn epilogue_of(node: &Node) -> EpilogueSpec {
 
 /// Which unroll factor a dense layer's kernel gets under optimized
 /// schedules.
-pub(crate) enum DenseRule<'a> {
-    /// Entry `i` of [`OptimizationConfig::dense_unroll`] for the `i`-th
-    /// dense layer, counted through the reference: the per-layer ladder of
-    /// pipelined and per-layer folded plans. A factor that does not divide
-    /// the layer's input is a plan error.
-    PerLayer(&'a mut usize),
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum DenseRule {
+    /// Entry `i` of [`OptimizationConfig::dense_unroll`] for the plan's
+    /// `i`-th dense layer: the per-layer ladder of pipelined and per-layer
+    /// folded plans. A factor that does not divide the layer's input is a
+    /// plan error.
+    PerLayer(usize),
     /// The tiling preset's factor wherever it divides the layer's input:
     /// the fixed kernels of a parameterized folded pool and dataflow
     /// stages.
@@ -199,13 +218,10 @@ fn dense_schedule(
     node: &Node,
     n: usize,
     config: &OptimizationConfig,
-    rule: DenseRule<'_>,
+    rule: DenseRule,
 ) -> Result<DenseSchedule, PlanError> {
     let factor = match rule {
-        DenseRule::PerLayer(seen) => {
-            *seen += 1;
-            config.dense_unroll.get(*seen - 1).copied()
-        }
+        DenseRule::PerLayer(i) => config.dense_unroll.get(i).copied(),
         DenseRule::Preset => config
             .tiling
             .dense_unroll()
@@ -275,7 +291,8 @@ pub fn build_pipelined(
             IoMode::Global
         };
 
-        let dense = DenseRule::PerLayer(&mut dense_seen);
+        let dense = DenseRule::PerLayer(dense_seen);
+        dense_seen += usize::from(matches!(node.op, Op::Dense { .. }));
         let kernel = lower_node(graph, node, io_in, io_out, config, dense)?;
         stages.push(Stage {
             node_id: node.id,
@@ -304,7 +321,7 @@ pub(crate) fn lower_node(
     io_in: IoMode,
     io_out: IoMode,
     config: &OptimizationConfig,
-    dense: DenseRule<'_>,
+    dense: DenseRule,
 ) -> Result<Kernel, PlanError> {
     let in_shape = &graph.nodes[node.inputs[0]].out_shape;
     if let Some((kind, window, stride)) = pool_params(&node.op) {
@@ -360,155 +377,114 @@ pub(crate) fn lower_node(
 /// Returns [`PlanError`] when a layer's dimensions are not divisible by the
 /// group's tile factors (§4.11 requirement 2).
 pub fn build_folded(graph: &Graph, config: &OptimizationConfig) -> Result<FoldedPlan, PlanError> {
-    build_folded_subset(graph, config, None)
+    build_folded_subset(graph, config, |_| true, |m| m.lower(graph, config))
 }
 
-/// [`build_folded`] restricted to a node subset: only nodes whose id is in
-/// `include` (all kernel nodes when `None`) contribute groups, kernels and
-/// invocations. The dataflow planner uses this to build the staged kernel
-/// pool for the layers it demoted out of the pipeline.
+/// [`build_folded`] restricted to the kernel nodes `include` admits, with
+/// each member of the pool lowered by `lower`. The dataflow planner builds
+/// the staged pool of the layers it demoted out of the pipeline this way,
+/// from the kernels it lowered to price them.
 pub(crate) fn build_folded_subset(
     graph: &Graph,
     config: &OptimizationConfig,
-    include: Option<&std::collections::HashSet<NodeId>>,
+    include: impl Fn(NodeId) -> bool,
+    lower: impl FnMut(&PoolMember) -> Result<Kernel, PlanError>,
 ) -> Result<FoldedPlan, PlanError> {
-    let included = |id: NodeId| include.is_none_or(|set| set.contains(&id));
-    if !config.parameterized {
-        return build_folded_per_layer(graph, config, &included);
-    }
-    // Pass 1: collect conv groups and their epilogue unions.
-    #[derive(Default, Clone)]
-    struct GroupInfo {
-        bias: bool,
-        bn: bool,
-        residual: bool,
-    }
-    let mut group_order: Vec<GroupKey> = Vec::new();
-    let mut groups: std::collections::HashMap<GroupKey, GroupInfo> =
-        std::collections::HashMap::new();
-    let mut needs_pad = false;
-    for node in graph.kernel_nodes() {
-        if !included(node.id) {
-            continue;
-        }
-        match &node.op {
-            Op::Conv2d {
-                kernel,
-                stride,
-                depthwise,
-                ..
-            } => {
-                let key = GroupKey {
-                    depthwise: *depthwise,
-                    f: *kernel,
-                    s: *stride,
-                    activation: node.fused.activation,
-                };
-                let info = groups.entry(key).or_insert_with(|| {
-                    group_order.push(key);
-                    GroupInfo::default()
-                });
-                info.bias |= node.bias.is_some();
-                info.bn |= node.fused.bn.is_some();
-                info.residual |= node.fused.add_from.is_some();
-            }
-            Op::Pad { .. } => needs_pad = true,
-            _ => {}
+    let pool = Pool::new(graph, config, include);
+    let kernels = pool.lower_each(graph, config, lower)?;
+    let invocations = pool
+        .uses
+        .iter()
+        .map(|&(id, m)| Invocation {
+            node_id: id,
+            kernel_name: kernels[m].name.clone(),
+            binding: pool.members[m].binding(graph, &graph.nodes[id]),
+        })
+        .collect();
+    Ok(FoldedPlan {
+        kernels,
+        invocations,
+    })
+}
+
+/// One kernel of a folded pool, before lowering.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) enum PoolMember {
+    /// A parameterized convolution group with the union of its layers'
+    /// epilogues.
+    Group(GroupKey, EpilogueSpec),
+    /// The parameterized pad kernel `pad_any`.
+    Pad,
+    /// One node's own constant-shape kernel with global I/O.
+    Fixed(NodeId, DenseRule),
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Pool members lowered on this thread, for the tests that count them.
+    pub(crate) static LOWERED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+impl PoolMember {
+    /// Lowers the member to its kernel.
+    pub(crate) fn lower(
+        &self,
+        graph: &Graph,
+        config: &OptimizationConfig,
+    ) -> Result<Kernel, PlanError> {
+        #[cfg(test)]
+        LOWERED.with(|n| n.set(n.get() + 1));
+        match self {
+            PoolMember::Group(key, epilogue) => Ok(compute::conv2d(&ConvSpec {
+                name: key.kernel_name(),
+                dims: ConvDims {
+                    c2: Dim::sym("ff"),
+                    c1: if key.depthwise {
+                        Dim::sym("ff")
+                    } else {
+                        Dim::sym("rc")
+                    },
+                    h2: Dim::sym("hh"),
+                    w2: Dim::sym("ww"),
+                    h1: Dim::sym("ih"),
+                    w1: Dim::sym("iw"),
+                    f: key.f,
+                    s: key.s,
+                },
+                depthwise: key.depthwise,
+                epilogue: epilogue.clone(),
+                io_in: IoMode::Global,
+                io_out: IoMode::Global,
+                schedule: if config.optimized_schedules {
+                    config.tiling.schedule(key.depthwise, key.f)
+                } else {
+                    ConvSchedule::Base
+                },
+                // The flow applies the Listing 5.11 stride-1 coalescing
+                // workaround unless the ablation switch keeps TVM's raw
+                // symbolic strides (Listing 5.10).
+                explicit_strides: config.explicit_strides,
+            })),
+            PoolMember::Pad => Ok(compute::pad_param("pad_any")),
+            PoolMember::Fixed(id, dense) => lower_node(
+                graph,
+                &graph.nodes[*id],
+                IoMode::Global,
+                IoMode::Global,
+                config,
+                *dense,
+            ),
         }
     }
 
-    // Pass 2: materialize group kernels.
-    let mut kernels: Vec<Kernel> = Vec::new();
-    for key in &group_order {
-        let info = &groups[key];
-        let dims = ConvDims {
-            c2: Dim::sym("ff"),
-            c1: if key.depthwise {
-                Dim::sym("ff")
-            } else {
-                Dim::sym("rc")
-            },
-            h2: Dim::sym("hh"),
-            w2: Dim::sym("ww"),
-            h1: Dim::sym("ih"),
-            w1: Dim::sym("iw"),
-            f: key.f,
-            s: key.s,
-        };
-        let spec = ConvSpec {
-            name: key.kernel_name(),
-            dims,
-            depthwise: key.depthwise,
-            epilogue: EpilogueSpec {
-                bias: info.bias,
-                bn: info.bn,
-                residual: info.residual,
-                activation: key.activation,
-            },
-            io_in: IoMode::Global,
-            io_out: IoMode::Global,
-            schedule: if config.optimized_schedules {
-                config.tiling.schedule(key.depthwise, key.f)
-            } else {
-                ConvSchedule::Base
-            },
-            // The flow applies the Listing 5.11 stride-1 coalescing
-            // workaround unless the ablation switch keeps TVM's raw
-            // symbolic strides (Listing 5.10).
-            explicit_strides: config.explicit_strides,
-        };
-        kernels.push(compute::conv2d(&spec));
-    }
-    if needs_pad {
-        kernels.push(compute::pad_param("pad_any"));
-    }
-
-    // Pass 3: fixed kernels + the invocation schedule.
-    let mut invocations = Vec::new();
-    for node in graph.kernel_nodes() {
-        if !included(node.id) {
-            continue;
-        }
-        match &node.op {
-            Op::Conv2d {
-                kernel: f,
-                stride,
-                depthwise,
-                ..
-            } => {
-                let key = GroupKey {
-                    depthwise: *depthwise,
-                    f: *f,
-                    s: *stride,
-                    activation: node.fused.activation,
-                };
+    /// The symbolic-dimension arguments with which `node` invokes the
+    /// member (§5.3); fixed kernels take none.
+    fn binding(&self, graph: &Graph, node: &Node) -> Binding {
+        let mut binding = Binding::empty();
+        match (self, &node.op) {
+            (PoolMember::Group(..), _) => {
                 let (c2, c1, h2, w2, _, _, dw) = conv_geometry(graph, node);
-                if config.optimized_schedules {
-                    if let ConvSchedule::Tiled {
-                        w2vec,
-                        c2vec,
-                        c1vec,
-                    } = config.tiling.schedule(key.depthwise, key.f)
-                    {
-                        let check = |what: &str, v: usize, tile: usize| {
-                            if !v.is_multiple_of(tile) {
-                                Err(PlanError(format!(
-                                    "layer `{}`: {what} = {v} not divisible by tile {tile}",
-                                    node.name
-                                )))
-                            } else {
-                                Ok(())
-                            }
-                        };
-                        check("W2", w2, w2vec)?;
-                        check("C2", c2, c2vec)?;
-                        if !dw {
-                            check("C1", c1, c1vec)?;
-                        }
-                    }
-                }
                 let [_, h1, w1] = input_chw(graph, node);
-                let mut binding = Binding::empty();
                 binding.set("ff", c2);
                 if !dw {
                     binding.set("rc", c1);
@@ -517,73 +493,150 @@ pub(crate) fn build_folded_subset(
                 binding.set("ww", w2);
                 binding.set("ih", h1);
                 binding.set("iw", w1);
-                invocations.push(Invocation {
-                    node_id: node.id,
-                    kernel_name: key.kernel_name(),
-                    binding,
-                });
             }
-            Op::Pad { pad } => {
+            (PoolMember::Pad, Op::Pad { pad }) => {
                 let [c, h, w] = input_chw(graph, node);
-                let mut binding = Binding::empty();
                 binding.set("pc", c);
                 binding.set("ph", h);
                 binding.set("pw", w);
                 binding.set("pp", *pad);
-                invocations.push(Invocation {
-                    node_id: node.id,
-                    kernel_name: "pad_any".into(),
-                    binding,
-                });
             }
-            _ => {
-                // Fixed single-layer kernel (pools, dense, softmax, flatten).
-                let (io_in, io_out) = (IoMode::Global, IoMode::Global);
-                let kernel = lower_node(graph, node, io_in, io_out, config, DenseRule::Preset)?;
-                invocations.push(Invocation {
-                    node_id: node.id,
-                    kernel_name: kernel.name.clone(),
-                    binding: Binding::empty(),
-                });
-                kernels.push(kernel);
-            }
+            _ => {}
         }
+        binding
     }
-
-    Ok(FoldedPlan {
-        kernels,
-        invocations,
-    })
 }
 
-/// TVM's default one-kernel-per-layer folded mapping (§3.2): every node
-/// gets a constant-shape kernel with global I/O. This is the naive baseline
-/// whose LSU area exhausts the Arria 10 for MobileNet/ResNet.
-fn build_folded_per_layer(
-    graph: &Graph,
-    config: &OptimizationConfig,
-    included: &impl Fn(NodeId) -> bool,
-) -> Result<FoldedPlan, PlanError> {
-    let mut kernels = Vec::new();
-    let mut invocations = Vec::new();
-    let mut dense_seen = 0usize;
-    for node in graph.kernel_nodes() {
-        if !included(node.id) {
-            continue;
+/// A folded pool before lowering: its members in bitstream order (conv
+/// groups in order of first use, `pad_any`, then the fixed kernels in
+/// network order) and, per included kernel node in network order, the index
+/// of the member it invokes.
+pub(crate) struct Pool {
+    members: Vec<PoolMember>,
+    uses: Vec<(NodeId, usize)>,
+}
+
+impl Pool {
+    /// The pool over the kernel nodes `include` admits. Parameterized
+    /// plans group convolutions by [`GroupKey`], each group carrying the
+    /// union of its layers' epilogues, and share one pad kernel; the other
+    /// layers, and every layer of TVM's default one-kernel-per-layer
+    /// mapping (§3.2), get a fixed kernel.
+    pub(crate) fn new(
+        graph: &Graph,
+        config: &OptimizationConfig,
+        include: impl Fn(NodeId) -> bool,
+    ) -> Pool {
+        let nodes = || graph.kernel_nodes().filter(|n| include(n.id));
+        let (mut members, mut uses) = (Vec::new(), Vec::new());
+        if !config.parameterized {
+            let mut dense_seen = 0usize;
+            for node in nodes() {
+                let dense = DenseRule::PerLayer(dense_seen);
+                dense_seen += usize::from(matches!(node.op, Op::Dense { .. }));
+                uses.push((node.id, members.len()));
+                members.push(PoolMember::Fixed(node.id, dense));
+            }
+            return Pool { members, uses };
         }
-        let dense = DenseRule::PerLayer(&mut dense_seen);
-        let kernel = lower_node(graph, node, IoMode::Global, IoMode::Global, config, dense)?;
-        invocations.push(Invocation {
-            node_id: node.id,
-            kernel_name: kernel.name.clone(),
-            binding: Binding::empty(),
-        });
-        kernels.push(kernel);
+        let mut groups: Vec<(GroupKey, EpilogueSpec)> = Vec::new();
+        let mut needs_pad = false;
+        for node in nodes() {
+            let Some(key) = GroupKey::of(node) else {
+                needs_pad |= matches!(node.op, Op::Pad { .. });
+                continue;
+            };
+            let e = epilogue_of(node);
+            match groups.iter_mut().find(|(k, _)| *k == key) {
+                Some((_, union)) => {
+                    union.bias |= e.bias;
+                    union.bn |= e.bn;
+                    union.residual |= e.residual;
+                }
+                None => groups.push((key, e)),
+            }
+        }
+        members.extend(
+            groups
+                .iter()
+                .map(|(key, e)| PoolMember::Group(*key, e.clone())),
+        );
+        let pad = members.len();
+        if needs_pad {
+            members.push(PoolMember::Pad);
+        }
+        for node in nodes() {
+            let at = match GroupKey::of(node) {
+                Some(key) => groups.iter().position(|(k, _)| *k == key),
+                None if matches!(node.op, Op::Pad { .. }) => Some(pad),
+                None => None,
+            };
+            let at = at.unwrap_or_else(|| {
+                members.push(PoolMember::Fixed(node.id, DenseRule::Preset));
+                members.len() - 1
+            });
+            uses.push((node.id, at));
+        }
+        Pool { members, uses }
     }
-    Ok(FoldedPlan {
-        kernels,
-        invocations,
-    })
+
+    /// Lowers each member once with `lower` and returns the results in
+    /// bitstream order. The walk follows the layers in network order and
+    /// checks each grouped layer against its group's tiles, so the first
+    /// layer that fails is the error reported.
+    pub(crate) fn lower_each<T>(
+        &self,
+        graph: &Graph,
+        config: &OptimizationConfig,
+        mut lower: impl FnMut(&PoolMember) -> Result<T, PlanError>,
+    ) -> Result<Vec<T>, PlanError> {
+        let mut out: Vec<Option<T>> = self.members.iter().map(|_| None).collect();
+        for &(id, m) in &self.uses {
+            if let PoolMember::Group(..) = self.members[m] {
+                check_tiles(graph, &graph.nodes[id], config)?;
+            }
+            if out[m].is_none() {
+                out[m] = Some(lower(&self.members[m])?);
+            }
+        }
+        Ok(out
+            .into_iter()
+            .map(|t| t.expect("every member has a layer"))
+            .collect())
+    }
+}
+
+/// Checks that a grouped convolution's dimensions divide its group's tile
+/// factors (§4.11 requirement 2).
+fn check_tiles(graph: &Graph, node: &Node, config: &OptimizationConfig) -> Result<(), PlanError> {
+    let (c2, c1, _, w2, f, _, dw) = conv_geometry(graph, node);
+    let ConvSchedule::Tiled {
+        w2vec,
+        c2vec,
+        c1vec,
+    } = config.tiling.schedule(dw, f)
+    else {
+        return Ok(());
+    };
+    if !config.optimized_schedules {
+        return Ok(());
+    }
+    let check = |what: &str, v: usize, tile: usize| {
+        if !v.is_multiple_of(tile) {
+            Err(PlanError(format!(
+                "layer `{}`: {what} = {v} not divisible by tile {tile}",
+                node.name
+            )))
+        } else {
+            Ok(())
+        }
+    };
+    check("W2", w2, w2vec)?;
+    check("C2", c2, c2vec)?;
+    if !dw {
+        check("C1", c1, c1vec)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

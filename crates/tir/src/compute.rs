@@ -132,7 +132,7 @@ impl IoMode {
 }
 
 /// The fused epilogue a kernel applies to each output element (§3.1, §5.1.1).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EpilogueSpec {
     /// Add a per-output-channel bias.
     pub bias: bool,
