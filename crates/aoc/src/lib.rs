@@ -37,7 +37,7 @@ pub mod transform;
 
 pub use calib::Calib;
 pub use synth::{
-    synthesize, synthesize_kernel, synthesize_mixed, AocOptions, BitstreamReport, KernelReport,
-    LsuKind, LsuReport, Precision, SynthesisError,
+    assemble_bitstream, synthesize, synthesize_kernel, synthesize_mixed, AocOptions,
+    BitstreamReport, KernelReport, LsuKind, LsuReport, Precision, SynthesisError,
 };
 pub use timing::kernel_cycles;

@@ -377,21 +377,25 @@ pub(crate) fn lower_node(
 /// Returns [`PlanError`] when a layer's dimensions are not divisible by the
 /// group's tile factors (§4.11 requirement 2).
 pub fn build_folded(graph: &Graph, config: &OptimizationConfig) -> Result<FoldedPlan, PlanError> {
-    build_folded_subset(graph, config, |_| true, |m| m.lower(graph, config))
+    let lower = |m: &PoolMember| Ok((m.lower(graph, config)?, ()));
+    build_folded_subset(graph, config, |_| true, lower).map(|(plan, _)| plan)
 }
 
 /// [`build_folded`] restricted to the kernel nodes `include` admits, with
-/// each member of the pool lowered by `lower`. The dataflow planner builds
-/// the staged pool of the layers it demoted out of the pipeline this way,
-/// from the kernels it lowered to price them.
-pub(crate) fn build_folded_subset(
+/// each member of the pool lowered by `lower`, which may return a value
+/// along with each kernel; those come back in the order of the plan's
+/// kernels. The dataflow planner builds the staged pool of the layers it
+/// demoted out of the pipeline this way, from the kernels it lowered and
+/// priced.
+pub(crate) fn build_folded_subset<T>(
     graph: &Graph,
     config: &OptimizationConfig,
     include: impl Fn(NodeId) -> bool,
-    lower: impl FnMut(&PoolMember) -> Result<Kernel, PlanError>,
-) -> Result<FoldedPlan, PlanError> {
+    lower: impl FnMut(&PoolMember) -> Result<(Kernel, T), PlanError>,
+) -> Result<(FoldedPlan, Vec<T>), PlanError> {
     let pool = Pool::new(graph, config, include);
-    let kernels = pool.lower_each(graph, config, lower)?;
+    let (kernels, extra): (Vec<Kernel>, Vec<T>) =
+        pool.lower_each(graph, config, lower)?.into_iter().unzip();
     let invocations = pool
         .uses
         .iter()
@@ -401,10 +405,11 @@ pub(crate) fn build_folded_subset(
             binding: pool.members[m].binding(graph, &graph.nodes[id]),
         })
         .collect();
-    Ok(FoldedPlan {
+    let plan = FoldedPlan {
         kernels,
         invocations,
-    })
+    };
+    Ok((plan, extra))
 }
 
 /// One kernel of a folded pool, before lowering.
@@ -421,8 +426,11 @@ pub(crate) enum PoolMember {
 
 #[cfg(test)]
 thread_local! {
-    /// Pool members lowered on this thread, for the tests that count them.
+    /// Pool members and dataflow stages lowered on this thread, for the
+    /// tests that count them.
     pub(crate) static LOWERED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// Kernels a compile synthesized on this thread.
+    pub(crate) static SYNTHESIZED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
 impl PoolMember {
