@@ -73,19 +73,22 @@ pub fn db_key(graph: &Graph, platform: FpgaPlatform, precision: Precision) -> Db
 /// times every 1x1 layer through it, and reports full-network latency when
 /// the complete kernel set also fits — exactly the Table 6.6 methodology.
 ///
-/// `Sync` by construction; each [`Evaluate::evaluate`] call clones its own
-/// [`Flow`], so the tuner's worker threads never share mutable state.
+/// `Sync` by construction: the tuner's worker threads share the evaluator
+/// read-only, and every candidate compiles from a clone of the one source
+/// graph, sharing its weights.
 pub struct FlowEvaluator {
     flow: Flow,
     graph: Graph,
 }
 
 impl FlowEvaluator {
-    /// An evaluator for `flow`, importing the graph once up front.
+    /// An evaluator for `flow`, building its source graph and importing it
+    /// once up front.
     pub fn new(flow: &Flow) -> FlowEvaluator {
+        let flow = flow.with_built_source();
         FlowEvaluator {
             graph: flow.import_graph(),
-            flow: flow.clone(),
+            flow,
         }
     }
 
@@ -146,8 +149,7 @@ pub fn time_conv1x1(
 
 impl Evaluate for FlowEvaluator {
     fn evaluate(&self, c: &Candidate) -> Result<Measured, EvalError> {
-        // Each evaluation owns its own flow (workers never share one).
-        let flow = self.flow.clone();
+        let flow = &self.flow;
         let mut cfg = OptimizationConfig::folded(TilingPreset::Custom1x1 { tile: c.tile });
         cfg.aoc = AocOptions::with_precision(c.precision);
         let (bitstream, conv1x1_seconds) =
@@ -223,27 +225,29 @@ impl Flow {
 pub struct PipelineEvaluator {
     flow: Flow,
     base: OptimizationConfig,
+    key: DbKey,
     /// Images simulated per evaluation.
     pub batch: usize,
 }
 
 impl PipelineEvaluator {
     /// An evaluator planning `base` (a dataflow configuration) variants.
+    /// It builds the flow's source graph once, and every candidate compiles
+    /// from a clone that shares its weights.
     pub fn new(flow: &Flow, base: OptimizationConfig) -> PipelineEvaluator {
+        let flow = flow.with_built_source();
+        let key = db_key(&flow.import_graph(), flow.platform, Precision::F32);
         PipelineEvaluator {
-            flow: flow.clone(),
+            flow,
             base,
+            key,
             batch: 8,
         }
     }
 
     /// The tuning-database key this evaluator's results belong under.
     pub fn key(&self) -> DbKey {
-        db_key(
-            &self.flow.import_graph(),
-            self.flow.platform,
-            Precision::F32,
-        )
+        self.key.clone()
     }
 }
 
