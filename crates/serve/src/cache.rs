@@ -7,6 +7,8 @@
 //! after the first a lookup returning a shared [`Arc<Deployment>`]. It also
 //! builds each model's graph once: every board and configuration compiles
 //! from that one graph, so all of a model's deployments share its weights.
+//! Compiling reads only their shapes; the values are generated once, on
+//! the first execute or verification of any of those deployments.
 
 use fpgaccel_core::{BatchLatencyModel, Deployment, Flow, FlowError, OptimizationConfig};
 use fpgaccel_device::FpgaPlatform;
@@ -25,7 +27,8 @@ use std::sync::Arc;
 #[derive(Clone, Default)]
 pub struct DeploymentCache {
     entries: HashMap<String, Arc<Deployment>>,
-    /// Each model's source graph, built on its first compile.
+    /// Each model's source graph, built on its first compile. It holds
+    /// weight shapes until a deployment's graph is executed.
     graphs: HashMap<Model, Arc<Graph>>,
     /// Latency models memoized per (deployment identity, probe size).
     /// Calibration is a pure function of the deployment, and cached

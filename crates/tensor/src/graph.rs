@@ -17,7 +17,9 @@ use crate::ops::{self, Activation, Conv2dParams};
 use crate::shape::{conv_out_shape, Shape};
 use crate::tensor::Tensor;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::fmt;
+use std::ops::Deref;
+use std::sync::{Arc, OnceLock};
 
 /// Index of a node within its graph.
 pub type NodeId = usize;
@@ -124,6 +126,90 @@ impl FusedEpilogue {
     }
 }
 
+/// A convolution's or dense layer's weights: their shape, and their
+/// values once built.
+///
+/// Weights built with a graph ([`Graph::push_with_params`]) hold their
+/// values from the start. The zoo's weights ([`crate::models`]) hold a
+/// seeded He initialization instead and generate their values on first
+/// read, on whichever thread reads first, exactly once. Reading the shape
+/// never generates them, so shape inference, the passes, kernel generation
+/// and synthesis hold no weight values. Every value reader goes through
+/// `Deref<Target = Tensor>`. The values never change once generated:
+/// a pass that needs different weights builds a new tensor.
+pub struct Weights {
+    shape: Shape,
+    /// `(fan_in, seed)` of the [`Tensor::he_init`] that fills an empty cell.
+    he_init: Option<(usize, u64)>,
+    values: OnceLock<Tensor>,
+}
+
+impl Weights {
+    /// Weights of `shape` whose values `Tensor::he_init(shape, fan_in,
+    /// seed)` generates on first read.
+    pub(crate) fn he_init(shape: Shape, fan_in: usize, seed: u64) -> Weights {
+        Weights {
+            shape,
+            he_init: Some((fan_in, seed)),
+            values: OnceLock::new(),
+        }
+    }
+
+    /// The shape, read without generating the values.
+    pub fn shape(&self) -> &Shape {
+        &self.shape
+    }
+
+    /// Element count, read without generating the values.
+    pub fn numel(&self) -> usize {
+        self.shape.numel()
+    }
+
+    /// Whether the values exist yet: built with the graph, or generated by
+    /// a read.
+    pub fn is_generated(&self) -> bool {
+        self.values.get().is_some()
+    }
+}
+
+impl From<Tensor> for Weights {
+    fn from(values: Tensor) -> Weights {
+        Weights {
+            shape: values.shape().clone(),
+            he_init: None,
+            values: OnceLock::from(values),
+        }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Weight tensors generated on this thread, for the tests that count
+    /// them.
+    pub(crate) static GENERATED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+impl Deref for Weights {
+    type Target = Tensor;
+
+    /// The values, generated here on the first read of ungenerated weights.
+    fn deref(&self) -> &Tensor {
+        self.values.get_or_init(|| {
+            #[cfg(test)]
+            GENERATED.with(|n| n.set(n.get() + 1));
+            let (fan_in, seed) = self.he_init.expect("built weights hold their values");
+            Tensor::he_init(self.shape.clone(), fan_in, seed)
+        })
+    }
+}
+
+impl fmt::Debug for Weights {
+    /// The shape only: formatting never generates the values.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Weights({})", self.shape)
+    }
+}
+
 /// One operator instance with its parameters.
 #[derive(Clone, Debug)]
 pub struct Node {
@@ -135,10 +221,11 @@ pub struct Node {
     pub op: Op,
     /// Producer node ids (one for most ops, two for `Add`).
     pub inputs: Vec<NodeId>,
-    /// Convolution/dense weights. Immutable once built: every clone of the
-    /// graph, and every graph the passes derive from it, shares the one
-    /// buffer.
-    pub weights: Option<Arc<Tensor>>,
+    /// Convolution/dense weights, shared by every clone of the graph and
+    /// every graph the passes derive from it. Compiling reads only their
+    /// shape; executing or verifying the graph reads, and so generates,
+    /// their values.
+    pub weights: Option<Arc<Weights>>,
     /// Bias.
     pub bias: Option<Vec<f32>>,
     /// Standalone folded batch-norm parameters (before fusion).
@@ -152,7 +239,7 @@ pub struct Node {
 impl Node {
     /// Number of trainable parameters carried by this node.
     pub fn param_count(&self) -> usize {
-        self.weights.as_deref().map_or(0, Tensor::numel)
+        self.weights.as_deref().map_or(0, Weights::numel)
             + self.bias.as_ref().map_or(0, Vec::len)
             + self.bn.as_ref().map_or(0, |(s, b)| s.len() + b.len())
             + self.fused.bn.as_ref().map_or(0, |(s, b)| s.len() + b.len())
@@ -208,7 +295,9 @@ impl Graph {
     /// Appends a node with weights/bias/bn parameters.
     ///
     /// # Panics
-    /// Panics if inputs are out of range or shapes are inconsistent.
+    /// Panics if inputs are out of range or shapes are inconsistent,
+    /// including a weight dimension or bias length that does not match the
+    /// operator and its input.
     pub fn push_with_params(
         &mut self,
         name: impl Into<String>,
@@ -218,27 +307,32 @@ impl Graph {
         bias: Option<Vec<f32>>,
         bn: Option<(Vec<f32>, Vec<f32>)>,
     ) -> NodeId {
-        self.push_shared(name, op, inputs, weights.map(Arc::new), bias, bn)
+        let weights = weights.map(|w| Arc::new(Weights::from(w)));
+        self.push_shared(name, op, inputs, weights, bias, bn)
     }
 
-    /// [`Graph::push_with_params`] over weights another graph may share.
-    fn push_shared(
+    /// [`Graph::push_with_params`] over weights another graph may share,
+    /// or whose values are not generated yet.
+    pub(crate) fn push_shared(
         &mut self,
         name: impl Into<String>,
         op: Op,
         inputs: Vec<NodeId>,
-        weights: Option<Arc<Tensor>>,
+        weights: Option<Arc<Weights>>,
         bias: Option<Vec<f32>>,
         bn: Option<(Vec<f32>, Vec<f32>)>,
     ) -> NodeId {
+        let name = name.into();
         for &i in &inputs {
             assert!(i < self.nodes.len(), "input node {i} does not exist");
         }
-        let out_shape = self.infer_shape(&op, &inputs, weights.as_deref());
+        let out_shape = self.infer_shape(&op, &inputs);
+        let input = &self.nodes[inputs[0]].out_shape;
+        check_params(&name, &op, input, weights.as_deref(), bias.as_deref());
         let id = self.nodes.len();
         self.nodes.push(Node {
             id,
-            name: name.into(),
+            name,
             op,
             inputs,
             weights,
@@ -251,7 +345,7 @@ impl Graph {
         id
     }
 
-    fn infer_shape(&self, op: &Op, inputs: &[NodeId], weights: Option<&Tensor>) -> Shape {
+    fn infer_shape(&self, op: &Op, inputs: &[NodeId]) -> Shape {
         let in_shape = |i: usize| &self.nodes[inputs[i]].out_shape;
         match op {
             Op::Input => unreachable!("input nodes are created by Graph::new"),
@@ -269,10 +363,6 @@ impl Graph {
                         s.dim(0),
                         "depthwise conv cannot change channel count"
                     );
-                }
-                if let Some(w) = weights {
-                    assert_eq!(w.shape().dim(0), *out_channels, "weight K mismatch");
-                    assert_eq!(w.shape().dim(2), *kernel, "weight F mismatch");
                 }
                 conv_out_shape(s, *out_channels, *kernel, *stride, *pad)
             }
@@ -690,6 +780,68 @@ impl Graph {
     }
 }
 
+/// Checks a convolution's or dense layer's parameters against its operator
+/// and input: weights of `[K, C, F, F]` (`[C, 1, F, F]` depthwise) or
+/// `[units, n]`, and one bias value per output. A compile reads nothing but
+/// these shapes, so a mismatch must fail here rather than at execution.
+///
+/// # Panics
+/// Panics naming the node and the first dimension that differs.
+fn check_params(node: &str, op: &Op, input: &Shape, w: Option<&Weights>, bias: Option<&[f32]>) {
+    let (name, outputs) = match *op {
+        Op::Conv2d {
+            out_channels: k,
+            kernel: f,
+            depthwise,
+            ..
+        } => {
+            let (out, c) = if depthwise {
+                (("C", k), ("channel multiplier", 1))
+            } else {
+                (("K", k), ("C", input.dim(0)))
+            };
+            check_dims(node, w, &[out, c, ("F", f), ("F", f)]);
+            out
+        }
+        Op::Dense { units } => {
+            let out = ("units", units);
+            check_dims(node, w, &[out, ("n", input.dim(0))]);
+            out
+        }
+        _ => return,
+    };
+    if let Some(b) = bias {
+        assert_eq!(
+            b.len(),
+            outputs,
+            "{node}: bias length is {}, expected {outputs} ({name})",
+            b.len()
+        );
+    }
+}
+
+/// Panics unless `w` is absent or has exactly the dimensions `want`, each
+/// given with its symbol.
+fn check_dims(node: &str, w: Option<&Weights>, want: &[(&str, usize)]) {
+    let Some(w) = w else { return };
+    let shape = w.shape();
+    assert_eq!(
+        shape.rank(),
+        want.len(),
+        "{node}: weights {shape} have rank {}, expected {}",
+        shape.rank(),
+        want.len()
+    );
+    for (i, &(name, n)) in want.iter().enumerate() {
+        assert_eq!(
+            shape.dim(i),
+            n,
+            "{node}: weight dimension {i} ({name}) is {}, expected {n}",
+            shape.dim(i)
+        );
+    }
+}
+
 /// The fused residual epilogue, in place: `out = activation(out + other)`,
 /// the activation deferred past the add as the fusion pass requires.
 ///
@@ -901,6 +1053,101 @@ mod tests {
         assert!(matches!(m.nodes[2].op, Op::Conv2d { pad: 0, .. }));
         let x = Tensor::random(Shape::chw(1, 4, 4), 11, 1.0);
         assert!(crate::allclose(&g.execute(&x), &m.execute(&x), 1e-6, 1e-6));
+    }
+
+    /// Pushes `op` (through a flatten if it is dense) onto a 2x6x6 input
+    /// with zero weights of shape `w` and `bias` zero bias values.
+    fn push_params(op: Op, w: Shape, bias: Option<usize>) {
+        let mut g = Graph::new("params", Shape::chw(2, 6, 6));
+        let from = match op {
+            Op::Dense { .. } => g.push("flatten", Op::Flatten, vec![0]),
+            _ => 0,
+        };
+        let (w, bias) = (Tensor::zeros(w), bias.map(|n| vec![0.0; n]));
+        g.push_with_params("layer", op, vec![from], Some(w), bias, None);
+    }
+
+    fn conv3x3(out_channels: usize, depthwise: bool) -> Op {
+        Op::Conv2d {
+            out_channels,
+            kernel: 3,
+            stride: 1,
+            pad: 0,
+            depthwise,
+        }
+    }
+
+    #[test]
+    fn matching_parameters_push() {
+        push_params(conv3x3(4, false), Shape::kcff(4, 2, 3), Some(4));
+        push_params(conv3x3(2, true), Shape(vec![2, 1, 3, 3]), None);
+        push_params(Op::Dense { units: 10 }, Shape::d2(10, 72), Some(10));
+    }
+
+    #[test]
+    #[should_panic(expected = "layer: weight dimension 0 (K) is 3, expected 4")]
+    fn conv_weights_must_have_k_filters() {
+        push_params(conv3x3(4, false), Shape::kcff(3, 2, 3), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "layer: weight dimension 1 (C) is 3, expected 2")]
+    fn conv_weights_must_read_every_input_channel() {
+        push_params(conv3x3(4, false), Shape::kcff(4, 3, 3), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "layer: weight dimension 2 (F) is 2, expected 3")]
+    fn conv_weights_must_have_f_rows() {
+        push_params(conv3x3(4, false), Shape(vec![4, 2, 2, 3]), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "layer: weight dimension 3 (F) is 2, expected 3")]
+    fn conv_filters_must_be_square() {
+        push_params(conv3x3(4, false), Shape(vec![4, 2, 3, 2]), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "layer: weights 4x18 have rank 2, expected 4")]
+    fn conv_weights_must_have_rank_4() {
+        push_params(conv3x3(4, false), Shape::d2(4, 18), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "layer: weight dimension 0 (C) is 3, expected 2")]
+    fn depthwise_weights_must_have_one_filter_per_channel() {
+        push_params(conv3x3(2, true), Shape(vec![3, 1, 3, 3]), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "layer: weight dimension 1 (channel multiplier) is 2, expected 1")]
+    fn depthwise_filters_must_read_one_channel() {
+        push_params(conv3x3(2, true), Shape(vec![2, 2, 3, 3]), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "layer: weight dimension 0 (units) is 9, expected 10")]
+    fn dense_weights_must_have_a_row_per_unit() {
+        push_params(Op::Dense { units: 10 }, Shape::d2(9, 72), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "layer: weight dimension 1 (n) is 71, expected 72")]
+    fn dense_weights_must_read_every_input() {
+        push_params(Op::Dense { units: 10 }, Shape::d2(10, 71), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "layer: bias length is 3, expected 4 (K)")]
+    fn conv_bias_must_have_a_value_per_filter() {
+        push_params(conv3x3(4, false), Shape::kcff(4, 2, 3), Some(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "layer: bias length is 9, expected 10 (units)")]
+    fn dense_bias_must_have_a_value_per_unit() {
+        push_params(Op::Dense { units: 10 }, Shape::d2(10, 72), Some(9));
     }
 
     #[test]

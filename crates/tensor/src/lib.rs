@@ -40,7 +40,7 @@ pub mod rng;
 pub mod shape;
 pub mod tensor;
 
-pub use graph::{Graph, Node, NodeId, Op};
+pub use graph::{Graph, Node, NodeId, Op, Weights};
 pub use shape::Shape;
 pub use tensor::Tensor;
 

@@ -5,12 +5,21 @@
 //! access to Keras Applications / image-classifiers pretrained parameters;
 //! inference *timing* does not depend on weight values, and correctness is
 //! validated against the host graph executor on identical weights).
+//!
+//! A built graph holds each layer's weight shape and seed, not its values:
+//! as in the thesis flow, where kernels and the bitstream are built from
+//! layer shapes and weights reach the board only as kernel arguments,
+//! importing, compiling, synthesizing and simulating a model never read
+//! them. The first value read generates a layer's tensor (see
+//! [`Weights`]); each layer has its own seed, so the values do not depend
+//! on when, or on which thread, that happens.
 
-use crate::graph::{Graph, NodeId, Op};
+use crate::graph::{Graph, NodeId, Op, Weights};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 fn layer_seed(model: &str, layer: &str) -> u64 {
     let mut h = DefaultHasher::new();
@@ -92,6 +101,25 @@ impl Builder {
         }
     }
 
+    /// Pushes a weighted node. Its weights of `shape` are the layer's seeded
+    /// He initialization, generated on first read; its bias, if any, holds
+    /// one seeded value per output (`shape` dimension 0).
+    fn weighted(
+        &mut self,
+        name: &str,
+        op: Op,
+        from: NodeId,
+        shape: Shape,
+        fan_in: usize,
+        bias: bool,
+    ) -> NodeId {
+        let seed = layer_seed(self.model, name);
+        let b = bias.then(|| Tensor::random(Shape::d1(shape.dim(0)), seed ^ 1, 0.05).into_vec());
+        let w = Weights::he_init(shape, fan_in, seed);
+        self.g
+            .push_shared(name, op, vec![from], Some(Arc::new(w)), b, None)
+    }
+
     fn conv(
         &mut self,
         name: &str,
@@ -103,34 +131,15 @@ impl Builder {
         bias: bool,
     ) -> NodeId {
         let c1 = self.g.nodes[from].out_shape.dim(0);
-        let fan_in = c1 * kernel * kernel;
-        let w = Tensor::he_init(
-            Shape::kcff(out_channels, c1, kernel),
-            fan_in,
-            layer_seed(self.model, name),
-        );
-        let b = bias.then(|| {
-            Tensor::random(
-                Shape::d1(out_channels),
-                layer_seed(self.model, name) ^ 1,
-                0.05,
-            )
-            .into_vec()
-        });
-        self.g.push_with_params(
-            name,
-            Op::Conv2d {
-                out_channels,
-                kernel,
-                stride,
-                pad,
-                depthwise: false,
-            },
-            vec![from],
-            Some(w),
-            b,
-            None,
-        )
+        let op = Op::Conv2d {
+            out_channels,
+            kernel,
+            stride,
+            pad,
+            depthwise: false,
+        };
+        let shape = Shape::kcff(out_channels, c1, kernel);
+        self.weighted(name, op, from, shape, c1 * kernel * kernel, bias)
     }
 
     fn dwconv(
@@ -142,25 +151,15 @@ impl Builder {
         pad: usize,
     ) -> NodeId {
         let c = self.g.nodes[from].out_shape.dim(0);
-        let w = Tensor::he_init(
-            Shape(vec![c, 1, kernel, kernel]),
-            kernel * kernel,
-            layer_seed(self.model, name),
-        );
-        self.g.push_with_params(
-            name,
-            Op::Conv2d {
-                out_channels: c,
-                kernel,
-                stride,
-                pad,
-                depthwise: true,
-            },
-            vec![from],
-            Some(w),
-            None,
-            None,
-        )
+        let op = Op::Conv2d {
+            out_channels: c,
+            kernel,
+            stride,
+            pad,
+            depthwise: true,
+        };
+        let shape = Shape(vec![c, 1, kernel, kernel]);
+        self.weighted(name, op, from, shape, kernel * kernel, false)
     }
 
     fn bn(&mut self, name: &str, from: NodeId) -> NodeId {
@@ -172,12 +171,14 @@ impl Builder {
 
     fn dense(&mut self, name: &str, from: NodeId, units: usize, bias: bool) -> NodeId {
         let n = self.g.nodes[from].out_shape.dim(0);
-        let w = Tensor::he_init(Shape::d2(units, n), n, layer_seed(self.model, name));
-        let b = bias.then(|| {
-            Tensor::random(Shape::d1(units), layer_seed(self.model, name) ^ 1, 0.05).into_vec()
-        });
-        self.g
-            .push_with_params(name, Op::Dense { units }, vec![from], Some(w), b, None)
+        self.weighted(
+            name,
+            Op::Dense { units },
+            from,
+            Shape::d2(units, n),
+            n,
+            bias,
+        )
     }
 
     fn relu(&mut self, name: &str, from: NodeId) -> NodeId {
@@ -414,6 +415,8 @@ pub fn alexnet() -> Graph {
 mod tests {
     use super::*;
     use crate::flops::graph_flops;
+    use crate::graph::{Node, GENERATED};
+    use std::sync::Barrier;
 
     #[test]
     fn lenet_shapes_match_table_2_1() {
@@ -596,6 +599,66 @@ mod tests {
                     "unexpected residual op {:?} in fused graph",
                     n.op
                 );
+            }
+        }
+    }
+
+    /// Reads every weight of `g` on this thread and returns how many
+    /// tensors the reads generated.
+    fn read_weights(g: &Graph) -> usize {
+        GENERATED.with(|n| n.set(0));
+        for w in g.nodes.iter().filter_map(|n| n.weights.as_deref()) {
+            std::hint::black_box(w.data());
+        }
+        GENERATED.with(|n| n.get())
+    }
+
+    #[test]
+    fn zoo_weights_are_generated_once_on_first_read_as_seeded() {
+        for model in Model::ALL {
+            let g = model.build();
+            let compiled = g.clone().fuse().materialize_padding();
+            assert!(g.param_count() > 0 && graph_flops(&compiled) > 0);
+            let weighted: Vec<&Node> = g.nodes.iter().filter(|n| n.weights.is_some()).collect();
+            let generated = weighted
+                .iter()
+                .filter(|n| n.weights.as_ref().unwrap().is_generated());
+            assert_eq!(generated.count(), 0, "{}: generated before a read", g.name);
+
+            // The first read goes through the passes' clone, from two
+            // threads at once.
+            let start = Barrier::new(2);
+            let read = || {
+                start.wait();
+                read_weights(&compiled)
+            };
+            let (a, b) = std::thread::scope(|s| {
+                let (a, b) = (s.spawn(read), s.spawn(read));
+                (a.join().unwrap(), b.join().unwrap())
+            });
+            assert_eq!(a + b, weighted.len(), "{}: generations", g.name);
+            assert_eq!(read_weights(&g), 0, "{}: the source shares them", g.name);
+
+            for n in weighted {
+                let input = &g.nodes[n.inputs[0]].out_shape;
+                let fan_in = match n.op {
+                    Op::Conv2d {
+                        kernel,
+                        depthwise: true,
+                        ..
+                    } => kernel * kernel,
+                    Op::Conv2d { kernel, .. } => input.dim(0) * kernel * kernel,
+                    _ => input.dim(0),
+                };
+                let w = n.weights.as_deref().unwrap();
+                let seed = layer_seed(&g.name, &n.name);
+                let expect = Tensor::he_init(w.shape().clone(), fan_in, seed);
+                let (got, want) = (w.data(), expect.data());
+                let same = got
+                    .iter()
+                    .zip(want)
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same && got.len() == want.len(), "{}/{}", g.name, n.name);
             }
         }
     }

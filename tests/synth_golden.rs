@@ -14,6 +14,10 @@
 //! * a kernel the analysis rejects, an unrolled loop over a symbolic
 //!   extent, by its panic message.
 //!
+//! A second test compiles every unquantized design and simulates a batch
+//! on it, and checks that neither generated a weight of the design's
+//! source graph: a compile reads weight shapes only.
+//!
 //! A refactor of the synthesis model or the kernel analysis must pass
 //! `fixtures/synth_golden.txt` unedited. Regenerate it only in a commit of
 //! its own that explains the intended change; the test has no
@@ -25,7 +29,7 @@ mod kernel_set;
 use fpgaccel::aoc::{synthesize_kernel, AocOptions, Calib};
 use fpgaccel::device::FpgaPlatform;
 use fpgaccel::tir::{BufRole, BufferDecl, IExpr, Kernel, Stmt, VExpr};
-use kernel_set::{designs, digest, matrix};
+use kernel_set::{designs, digest, matrix, Design};
 use std::collections::HashSet;
 use std::fmt::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -126,4 +130,35 @@ fn synthesis_matches_the_committed_golden() {
         actual.lines().count(),
         "synth_golden.txt has a different number of lines"
     );
+}
+
+/// The weights of a design's source graph: `(weighted nodes, generated)`.
+fn weight_state(d: &Design) -> (usize, usize) {
+    let weights = d.source.nodes.iter().filter_map(|n| n.weights.as_deref());
+    weights.fold((0, 0), |(n, g), w| {
+        (n + 1, g + usize::from(w.is_generated()))
+    })
+}
+
+#[test]
+fn compiling_and_simulating_a_design_generates_no_weight() {
+    let designs = designs();
+    // Calibration reads the values, so a quantized compile generates them.
+    let unquantized: Vec<&Design> = designs
+        .iter()
+        .filter(|d| d.config.quant.is_none())
+        .collect();
+    assert!(unquantized.iter().map(|d| weight_state(d).0).sum::<usize>() > 0);
+    let untouched = |d: &Design, by: &str| {
+        assert_eq!(weight_state(d).1, 0, "{}: {by} generated weights", d.name);
+    };
+    for d in &unquantized {
+        untouched(d, "planning");
+    }
+    for d in &unquantized {
+        if let Ok(dep) = d.compile() {
+            dep.simulate_batch(2);
+        }
+        untouched(d, "compiling or simulating");
+    }
 }
