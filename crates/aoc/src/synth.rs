@@ -202,19 +202,6 @@ impl BitstreamReport {
             .find(|k| k.name == name)
             .unwrap_or_else(|| panic!("no kernel `{name}` in bitstream"))
     }
-
-    /// Worst per-kernel routing pressure in the bitstream — the quantity the
-    /// router compares against [`Calib::routing_fanout_bits`], and a feature
-    /// the auto-tuner's cost model learns from.
-    ///
-    /// [`Calib::routing_fanout_bits`]: crate::Calib::routing_fanout_bits
-    pub fn routing_pressure_bits(&self) -> u64 {
-        self.kernels
-            .iter()
-            .map(KernelReport::routing_pressure_bits)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// Why a design fails to build (§2.4.5: "designs that do not fit on the

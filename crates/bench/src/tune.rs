@@ -1,16 +1,15 @@
 //! The `tune` experiment: the auto-scheduler against the hand-tuned
 //! Table 6.7 deployment.
 //!
-//! Cold-searches the MobileNetV1 1x1-convolution tiling space on the
-//! Arria 10 GX under a bounded evaluation budget, compares the winner with
-//! the thesis' hand-picked `7/8/8` configuration (evaluated by the exact
-//! same methodology), persists the tuning database, and then demonstrates
-//! the warm path: reloading the database and tuning again without spending
-//! a single candidate evaluation.
+//! Cold-tunes the MobileNetV1 1x1-convolution tiling space on the
+//! Arria 10 GX by evaluating every legal candidate once, compares the
+//! winner with the thesis' hand-picked `7/8/8` configuration (evaluated by
+//! the exact same methodology), persists the tuning database, and then
+//! demonstrates the warm path: reloading the database and tuning again
+//! without spending a single candidate evaluation.
 //!
-//! Environment knobs (the report stays byte-identical for fixed values):
-//! `FPGACCEL_TUNE_BUDGET` caps candidate evaluations (default 200);
-//! `FPGACCEL_TUNE_DB` sets the database path (default `tune_db.json`).
+//! `FPGACCEL_TUNE_DB` sets the database path (default `tune_db.json`); the
+//! report is byte-identical for a fixed path.
 
 use crate::table::Table;
 use fpgaccel_core::bitstreams::mobilenet_tile;
@@ -18,30 +17,13 @@ use fpgaccel_core::{tune_model, Flow, FlowEvaluator};
 use fpgaccel_device::FpgaPlatform;
 use fpgaccel_tensor::models::Model;
 use fpgaccel_trace::{Registry, Tracer};
-use fpgaccel_tune::{Candidate, Evaluate, SearchConfig, TuningDb};
-
-/// Evaluation budget (`FPGACCEL_TUNE_BUDGET`, default 200 — the bound the
-/// acceptance criteria hold the search to).
-pub fn budget() -> usize {
-    std::env::var("FPGACCEL_TUNE_BUDGET")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200)
-}
+use fpgaccel_tune::{Candidate, Evaluate, TuningDb};
 
 /// Tuning-database path (`FPGACCEL_TUNE_DB`, default `tune_db.json`).
 pub fn db_path() -> std::path::PathBuf {
     std::env::var("FPGACCEL_TUNE_DB")
         .unwrap_or_else(|_| "tune_db.json".to_string())
         .into()
-}
-
-/// The search configuration the experiment (and CI smoke run) uses.
-pub fn search_config() -> SearchConfig {
-    SearchConfig {
-        max_evaluations: budget(),
-        ..SearchConfig::default()
-    }
 }
 
 /// Runs the auto-tuning experiment report.
@@ -83,12 +65,11 @@ pub fn tune() -> String {
         "-".into(),
     ]);
 
-    // Cold search from an empty database.
+    // Cold tune from an empty database.
     let mut db = TuningDb::new();
     let cold = tune_model(
         model,
         platform,
-        search_config(),
         &mut db,
         &Tracer::disabled(),
         &Registry::default(),
@@ -114,7 +95,6 @@ pub fn tune() -> String {
     let warm = tune_model(
         model,
         platform,
-        search_config(),
         &mut reloaded,
         &Tracer::disabled(),
         &Registry::default(),
@@ -136,13 +116,12 @@ pub fn tune() -> String {
 
     let space_size = eval.space().proposals().map(|p| p.len()).unwrap_or(0);
     format!(
-        "{}\nSearch evaluated {} of {} legal candidates (budget {}); best net latency is \
+        "{}\nSearch evaluated {} of {} legal candidates; best net latency is \
          {:.1}% of hand-tuned.\nTuning database: {} record(s) at {} — warm reload answered \
          from the database with 0 evaluations.\n",
         t.render(),
         cold.evaluations,
         space_size,
-        budget(),
         100.0 * cold.seconds_per_image / hand_seconds,
         reloaded.tilings.len(),
         path.display(),

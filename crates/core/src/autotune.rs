@@ -1,13 +1,13 @@
 //! Flow-side glue for the `fpgaccel-tune` auto-scheduler.
 //!
 //! `fpgaccel-tune` deliberately knows nothing about the compile flow — its
-//! search engine evaluates candidates through the [`Evaluate`] trait. This
+//! tuner evaluates candidates through the [`Evaluate`] trait. This
 //! module supplies the flow-backed implementation ([`FlowEvaluator`]),
 //! extracts the 1x1-convolution loop extents the proposal generator
 //! validates against, derives tuning-database keys, and offers the one-call
 //! [`tune_model`] entry point. [`Flow::with_tuned_config`] closes the loop:
 //! a flow (or the serving layer's deployment cache) deploys the tuned
-//! configuration straight from the database without ever searching.
+//! configuration straight from the database without evaluating anything.
 
 use crate::flow::{Flow, FlowError};
 use crate::options::{OptimizationConfig, QuantSpec, TilingPreset};
@@ -27,9 +27,9 @@ use fpgaccel_tune::precision::{
     precision_record_of, search_precision, EvaluatePrecision, PrecisionCost,
 };
 use fpgaccel_tune::{
-    best_pipeline, pipeline_candidates, search_pipeline, shape_signature, Candidate, Conv1x1Shape,
-    DbKey, EvalError, Evaluate, Measured, PipelineRecord, PrecisionRecord, SearchConfig,
-    SearchSpace, TuneError, TuneOutcome, Tuner, TuningDb,
+    best_pipeline, pipeline_candidates, shape_signature, Candidate, Conv1x1Shape, DbKey, EvalError,
+    Evaluate, Measured, PipelineRecord, PrecisionRecord, SearchSpace, TuneError, TuneOutcome,
+    Tuner, TuningDb,
 };
 use std::collections::BTreeMap;
 
@@ -72,10 +72,8 @@ pub fn db_key(graph: &Graph, platform: FpgaPlatform, precision: Precision) -> Db
 /// The flow-backed candidate evaluator: synthesizes the 1x1-only bitstream,
 /// times every 1x1 layer through it, and reports full-network latency when
 /// the complete kernel set also fits — exactly the Table 6.6 methodology.
-///
-/// `Sync` by construction: the tuner's worker threads share the evaluator
-/// read-only, and every candidate compiles from a clone of the one source
-/// graph, sharing its weights.
+/// Every candidate compiles from a clone of the one source graph, sharing
+/// its weights.
 pub struct FlowEvaluator {
     flow: Flow,
     graph: Graph,
@@ -98,15 +96,9 @@ impl FlowEvaluator {
     }
 
     /// The search space for this model/platform pair: the 1x1 layer
-    /// extents, the device's kernel-partition resource inventory, and its
-    /// routing fanout capacity.
+    /// extents.
     pub fn space(&self) -> SearchSpace {
-        let device = self.flow.platform.model();
-        SearchSpace::new(
-            conv1x1_shapes(&self.graph),
-            device.kernel_budget(),
-            self.flow.calib.routing_fanout_bits(self.flow.platform),
-        )
+        SearchSpace::new(conv1x1_shapes(&self.graph))
     }
 
     /// The tuning-database key this evaluator's results belong under.
@@ -159,24 +151,22 @@ impl Evaluate for FlowEvaluator {
             seconds_per_image,
             conv1x1_seconds,
             dsps: bitstream.total_resources.dsp,
-            ram_blocks: bitstream.total_resources.ram,
             fmax_mhz: bitstream.fmax_mhz,
             utilization: bitstream.utilization,
-            routing_bits: bitstream.routing_pressure_bits(),
         })
     }
 }
 
-/// Tunes a zoo model for a platform in one call: warm database lookup,
-/// search on a miss, winner recorded back into `db`. Spans land on the
-/// tracer's tune track, `tune_*` metrics in `registry`.
+/// Tunes a zoo model for a platform in one call: warm database lookup, or
+/// every legal tiling evaluated once on a miss, winner recorded back into
+/// `db`. Spans land on the tracer's tune track, `tune_*` metrics in
+/// `registry`.
 ///
 /// # Errors
 /// [`TuneError`] when the model has no 1x1 convolutions or nothing fits.
 pub fn tune_model(
     model: Model,
     platform: FpgaPlatform,
-    config: SearchConfig,
     db: &mut TuningDb,
     tracer: &Tracer,
     registry: &Registry,
@@ -184,7 +174,7 @@ pub fn tune_model(
     let flow = Flow::new(model, platform).with_tracer(tracer);
     let eval = FlowEvaluator::new(&flow);
     let key = eval.key(Precision::F32);
-    let tuner = Tuner::new(eval.space(), config)
+    let tuner = Tuner::new(eval.space())
         .with_tracer(tracer.clone())
         .with_registry(registry.clone());
     tuner.tune(&key, db, &eval)
@@ -193,7 +183,7 @@ pub fn tune_model(
 impl Flow {
     /// The tuned deployment configuration for this flow's model/platform
     /// from a tuning database, or `None` when nothing has been tuned yet.
-    /// The warm path: no search, no evaluation — just a keyed lookup.
+    /// The warm path: no evaluation — just a keyed lookup.
     pub fn with_tuned_config(&self, db: &TuningDb) -> Option<OptimizationConfig> {
         let graph = self.import_graph();
         let key = db_key(&graph, self.platform, Precision::F32);
@@ -327,7 +317,10 @@ pub fn tune_pipeline(
     let cands = pipeline_candidates();
     let results = {
         let _g = tracer.phase_on(PID_TUNE, "tune", "pipeline-search");
-        search_pipeline(&cands, &eval, 0)
+        cands
+            .iter()
+            .map(|c| eval.evaluate_pipeline(c))
+            .collect::<Vec<_>>()
     };
     registry.counter_add(
         "pipeline_tune_evaluations_total",
@@ -569,17 +562,13 @@ mod tests {
     }
 
     #[test]
-    fn evaluator_matches_the_legacy_dse_on_one_point() {
+    fn evaluator_matches_the_dse_sweep_on_one_point() {
         let flow = Flow::new(Model::MobileNetV1, FpgaPlatform::Arria10Gx);
         let eval = FlowEvaluator::new(&flow);
         let m = eval.evaluate(&Candidate::new((7, 8, 8))).unwrap();
-        let legacy =
+        let sweep =
             crate::dse::sweep_1x1(Model::MobileNetV1, FpgaPlatform::Arria10Gx, &[(7, 8, 8)]);
-        let l = legacy[0].result.as_ref().unwrap();
-        assert_eq!(m.dsps, l.dsps);
-        assert_eq!(m.fmax_mhz, l.fmax_mhz);
-        assert_eq!(m.conv1x1_seconds, l.conv1x1_seconds);
-        assert_eq!(m.seconds_per_image, l.seconds_per_image);
+        assert_eq!(sweep[0].result, Ok(m));
     }
 
     #[test]
@@ -744,7 +733,6 @@ mod tests {
         let err = tune_model(
             Model::LeNet5,
             FpgaPlatform::Arria10Gx,
-            SearchConfig::default(),
             &mut db,
             &Tracer::disabled(),
             &Registry::default(),

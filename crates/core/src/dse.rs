@@ -1,21 +1,19 @@
-//! A model-guided design-space explorer over tiling factors.
+//! The Table 6.6 / Figure 6.3 sweep over hand-picked 1x1 tilings.
 //!
 //! §4.11: "A design space explorer would benefit ... We leave resource
 //! modeling and exploration for a DSE to future work." With synthesis taking
-//! microseconds in the AOC model instead of 5–12 hours, the exploration the
-//! thesis could not afford becomes trivial. Since the `fpgaccel-tune`
-//! subsystem landed, this module is a thin wrapper over the tuner's
-//! *enumerative* mode: candidates are evaluated by the same
-//! [`FlowEvaluator`] the guided search uses, fanned out across worker
-//! threads by [`fpgaccel_tune::enumerate`], with results (and error
-//! strings) identical to the original serial implementation. Used by the
-//! Table 6.6/Figure 6.3 sweep and `examples/design_space.rs`.
+//! microseconds in the AOC model instead of 5–12 hours, exploring the whole
+//! space is cheap: [`crate::tune_model`] evaluates every legal tiling once.
+//! This module evaluates a caller's list of tilings with the tuner's
+//! [`FlowEvaluator`], in order, keeping each error string as the flow
+//! rendered it. Used by the Table 6.6/Figure 6.3 sweep and
+//! `examples/design_space.rs`.
 
 use crate::autotune::FlowEvaluator;
 use crate::flow::Flow;
 use fpgaccel_device::FpgaPlatform;
 use fpgaccel_tensor::models::Model;
-use fpgaccel_tune::{enumerate, Candidate};
+use fpgaccel_tune::{Candidate, Evaluate, Measured};
 
 /// Outcome of evaluating one 1x1-convolution tiling configuration.
 #[derive(Clone, Debug)]
@@ -23,23 +21,7 @@ pub struct DsePoint {
     /// `(W_2vec, C_2vec, C_1vec)`.
     pub tile: (usize, usize, usize),
     /// Successful synthesis + simulation, or the failure reason.
-    pub result: Result<DseMetrics, String>,
-}
-
-/// Metrics for a successfully synthesized configuration.
-#[derive(Clone, Debug)]
-pub struct DseMetrics {
-    /// DSP blocks used by the whole bitstream.
-    pub dsps: u64,
-    /// Achieved clock.
-    pub fmax_mhz: f64,
-    /// Utilization percentages (logic, RAM, DSP).
-    pub utilization: (f64, f64, f64),
-    /// Simulated seconds per image for the full network, when the complete
-    /// kernel set also synthesizes on this platform.
-    pub seconds_per_image: Option<f64>,
-    /// Device-busy seconds of the 1x1-convolution kernel per image.
-    pub conv1x1_seconds: f64,
+    pub result: Result<Measured, String>,
 }
 
 /// Evaluates a list of 1x1 tiling candidates for a model/platform.
@@ -56,48 +38,18 @@ pub fn sweep_1x1(
     tiles: &[(usize, usize, usize)],
 ) -> Vec<DsePoint> {
     let eval = FlowEvaluator::new(&Flow::new(model, platform));
-    let cands: Vec<Candidate> = tiles.iter().map(|&tile| Candidate::new(tile)).collect();
-    enumerate(&cands, &eval, 0)
-        .into_iter()
-        .zip(tiles)
-        .map(|(result, &tile)| DsePoint {
+    tiles
+        .iter()
+        .map(|&tile| DsePoint {
             tile,
-            result: result
-                .map(|m| DseMetrics {
-                    dsps: m.dsps,
-                    fmax_mhz: m.fmax_mhz,
-                    utilization: m.utilization,
-                    seconds_per_image: m.seconds_per_image,
-                    conv1x1_seconds: m.conv1x1_seconds,
-                })
-                .map_err(|e| e.0),
+            result: eval.evaluate(&Candidate::new(tile)).map_err(|e| e.0),
         })
         .collect()
-}
-
-/// Picks the candidate minimizing whole-network latency among those that
-/// synthesize — the selection rule of §6.3.2 ("high improvement ... without
-/// severely degraded fmax") made automatic.
-pub fn explore(
-    model: Model,
-    platform: FpgaPlatform,
-    tiles: &[(usize, usize, usize)],
-) -> Option<(usize, usize, usize)> {
-    sweep_1x1(model, platform, tiles)
-        .into_iter()
-        .filter_map(|p| {
-            p.result
-                .ok()
-                .and_then(|m| m.seconds_per_image.map(|s| (p.tile, s)))
-        })
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-        .map(|(tile, _)| tile)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bitstreams::TABLE_6_6_TILINGS;
 
     #[test]
     fn sweep_reports_dsp_growth_with_tile_size() {
@@ -111,18 +63,5 @@ mod tests {
         // Figure 6.3: DSPs grow with the tile, fmax drops.
         assert!(m1.dsps > 2 * m0.dsps);
         assert!(m1.fmax_mhz < m0.fmax_mhz);
-    }
-
-    #[test]
-    fn explorer_picks_a_fitting_configuration() {
-        let best = explore(
-            Model::MobileNetV1,
-            FpgaPlatform::Arria10Gx,
-            TABLE_6_6_TILINGS,
-        )
-        .expect("at least one configuration fits the A10");
-        assert!(TABLE_6_6_TILINGS.contains(&best));
-        // The winner should use a non-trivial amount of parallelism.
-        assert!(best.1 * best.2 >= 16, "best {best:?} too small");
     }
 }

@@ -297,7 +297,9 @@ impl Graph {
     /// # Panics
     /// Panics if inputs are out of range or shapes are inconsistent,
     /// including a weight dimension or bias length that does not match the
-    /// operator and its input.
+    /// operator and its input, weights or a bias on anything but a
+    /// convolution or dense layer, and a batch norm without `bn` (or `bn`
+    /// anywhere else).
     pub fn push_with_params(
         &mut self,
         name: impl Into<String>,
@@ -328,7 +330,14 @@ impl Graph {
         }
         let out_shape = self.infer_shape(&op, &inputs);
         let input = &self.nodes[inputs[0]].out_shape;
-        check_params(&name, &op, input, weights.as_deref(), bias.as_deref());
+        check_params(
+            &name,
+            &op,
+            input,
+            weights.as_deref(),
+            bias.as_deref(),
+            bn.as_ref(),
+        );
         let id = self.nodes.len();
         self.nodes.push(Node {
             id,
@@ -780,15 +789,25 @@ impl Graph {
     }
 }
 
-/// Checks a convolution's or dense layer's parameters against its operator
-/// and input: weights of `[K, C, F, F]` (`[C, 1, F, F]` depthwise) or
-/// `[units, n]`, and one bias value per output. A compile reads nothing but
-/// these shapes, so a mismatch must fail here rather than at execution.
+/// Checks a node's parameters against its operator and input. Only a
+/// convolution or dense layer takes weights and a bias: weights of
+/// `[K, C, F, F]` (`[C, 1, F, F]` depthwise) or `[units, n]`, and one bias
+/// value per output. Only a batch norm takes `bn`, and must: a scale and a
+/// shift per input channel. A compile reads nothing but these shapes, so a
+/// mismatch must fail here rather than at execution.
 ///
 /// # Panics
-/// Panics naming the node and the first dimension that differs.
-fn check_params(node: &str, op: &Op, input: &Shape, w: Option<&Weights>, bias: Option<&[f32]>) {
-    let (name, outputs) = match *op {
+/// Panics naming the node and the first parameter that does not fit.
+fn check_params(
+    node: &str,
+    op: &Op,
+    input: &Shape,
+    w: Option<&Weights>,
+    bias: Option<&[f32]>,
+    bn: Option<&(Vec<f32>, Vec<f32>)>,
+) {
+    let kind = op.kind_name();
+    let outputs = match *op {
         Op::Conv2d {
             out_channels: k,
             kernel: f,
@@ -801,22 +820,43 @@ fn check_params(node: &str, op: &Op, input: &Shape, w: Option<&Weights>, bias: O
                 (("K", k), ("C", input.dim(0)))
             };
             check_dims(node, w, &[out, c, ("F", f), ("F", f)]);
-            out
+            Some(out)
         }
         Op::Dense { units } => {
             let out = ("units", units);
             check_dims(node, w, &[out, ("n", input.dim(0))]);
-            out
+            Some(out)
         }
-        _ => return,
+        _ => None,
     };
-    if let Some(b) = bias {
-        assert_eq!(
+    match (outputs, bias) {
+        (Some((name, n)), Some(b)) => assert_eq!(
             b.len(),
-            outputs,
-            "{node}: bias length is {}, expected {outputs} ({name})",
+            n,
+            "{node}: bias length is {}, expected {n} ({name})",
             b.len()
-        );
+        ),
+        (Some(_), None) => {}
+        (None, _) => assert!(
+            w.is_none() && bias.is_none(),
+            "{node}: a {kind} node takes no weights or bias"
+        ),
+    }
+    match (op, bn) {
+        (Op::BatchNorm, Some((scale, shift))) => {
+            let c = input.dim(0);
+            for (part, v) in [("scale", scale), ("shift", shift)] {
+                assert_eq!(
+                    v.len(),
+                    c,
+                    "{node}: bn {part} length is {}, expected {c} (C)",
+                    v.len()
+                );
+            }
+        }
+        (Op::BatchNorm, None) => panic!("{node}: a batchnorm node needs bn parameters"),
+        (_, Some(_)) => panic!("{node}: a {kind} node takes no bn parameters"),
+        (_, None) => {}
     }
 }
 
@@ -1058,13 +1098,20 @@ mod tests {
     /// Pushes `op` (through a flatten if it is dense) onto a 2x6x6 input
     /// with zero weights of shape `w` and `bias` zero bias values.
     fn push_params(op: Op, w: Shape, bias: Option<usize>) {
+        push_any(op, Some(w), bias, None);
+    }
+
+    /// [`push_params`] with optional weights and batch-norm parameters of
+    /// `bn` scale and shift lengths.
+    fn push_any(op: Op, w: Option<Shape>, bias: Option<usize>, bn: Option<(usize, usize)>) {
         let mut g = Graph::new("params", Shape::chw(2, 6, 6));
         let from = match op {
             Op::Dense { .. } => g.push("flatten", Op::Flatten, vec![0]),
             _ => 0,
         };
-        let (w, bias) = (Tensor::zeros(w), bias.map(|n| vec![0.0; n]));
-        g.push_with_params("layer", op, vec![from], Some(w), bias, None);
+        let (w, bias) = (w.map(Tensor::zeros), bias.map(|n| vec![0.0; n]));
+        let bn = bn.map(|(s, b)| (vec![1.0; s], vec![0.0; b]));
+        g.push_with_params("layer", op, vec![from], w, bias, bn);
     }
 
     fn conv3x3(out_channels: usize, depthwise: bool) -> Op {
@@ -1082,6 +1129,49 @@ mod tests {
         push_params(conv3x3(4, false), Shape::kcff(4, 2, 3), Some(4));
         push_params(conv3x3(2, true), Shape(vec![2, 1, 3, 3]), None);
         push_params(Op::Dense { units: 10 }, Shape::d2(10, 72), Some(10));
+        push_any(Op::BatchNorm, None, None, Some((2, 2)));
+        push_any(Op::Relu, None, None, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "layer: a relu node takes no weights or bias")]
+    fn only_conv_and_dense_take_weights() {
+        push_any(Op::Relu, Some(Shape::d1(10)), None, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "layer: a relu node takes no weights or bias")]
+    fn only_conv_and_dense_take_a_bias() {
+        push_any(Op::Relu, None, Some(3), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "layer: a batchnorm node needs bn parameters")]
+    fn batchnorm_needs_its_parameters() {
+        push_any(Op::BatchNorm, None, None, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "layer: bn scale length is 3, expected 2 (C)")]
+    fn bn_scale_must_have_a_value_per_channel() {
+        push_any(Op::BatchNorm, None, None, Some((3, 2)));
+    }
+
+    #[test]
+    #[should_panic(expected = "layer: bn shift length is 1, expected 2 (C)")]
+    fn bn_shift_must_have_a_value_per_channel() {
+        push_any(Op::BatchNorm, None, None, Some((2, 1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "layer: a conv2d node takes no bn parameters")]
+    fn only_batchnorm_takes_bn() {
+        push_any(
+            conv3x3(4, false),
+            Some(Shape::kcff(4, 2, 3)),
+            None,
+            Some((4, 4)),
+        );
     }
 
     #[test]

@@ -85,8 +85,8 @@ impl TuneRecord {
     }
 }
 
-/// One best-known dataflow-pipeline planner configuration (searched by
-/// [`crate::pipeline::search_pipeline`]), stored alongside the tiling
+/// One best-known dataflow-pipeline planner configuration (picked by
+/// [`crate::pipeline::best_pipeline`]), stored alongside the tiling
 /// records under the same key space.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PipelineRecord {

@@ -16,7 +16,7 @@
 //! lookup serves an assignment with zero evaluations.
 
 use crate::db::PrecisionRecord;
-use crate::search::EvalError;
+use crate::tuner::EvalError;
 use fpgaccel_aoc::Precision;
 use std::collections::BTreeMap;
 
@@ -37,7 +37,7 @@ pub struct PrecisionCost {
 
 /// A mixed-precision evaluator: prices assignments with the resource model
 /// and measures their end-to-end accuracy against the f32 reference.
-pub trait EvaluatePrecision: Sync {
+pub trait EvaluatePrecision {
     /// Modeled resources of the bitstream under `assignment` (cheap: pure
     /// cost-model arithmetic, no numerics run).
     ///

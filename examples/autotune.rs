@@ -1,8 +1,8 @@
-//! Auto-tuning end to end: search the MobileNetV1 1x1-convolution tiling
-//! space on the Arria 10 with the cost-model-guided tuner, persist the
-//! result to a tuning database on disk, reload it, answer the same query
-//! from the warm database with zero evaluations, and finally deploy the
-//! tuned configuration through the serving-layer deployment cache.
+//! Auto-tuning end to end: evaluate every legal MobileNetV1
+//! 1x1-convolution tiling on the Arria 10, persist the winner to a tuning
+//! database on disk, reload it, answer the same query from the warm
+//! database with zero evaluations, and finally deploy the tuned
+//! configuration through the serving-layer deployment cache.
 //!
 //! ```text
 //! cargo run --release --example autotune
@@ -14,7 +14,7 @@ use fpgaccel::device::FpgaPlatform;
 use fpgaccel::serve::DeploymentCache;
 use fpgaccel::tensor::models::Model;
 use fpgaccel::trace::{Registry, Tracer};
-use fpgaccel::tune::{Candidate, Evaluate, SearchConfig, TuningDb};
+use fpgaccel::tune::{Candidate, Evaluate, TuningDb};
 
 fn main() {
     let model = Model::MobileNetV1;
@@ -22,7 +22,7 @@ fn main() {
     let db_path = std::env::temp_dir().join("fpgaccel-autotune-example/tune_db.json");
 
     // The hand-tuned thesis deployment (Table 6.7: 7/8/8 on the A10) is the
-    // bar the search has to clear.
+    // bar the tuner has to clear.
     let hand_tile = mobilenet_tile(platform);
     let hand = FlowEvaluator::new(&Flow::new(model, platform))
         .evaluate(&Candidate::new(hand_tile))
@@ -36,21 +36,19 @@ fn main() {
         hand.fmax_mhz
     );
 
-    // Cold search: beam rounds over the cost model, then evolutionary
-    // refinement, candidates evaluated in parallel worker threads.
+    // Cold tune: every legal tiling evaluated once, in proposal order; the
+    // first fastest one that fits wins.
     let mut db = TuningDb::new();
-    let cfg = SearchConfig::default();
     let cold = tune_model(
         model,
         platform,
-        cfg.clone(),
         &mut db,
         &Tracer::disabled(),
         &Registry::default(),
     )
     .expect("the A10 space has feasible candidates");
     println!(
-        "cold search {:?}: {:.2} ms/img in {} evaluations",
+        "cold tune   {:?}: {:.2} ms/img in {} evaluations",
         cold.candidate.tile,
         cold.seconds_per_image * 1e3,
         cold.evaluations
@@ -63,7 +61,6 @@ fn main() {
     let warm = tune_model(
         model,
         platform,
-        cfg,
         &mut warm_db,
         &Tracer::disabled(),
         &Registry::default(),

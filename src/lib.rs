@@ -23,9 +23,8 @@
 //! * [`baseline`] — calibrated CPU/GPU framework performance models.
 //! * [`serve`] — multi-device inference serving: device pool, dynamic
 //!   batching, admission control, deployment cache.
-//! * [`tune`] — the cost-model-guided auto-scheduler: legality-checked
-//!   proposal generation, beam + evolutionary search, persistent tuning
-//!   database.
+//! * [`tune`] — the auto-tuner: legality-checked proposal generation,
+//!   every proposal evaluated once, persistent tuning database.
 //! * [`pipeline`] — the streaming dataflow planner: segment selection,
 //!   channel-depth policies, whole-pipeline resource fitting with graceful
 //!   degradation to staged execution.

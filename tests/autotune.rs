@@ -1,24 +1,16 @@
-//! Acceptance tests for the `fpgaccel-tune` auto-scheduler: on the
-//! Arria 10 GX the tuner must find a MobileNetV1 1x1-convolution
-//! configuration at least as fast as the hand-tuned Table 6.7 deployment
-//! within a bounded evaluation budget, and a warm tuning-database lookup
-//! must skip the search entirely.
+//! Acceptance tests for the `fpgaccel-tune` auto-tuner: on the Arria 10
+//! GX the tuner must find a MobileNetV1 1x1-convolution configuration at
+//! least as fast as the hand-tuned Table 6.7 deployment; on every board it
+//! must evaluate each legal candidate exactly once and keep the first
+//! fastest; and a warm tuning-database lookup must skip the evaluations
+//! entirely.
 
 use fpgaccel::core::bitstreams::mobilenet_tile;
 use fpgaccel::core::{tune_model, Flow, FlowEvaluator, OptimizationConfig, TilingPreset};
 use fpgaccel::device::FpgaPlatform;
 use fpgaccel::tensor::models::Model;
 use fpgaccel::trace::{Registry, Tracer, PID_TUNE};
-use fpgaccel::tune::{Candidate, Evaluate, SearchConfig, TuningDb};
-
-const BUDGET: usize = 200;
-
-fn config() -> SearchConfig {
-    SearchConfig {
-        max_evaluations: BUDGET,
-        ..SearchConfig::default()
-    }
-}
+use fpgaccel::tune::{Candidate, Evaluate, Measured, TuningDb};
 
 #[test]
 fn tuner_matches_or_beats_the_hand_tuned_mobilenet_deployment() {
@@ -38,14 +30,10 @@ fn tuner_matches_or_beats_the_hand_tuned_mobilenet_deployment() {
     let tracer = Tracer::enabled();
     let registry = Registry::default();
     let mut db = TuningDb::new();
-    let out = tune_model(model, platform, config(), &mut db, &tracer, &registry).unwrap();
+    let out = tune_model(model, platform, &mut db, &tracer, &registry).unwrap();
 
     assert!(!out.from_cache);
-    assert!(
-        out.evaluations <= BUDGET,
-        "search spent {} evaluations, budget {BUDGET}",
-        out.evaluations
-    );
+    assert_eq!(out.candidate.tile, (7, 8, 8), "the thesis' A10 tiling");
     assert!(
         out.seconds_per_image <= hand_seconds * (1.0 + 1e-9),
         "tuned {}s/img worse than hand-tuned {hand_seconds}s/img",
@@ -70,12 +58,11 @@ fn warm_database_lookup_skips_the_search_and_deploys() {
     let path = dir.join("tune_db.json");
     let _ = std::fs::remove_dir_all(&dir);
 
-    // Cold search, persisted.
+    // Cold tune, persisted.
     let mut db = TuningDb::new();
     let cold = tune_model(
         model,
         platform,
-        config(),
         &mut db,
         &Tracer::disabled(),
         &Registry::default(),
@@ -88,7 +75,6 @@ fn warm_database_lookup_skips_the_search_and_deploys() {
     let warm = tune_model(
         model,
         platform,
-        config(),
         &mut reloaded,
         &Tracer::disabled(),
         &Registry::default(),
@@ -114,23 +100,48 @@ fn warm_database_lookup_skips_the_search_and_deploys() {
 
 #[test]
 fn tuned_candidate_agrees_with_direct_evaluation() {
-    // The record the tuner persists must describe exactly what the
-    // evaluator measures for that candidate (no stale or averaged numbers).
+    // On every board the cold tune evaluates each legal candidate exactly
+    // once, in proposal order, and the record it persists is, bit for bit,
+    // what a brute-force first minimum over the evaluator finds (no stale,
+    // averaged or skipped numbers).
     let model = Model::MobileNetV1;
-    let platform = FpgaPlatform::Arria10Gx;
-    let mut db = TuningDb::new();
-    let out = tune_model(
-        model,
-        platform,
-        config(),
-        &mut db,
-        &Tracer::disabled(),
-        &Registry::default(),
-    )
-    .unwrap();
-    let eval = FlowEvaluator::new(&Flow::new(model, platform));
-    let m = eval.evaluate(&Candidate::new(out.candidate.tile)).unwrap();
-    assert_eq!(m.seconds_per_image, Some(out.seconds_per_image));
-    assert_eq!(m.dsps, out.dsps);
-    assert_eq!(m.fmax_mhz, out.fmax_mhz);
+    for platform in FpgaPlatform::ALL {
+        let mut db = TuningDb::new();
+        let out = tune_model(
+            model,
+            platform,
+            &mut db,
+            &Tracer::disabled(),
+            &Registry::default(),
+        )
+        .unwrap();
+        let eval = FlowEvaluator::new(&Flow::new(model, platform));
+        let proposals = eval.space().proposals().unwrap();
+        let order: Vec<Candidate> = out.evaluated.iter().map(|(c, _)| *c).collect();
+        assert_eq!(order, proposals, "{platform}: evaluation order");
+        assert_eq!(out.evaluations, 84, "{platform}: legal candidates");
+
+        let mut best: Option<(Candidate, Measured, f64)> = None;
+        for c in &proposals {
+            let Ok(m) = eval.evaluate(c) else { continue };
+            let Some(s) = m.seconds_per_image else {
+                continue;
+            };
+            if best.as_ref().is_none_or(|b| s < b.2) {
+                best = Some((*c, m, s));
+            }
+        }
+        let (cand, m, seconds) = best.expect("some MobileNet tiling fits every board");
+        assert_eq!(out.candidate, cand, "{platform}: winner");
+        assert_eq!(out.seconds_per_image.to_bits(), seconds.to_bits());
+        assert_eq!(out.conv1x1_seconds.to_bits(), m.conv1x1_seconds.to_bits());
+        assert_eq!(out.fmax_mhz.to_bits(), m.fmax_mhz.to_bits());
+        assert_eq!(out.dsps, m.dsps);
+        // `{:?}` prints each f64 in its shortest round-trip form, so equal
+        // renderings are equal bits.
+        let (_, winner) = &out.evaluated[proposals.iter().position(|c| *c == cand).unwrap()];
+        assert_eq!(format!("{:?}", winner.as_ref().unwrap()), format!("{m:?}"));
+        let rec = db.tilings.iter().next().expect("winner recorded").1;
+        assert_eq!((rec.tile, rec.evaluations), (cand.tile, 84));
+    }
 }
