@@ -40,8 +40,9 @@ pub struct Request {
     /// policy's default).
     pub deadline_s: Option<f64>,
     /// Input tensor. `None` runs the request timing-only (load-generator
-    /// traffic); `Some` computes the real network output.
-    pub input: Option<Tensor>,
+    /// and fleet traffic); `Some` computes the real network output. Boxed,
+    /// so a timing-only request carries one pointer rather than a tensor.
+    pub input: Option<Box<Tensor>>,
 }
 
 /// A successfully served request.
@@ -65,8 +66,9 @@ pub struct Completion {
     /// Brownout-ladder rung that served the request (0 = the primary
     /// deployment; `brownout` is exactly `brownout_rung > 0`).
     pub brownout_rung: usize,
-    /// Network output, when the request carried an input.
-    pub output: Option<Tensor>,
+    /// Network output, when the request carried an input; boxed like
+    /// [`Request::input`].
+    pub output: Option<Box<Tensor>>,
 }
 
 impl Completion {
@@ -280,8 +282,9 @@ pub struct Server {
     completions: Vec<Completion>,
     sheds: Vec<Shed>,
     /// (request id, resolution time) in recording order — the response
-    /// stream closed-loop clients consume.
-    resolutions: Vec<(u64, f64)>,
+    /// stream closed-loop clients consume. Only a closed-loop run opens it,
+    /// and it drains it every turn.
+    resolutions: Option<Vec<(u64, f64)>>,
     metrics: ServiceMetrics,
     registry: Registry,
     tracer: Tracer,
@@ -313,7 +316,7 @@ impl Server {
             states: Vec::new(),
             completions: Vec::new(),
             sheds: Vec::new(),
-            resolutions: Vec::new(),
+            resolutions: None,
             metrics: ServiceMetrics::new(),
             registry: Registry::new(),
             tracer: Tracer::disabled(),
@@ -641,7 +644,7 @@ impl Server {
             time_s,
             reason,
         });
-        self.resolutions.push((id, time_s));
+        self.resolved(id, time_s);
         self.forget(id);
         if self.flight.is_enabled() {
             self.flight.record(
@@ -654,6 +657,14 @@ impl Server {
         }
         self.observe_slo(model, time_s, None, false);
         self.note_shed_for_brownout(model, time_s);
+    }
+
+    /// Appends a resolution to the response stream, when a closed-loop run
+    /// has opened one.
+    fn resolved(&mut self, id: u64, t: f64) {
+        if let Some(stream) = &mut self.resolutions {
+            stream.push((id, t));
+        }
     }
 
     /// Drops a resolved request's first-sight time and attempt count: only
@@ -891,14 +902,20 @@ impl Server {
                 .expect("dispatch chose a device serving the variant"),
         );
         for r in batch.drain(..) {
-            let output = r.input.as_ref().map(|x| deployment.graph.execute(x));
+            let output = r.input.map(|x| Box::new(deployment.graph.execute(&x)));
             self.complete_request(b, r.id, r.arrival_s, output);
         }
     }
 
     /// Resolves one request of a completed batch: metrics, trace span,
     /// flight record, SLO observation and the completion itself.
-    fn complete_request(&mut self, b: &Batch, id: u64, arrival_s: f64, output: Option<Tensor>) {
+    fn complete_request(
+        &mut self,
+        b: &Batch,
+        id: u64,
+        arrival_s: f64,
+        output: Option<Box<Tensor>>,
+    ) {
         let (model, size, completion_s) = (b.model, b.size, b.end_s);
         let arrival_s = self.first_seen.get(&id).copied().unwrap_or(arrival_s);
         self.forget(id);
@@ -956,7 +973,7 @@ impl Server {
             );
         }
         self.observe_slo(model, completion_s, Some(completion_s - arrival_s), true);
-        self.resolutions.push((id, completion_s));
+        self.resolved(id, completion_s);
         self.completions.push(Completion {
             id,
             model,
@@ -1277,7 +1294,7 @@ impl Server {
             attempts,
         });
         self.observe_slo(model, t, None, false);
-        self.resolutions.push((id, t));
+        self.resolved(id, t);
         self.forget(id);
         self.last_event_s = self.last_event_s.max(t);
     }
@@ -1439,16 +1456,16 @@ impl Server {
         // request id -> client waiting on it
         let mut waiting: HashMap<u64, usize> = HashMap::new();
         let mut issued = 0usize;
-        let mut delivered = 0usize;
+        self.resolutions = Some(Vec::new());
 
         loop {
             // Deliver any responses recorded since the last turn: the
             // owning client starts thinking at the resolution time.
-            while delivered < self.resolutions.len() {
-                let (id, at) = self.resolutions[delivered];
-                delivered += 1;
-                if let Some(c) = waiting.remove(&id) {
-                    next_issue[c] = at + rng.exponential(1.0 / think);
+            if let Some(stream) = &mut self.resolutions {
+                for (id, at) in stream.drain(..) {
+                    if let Some(c) = waiting.remove(&id) {
+                        next_issue[c] = at + rng.exponential(1.0 / think);
+                    }
                 }
             }
             let next_client = if issued < total {
@@ -1493,6 +1510,14 @@ mod tests {
     use fpgaccel_core::bitstreams::optimized_config;
     use fpgaccel_device::FpgaPlatform;
     use fpgaccel_fault::{FaultEvent, FaultInjector, FaultKind, FaultPlan};
+
+    #[test]
+    fn timing_only_requests_and_completions_carry_one_pointer_for_a_tensor() {
+        // A boxed tensor slot is one pointer; an unboxed `Option<Tensor>`
+        // would add 40 bytes to each.
+        assert_eq!(std::mem::size_of::<Request>(), 48);
+        assert_eq!(std::mem::size_of::<Completion>(), 64);
+    }
 
     #[test]
     fn resolved_requests_leave_no_per_request_state_behind() {

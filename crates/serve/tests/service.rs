@@ -309,7 +309,7 @@ fn pooled_outputs_match_direct_inference() {
             model: Model::LeNet5,
             arrival_s: i as f64 * 2e-4,
             deadline_s: None,
-            input: Some(x.clone()),
+            input: Some(Box::new(x.clone())),
         })
         .collect();
     let server = Server::new(pool, cfg(4, 1e-3, 64));
