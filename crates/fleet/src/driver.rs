@@ -582,13 +582,13 @@ impl Fleet {
     pub fn run(mut self, tenants: &[TenantLoad], duration_s: f64) -> FleetRunResult {
         let mut shards = self.expand_faults();
         let cap = self.capacity_model(&shards);
-        let arrivals = self.tenant_trace(tenants, duration_s);
+        let ledger = self.tenant_trace(tenants, duration_s);
         let mut qos = QosController::new(
             tenants.iter().map(|t| t.policy.clone()).collect(),
             self.plan.total_rate_rps,
         );
         self.rollout_specs(&mut shards);
-        let mut routed = self.admit_and_route(&arrivals, &mut qos, shards, cap);
+        let mut routed = self.admit_and_route(ledger, &mut qos, shards, cap);
         let shard_results = self.run_shards(&mut routed.shards);
         let domains = self.domains();
         // Attribution fills in the tenant ledger, the hedge wins and
@@ -597,7 +597,11 @@ impl Fleet {
             plan: self.plan,
             tenants: Vec::new(),
             shards: shard_results,
-            routed: routed.owner.len() as u64,
+            routed: routed
+                .ledger
+                .iter()
+                .filter(|a| a.verdict.is_some_and(|v| v != Verdict::Shed))
+                .count() as u64,
             overflowed: routed.overflowed,
             hedges: routed.hedges,
             hedge_wins: 0,
@@ -614,7 +618,7 @@ impl Fleet {
             registry: Registry::new(),
             span_s: duration_s,
         };
-        attribute(&mut r, tenants, &qos, &routed.owner);
+        attribute(&mut r, tenants, &qos, &mut routed.ledger);
         publish_metrics(&r, &self.healer.spec.classes, domains);
         r
     }
@@ -732,13 +736,15 @@ impl Fleet {
     }
 
     /// Tenant trace: per-tenant Poisson streams, seeded per tenant ×
-    /// model, merged into one arrival-ordered trace.
+    /// model, merged into one arrival-ordered trace — the run's ledger,
+    /// sized exactly, with the merge's growth slack released.
     fn tenant_trace(&self, tenants: &[TenantLoad], duration_s: f64) -> Vec<Arrival> {
         let _p = self
             .tracer
             .phase_on(PID_FLEET, "trace", "generate tenant traces");
         let mut merged: Vec<Arrival> = Vec::new();
         for (ti, tenant) in tenants.iter().enumerate() {
+            let index = u32::try_from(ti).expect("fewer than 2^32 tenants");
             for (mi, &(model, rate)) in tenant.offered.iter().enumerate() {
                 if rate <= 0.0 {
                     continue;
@@ -761,8 +767,11 @@ impl Fleet {
                     }
                     merged.push(Arrival {
                         t: at,
-                        tenant: ti,
+                        tenant: index,
                         model,
+                        verdict: None,
+                        duplicated: false,
+                        duplicate_won: false,
                     });
                 }
             }
@@ -772,13 +781,15 @@ impl Fleet {
                 .then(a.tenant.cmp(&b.tenant))
                 .then(a.model.name().cmp(b.model.name()))
         });
+        merged.shrink_to_fit();
         merged
     }
 
-    /// Admit and route: every arrival through [`Routing::route`].
+    /// Admit and route: every arrival of the ledger, in gid order, through
+    /// [`Routing::route`].
     fn admit_and_route(
         &mut self,
-        arrivals: &[Arrival],
+        ledger: Vec<Arrival>,
         qos: &mut QosController,
         shards: Vec<ShardState>,
         cap: Capacity,
@@ -786,9 +797,10 @@ impl Fleet {
         let _p = self
             .tracer
             .phase_on(PID_FLEET, "route", "admit + route trace");
-        let mut routing = Routing::new(self, cap, shards);
-        for (gid, a) in arrivals.iter().enumerate() {
-            routing.route(gid as u64, a, qos);
+        let arrivals = ledger.len() as u64;
+        let mut routing = Routing::new(self, cap, shards, ledger);
+        for gid in 0..arrivals {
+            routing.route(gid, qos);
         }
         routing.out
     }
@@ -845,11 +857,21 @@ fn is_serving(d: &PooledDevice) -> bool {
     Model::ALL.iter().any(|&m| d.deployment(m).is_some())
 }
 
-/// One arrival of the merged tenant trace.
+/// One request of the run's ledger: an arrival of the merged tenant trace,
+/// at index gid, and what routing and attribution decided for it. The
+/// ledger is the only per-request record a run keeps from the trace to
+/// attribution; 16 bytes an arrival.
+#[derive(Clone, Copy)]
 struct Arrival {
     t: f64,
-    tenant: usize,
+    tenant: u32,
     model: Model,
+    /// The QoS door's verdict, once routing has reached the arrival.
+    verdict: Option<Verdict>,
+    /// A duplicate (hedge or replay) of the request was queued.
+    duplicated: bool,
+    /// Attribution: the request's first completion was its duplicate's.
+    duplicate_won: bool,
 }
 
 /// One shard's state through a run: the faults armed on it, its modeled
@@ -869,8 +891,8 @@ struct ShardState {
     /// Requests landing before this instant are hedged: the guard window
     /// around a heal's restore.
     hedge_until: f64,
-    /// Routed primaries `(gid, model index, slot, modeled finish)`: the
-    /// failover replay's working set.
+    /// Routed primaries `(gid, model index, slot, modeled finish)`, logged
+    /// only while an outage is pending: the failover replay's working set.
     log: Vec<(u64, usize, usize, f64)>,
     /// Rollouts to schedule: fleet rollouts, then heal adoptions.
     rollouts: Vec<RolloutSpec>,
@@ -901,9 +923,9 @@ impl Capacity {
 /// accounting.
 #[derive(Default)]
 struct Routed {
+    /// The run's ledger, every arrival's verdict and duplicate filled in.
+    ledger: Vec<Arrival>,
     shards: Vec<ShardState>,
-    /// `gid → (tenant, admitted in budget, arrival)` of every primary.
-    owner: HashMap<u64, (usize, bool, f64)>,
     heals: Vec<HealEvent>,
     overflowed: u64,
     hedges: u64,
@@ -920,46 +942,53 @@ enum Role {
 }
 
 /// The admit-and-route stage's working state: the fleet (its routers,
-/// pools and heal planner), the capacity model, and the per-shard state
-/// it fills.
+/// pools and heal planner), the capacity model, and the ledger and
+/// per-shard state it fills.
 struct Routing<'f> {
     fleet: &'f mut Fleet,
     cap: Capacity,
-    /// Requests that already have a duplicate (hedge or replay) queued.
-    hedged: HashSet<u64>,
     /// Scratch: the backlog of each shard a route chooses among.
     loads: Vec<f64>,
     out: Routed,
 }
 
 impl<'f> Routing<'f> {
-    fn new(fleet: &'f mut Fleet, cap: Capacity, shards: Vec<ShardState>) -> Routing<'f> {
+    fn new(
+        fleet: &'f mut Fleet,
+        cap: Capacity,
+        shards: Vec<ShardState>,
+        ledger: Vec<Arrival>,
+    ) -> Routing<'f> {
         Routing {
             fleet,
             cap,
-            hedged: HashSet::new(),
             loads: Vec::new(),
             out: Routed {
+                ledger,
                 shards,
                 ..Routed::default()
             },
         }
     }
 
-    /// Admits one arrival and routes it: the QoS door, the breaker clocks,
-    /// a bounded-load ring choice, the chosen shard's breaker, then the
-    /// primary and — for a predicted straggler, or any request landing on
-    /// a healing shard inside its guard window — a hedge to the next ring
-    /// shard after the straggler cut, which never touches QoS budgets.
-    fn route(&mut self, gid: u64, a: &Arrival, qos: &mut QosController) {
-        let verdict = qos.admit(a.tenant, a.t);
+    /// Admits arrival `gid` of the ledger and routes it: the QoS door, the
+    /// breaker clocks, a bounded-load ring choice, the chosen shard's
+    /// breaker, then the primary and — for a predicted straggler, or any
+    /// request landing on a healing shard inside its guard window — a hedge
+    /// to the next ring shard after the straggler cut, which never touches
+    /// QoS budgets.
+    fn route(&mut self, gid: u64, qos: &mut QosController) {
+        let a = &mut self.out.ledger[gid as usize];
+        let verdict = qos.admit(a.tenant as usize, a.t);
+        a.verdict = Some(verdict);
+        let (t, model) = (a.t, a.model);
         if verdict == Verdict::Shed {
             return;
         }
         // Breaker clocks advance with fleet time: cooled-down open
         // breakers readmit their shard half-open for probes.
         for (s, shard) in self.out.shards.iter_mut().enumerate() {
-            if shard.health.tick(a.t) {
+            if shard.health.tick(t) {
                 set_shard_active(&mut self.fleet.serving, s, true);
             }
         }
@@ -967,35 +996,33 @@ impl<'f> Routing<'f> {
             .fleet
             .serving
             .iter()
-            .position(|m| m.model == a.model)
+            .position(|m| m.model == model)
             .expect("the trace carries only served models");
         let key = hash2(self.fleet.cfg.seed ^ 0x0F1C_E500, gid);
-        let (slot, over, forced) = self.pick_slot(msi, key, a.t);
+        let (slot, over, forced) = self.pick_slot(msi, key, t);
         let ms = &self.fleet.serving[msi];
         let (shard, nominal) = (ms.shards[slot], ms.rate_rps[slot]);
-        let now_rate = self.cap.rate_at(msi, slot, nominal, a.t);
+        let now_rate = self.cap.rate_at(msi, slot, nominal, t);
         let degraded = now_rate < nominal * (1.0 - 1e-9);
         let interval = if now_rate > 1e-12 {
             1.0 / now_rate
         } else {
             f64::INFINITY
         };
-        let ell = (self.out.shards[shard].until - a.t).max(0.0) + interval;
+        let ell = (self.out.shards[shard].until - t).max(0.0) + interval;
         let straggler = HEDGE_MULT / nominal;
         // Capacity-attributed timeout signal: predicted latency breaches
         // the straggler cut *and* the shard is degraded. Pure overload
         // never trips the breaker — QoS owns it.
         let slow = degraded && ell > straggler;
-        self.judge(shard, slow, now_rate >= 0.5 * nominal, a.t);
+        self.judge(shard, slow, now_rate >= 0.5 * nominal, t);
 
         self.out.overflowed += u64::from(over);
         self.out.forced_routes += u64::from(forced);
-        self.enqueue(msi, slot, gid, Role::Primary, a.t);
-        let in_budget = verdict == Verdict::Admit;
-        self.out.owner.insert(gid, (a.tenant, in_budget, a.t));
-        if slow || a.t < self.out.shards[shard].hedge_until {
+        self.enqueue(msi, slot, gid, Role::Primary, t);
+        if slow || t < self.out.shards[shard].hedge_until {
             if let Some(hk) = self.fleet.serving[msi].router.next_distinct(key, slot) {
-                self.enqueue(msi, hk, gid, Role::Hedge, a.t + straggler);
+                self.enqueue(msi, hk, gid, Role::Hedge, t + straggler);
             }
         }
     }
@@ -1095,7 +1122,7 @@ impl<'f> Routing<'f> {
                 + serve.fault.timeout_mult * serve.batch.max_batch as f64)
                 / self.fleet.serving[msi].rate_rps[slot]
                 + serve.batch.max_wait_s;
-            if fin < replay_from - guard || self.hedged.contains(&g) {
+            if fin < replay_from - guard || self.out.ledger[g as usize].duplicated {
                 continue;
             }
             let key = hash2(self.fleet.cfg.seed ^ 0x0F1C_E500, g);
@@ -1108,7 +1135,9 @@ impl<'f> Routing<'f> {
     /// The one enqueue path: charges slot `k` of model `msi` one modeled
     /// service interval from `at` and appends the request to the slot's
     /// shard trace. Hedges and replays carry [`HEDGE_BIT`] and mark the
-    /// request duplicated; a primary joins the shard's replay log.
+    /// request duplicated in the ledger; a primary joins the shard's replay
+    /// log while the shard has an outage pending, the only time
+    /// [`Routing::replay`] can read it.
     fn enqueue(&mut self, msi: usize, k: usize, gid: u64, role: Role, at: f64) {
         let ms = &self.fleet.serving[msi];
         let nominal = ms.rate_rps[k];
@@ -1129,12 +1158,15 @@ impl<'f> Routing<'f> {
             input: None,
         });
         match role {
-            Role::Primary => shard.log.push((gid, msi, k, shard.until)),
+            Role::Primary if shard.outage.is_some() => {
+                shard.log.push((gid, msi, k, shard.until));
+            }
+            Role::Primary => {}
             Role::Hedge => self.out.hedges += 1,
             Role::Replay => self.out.replays += 1,
         }
         if duplicate {
-            self.hedged.insert(gid);
+            self.out.ledger[gid as usize].duplicated = true;
         }
     }
 }
@@ -1291,18 +1323,18 @@ impl HealPlanner {
 }
 
 /// Attribution: each tenant's door ledger from `qos`, then completions
-/// and sheds credited back through `owner` (`gid → (tenant, in budget,
-/// arrival)`). The earliest completion of a request wins — at equal times
-/// the primary copy beats the hedge — and later copies are suppressed; a
-/// shed counts only when no copy completed, and once per request even
-/// when both copies shed. Each winner's latency, from the *original*
-/// arrival even when the hedge won, feeds the run histogram and
-/// `fleet_request_latency_seconds`.
+/// and sheds credited back through the run's `ledger`. The earliest
+/// completion of a request wins — at equal times the primary copy beats
+/// its duplicate — and later copies are suppressed; a shed counts only
+/// when no copy completed, and once per request even when both copies
+/// shed. Each winner's latency, from the *original* arrival even when the
+/// duplicate won, feeds the run histogram and
+/// `fleet_request_latency_seconds`, in shard order, then completion order.
 fn attribute(
     r: &mut FleetRunResult,
     tenants: &[TenantLoad],
     qos: &QosController,
-    owner: &HashMap<u64, (usize, bool, f64)>,
+    ledger: &mut [Arrival],
 ) {
     r.tenants = tenants
         .iter()
@@ -1321,36 +1353,34 @@ fn attribute(
             }
         })
         .collect();
-    let mut winner: HashMap<u64, (f64, u64)> = HashMap::new();
+    let copy = |id: u64| ((id & !HEDGE_BIT) as usize, id & HEDGE_BIT != 0);
+    // Each request's first completion time, indexed by gid (infinite while
+    // none); the ledger notes whether the duplicate made it.
+    let mut first = vec![f64::INFINITY; ledger.len()];
     let mut completions = 0u64;
     for c in r.shards.iter().flat_map(|s| &s.completions) {
         completions += 1;
-        let base = c.id & !HEDGE_BIT;
-        let e = winner.entry(base).or_insert((c.completion_s, c.id));
-        if c.completion_s < e.0
-            || (c.completion_s == e.0 && c.id & HEDGE_BIT == 0 && e.1 & HEDGE_BIT != 0)
-        {
-            *e = (c.completion_s, c.id);
+        let (g, duplicate) = copy(c.id);
+        if c.completion_s < first[g] || (c.completion_s == first[g] && !duplicate) {
+            first[g] = c.completion_s;
+            ledger[g].duplicate_won = duplicate;
         }
     }
-    r.hedge_wins = winner
-        .values()
-        .filter(|(_, id)| id & HEDGE_BIT != 0)
-        .count() as u64;
-    r.hedge_suppressed = completions - winner.len() as u64;
-
+    let mut winners = 0u64;
     for c in r.shards.iter().flat_map(|s| &s.completions) {
-        let base = c.id & !HEDGE_BIT;
-        let &(_, wid) = winner.get(&base).expect("completion recorded above");
-        if wid != c.id {
-            continue; // suppressed duplicate
+        let (g, duplicate) = copy(c.id);
+        let a = &ledger[g];
+        if duplicate != a.duplicate_won {
+            continue; // suppressed copy
         }
-        let &(tenant, in_budget, arrival_s) = owner.get(&base).expect("completion has an owner");
-        r.tenants[tenant].completed += 1;
-        if in_budget {
-            r.tenants[tenant].completed_in_budget += 1;
+        winners += 1;
+        r.hedge_wins += u64::from(duplicate);
+        let tenant = &mut r.tenants[a.tenant as usize];
+        tenant.completed += 1;
+        if a.verdict == Some(Verdict::Admit) {
+            tenant.completed_in_budget += 1;
         }
-        let l = c.completion_s - arrival_s;
+        let l = c.completion_s - a.t;
         r.latency.record(l);
         r.registry.histogram_observe(
             "fleet_request_latency_seconds",
@@ -1361,14 +1391,14 @@ fn attribute(
         );
         r.span_s = r.span_s.max(c.completion_s);
     }
-    let mut shed_seen: HashSet<u64> = HashSet::new();
+    r.hedge_suppressed = completions - winners;
+    let mut shed_seen: HashSet<usize> = HashSet::new();
     for shed in r.shards.iter().flat_map(|s| &s.sheds) {
-        let base = shed.id & !HEDGE_BIT;
-        if winner.contains_key(&base) || !shed_seen.insert(base) {
+        let (g, _) = copy(shed.id);
+        if first[g].is_finite() || !shed_seen.insert(g) {
             continue;
         }
-        let &(tenant, _, _) = owner.get(&base).expect("shed has an owner");
-        r.tenants[tenant].shed_shard += 1;
+        r.tenants[ledger[g].tenant as usize].shed_shard += 1;
     }
 }
 
@@ -1596,6 +1626,7 @@ fn publish_class_metrics(
 mod tests {
     use super::*;
     use crate::placement::ModelDemand;
+    use fpgaccel_serve::{Completion, ServiceMetrics, Shed, ShedReason};
 
     fn ev(at_s: f64, target: &str, kind: FaultKind) -> FaultEvent {
         FaultEvent {
@@ -1643,10 +1674,28 @@ mod tests {
         fleet
     }
 
+    /// An admitted LeNet-5 arrival at `t` for tenant 0, with no duplicate.
+    fn arrival(t: f64) -> Arrival {
+        Arrival {
+            t,
+            tenant: 0,
+            model: Model::LeNet5,
+            verdict: Some(Verdict::Admit),
+            duplicated: false,
+            duplicate_won: false,
+        }
+    }
+
+    /// Routing over a ledger of 16 arrivals.
     fn routing(fleet: &mut Fleet) -> Routing<'_> {
         let shards = fleet.expand_faults();
         let cap = fleet.capacity_model(&shards);
-        Routing::new(fleet, cap, shards)
+        Routing::new(fleet, cap, shards, vec![arrival(0.0); 16])
+    }
+
+    #[test]
+    fn a_ledger_arrival_takes_16_bytes() {
+        assert_eq!(std::mem::size_of::<Arrival>(), 16);
     }
 
     #[test]
@@ -1722,6 +1771,8 @@ mod tests {
         let mut fleet = fleet(Vec::new());
         let mut routing = routing(&mut fleet);
         let nominal = routing.fleet.serving[0].rate_rps[1];
+        // A pending outage on shard 0: its primaries join the replay log.
+        routing.out.shards[0].outage = Some((0.5, "dom-0".into()));
         routing.enqueue(0, 0, 7, Role::Primary, 0.01);
         routing.enqueue(0, 1, 7, Role::Hedge, 0.02);
         routing.enqueue(0, 1, 8, Role::Replay, 0.03);
@@ -1732,7 +1783,7 @@ mod tests {
         assert_eq!(ids(0), vec![7]);
         assert_eq!(ids(1), vec![7 | HEDGE_BIT, 8 | HEDGE_BIT]);
         assert_eq!((routing.out.hedges, routing.out.replays), (1, 1));
-        assert!(routing.hedged.contains(&7) && routing.hedged.contains(&8));
+        assert!(routing.out.ledger[7].duplicated && routing.out.ledger[8].duplicated);
         // Only the primary joins the replay log, and every copy charges
         // its shard one modeled service interval.
         assert_eq!(routing.out.shards[0].log.len(), 1);
@@ -1741,5 +1792,122 @@ mod tests {
             routing.out.shards[1].until,
             (0.02 + 1.0 / nominal).max(0.03) + 1.0 / nominal
         );
+        // With no outage pending, no replay can read a log: shard 1 logs
+        // none of its primaries.
+        routing.enqueue(0, 1, 9, Role::Primary, 0.04);
+        assert_eq!(routing.out.shards[1].trace.last().map(|r| r.id), Some(9));
+        assert!(routing.out.shards[1].log.is_empty());
+        assert!(!routing.out.ledger[9].duplicated);
+    }
+
+    /// A hand-made shard result: the `(id, completion time)` of each
+    /// completion, then the id of each shed.
+    type HandMade<'a> = (&'a [(u64, f64)], &'a [u64]);
+
+    /// Attributes hand-made shard results for one request, gid 0, which
+    /// arrived at 0 s within the one tenant's budget and had a duplicate
+    /// queued.
+    fn attributed(shards: &[HandMade]) -> FleetRunResult {
+        let policy = TenantPolicy {
+            name: "t".into(),
+            weight: 1.0,
+            budget_rps: 1.0,
+            burst: 1.0,
+        };
+        let qos = QosController::new(vec![policy.clone()], 1.0);
+        let tenants = [TenantLoad {
+            policy,
+            offered: Vec::new(),
+        }];
+        let model = Model::LeNet5;
+        let result = |(done, shed): &HandMade| RunResult {
+            completions: done
+                .iter()
+                .map(|&(id, completion_s)| Completion {
+                    id,
+                    model,
+                    device: 0,
+                    arrival_s: 0.0,
+                    completion_s,
+                    batch_size: 1,
+                    brownout: false,
+                    brownout_rung: 0,
+                    output: None,
+                })
+                .collect(),
+            sheds: shed
+                .iter()
+                .map(|&id| Shed {
+                    id,
+                    model,
+                    time_s: 0.0,
+                    reason: ShedReason::QueueFull,
+                })
+                .collect(),
+            metrics: ServiceMetrics::new(),
+            registry: Registry::new(),
+            failures: Vec::new(),
+            recovery: Vec::new(),
+            rollouts: Vec::new(),
+            devices: Vec::new(),
+            slo_alerts: Vec::new(),
+            postmortems: Vec::new(),
+        };
+        let mut r = FleetRunResult {
+            plan: PlacementPlan {
+                spec_digest: String::new(),
+                assignments: Vec::new(),
+                total_rate_rps: 1.0,
+                evaluations: 0,
+                from_cache: false,
+            },
+            tenants: Vec::new(),
+            shards: shards.iter().map(result).collect(),
+            routed: 1,
+            overflowed: 0,
+            hedges: 1,
+            hedge_wins: 0,
+            hedge_suppressed: 0,
+            replays: 0,
+            forced_routes: 0,
+            breakers: Vec::new(),
+            heals: Vec::new(),
+            latency: LatencyHistogram::new(),
+            registry: Registry::new(),
+            span_s: 1.0,
+        };
+        let mut ledger = [Arrival {
+            duplicated: true,
+            ..arrival(0.0)
+        }];
+        attribute(&mut r, &tenants, &qos, &mut ledger);
+        r
+    }
+
+    #[test]
+    fn attribution_credits_the_first_completion_and_sheds_each_request_once() {
+        let dup = HEDGE_BIT;
+        // Equal times: the primary is credited, whichever shard comes first.
+        for shards in [
+            [(&[(dup, 0.5)][..], &[][..]), (&[(0, 0.5)], &[])],
+            [(&[(0, 0.5)], &[]), (&[(dup, 0.5)], &[])],
+        ] {
+            let r = attributed(&shards);
+            assert_eq!(r.tenants[0].completed, 1);
+            assert_eq!((r.hedge_wins, r.hedge_suppressed), (0, 1));
+        }
+        // A strictly earlier duplicate wins, and its latency runs from the
+        // original arrival.
+        let r = attributed(&[(&[(0, 0.5)], &[]), (&[(dup, 0.4)], &[])]);
+        assert_eq!(r.tenants[0].completed, 1);
+        assert_eq!((r.hedge_wins, r.hedge_suppressed), (1, 1));
+        assert_eq!((r.latency.count(), r.latency.max()), (1, 0.4));
+        // Both copies shed: one shard shed.
+        let r = attributed(&[(&[], &[0]), (&[], &[dup])]);
+        assert_eq!((r.tenants[0].completed, r.tenants[0].shed_shard), (0, 1));
+        // One copy shed, the other completes: no shed.
+        let r = attributed(&[(&[], &[0]), (&[(dup, 0.5)], &[])]);
+        assert_eq!((r.tenants[0].completed, r.tenants[0].shed_shard), (1, 0));
+        assert_eq!((r.hedge_wins, r.hedge_suppressed), (1, 0));
     }
 }
