@@ -1,11 +1,12 @@
-//! Host-memory regression guard for the f32 graph executor and the compile
-//! path.
+//! Host-memory regression guard for the f32 graph executor, the compile
+//! path and a fleet run.
 //!
 //! `Graph::execute` drops every activation after its last consumer, so a
 //! forward pass holds only the live frontier of the graph rather than every
 //! layer's output. A zoo graph's weights are generated on first read and
 //! shared: building, compiling and deploying a model generate and copy
-//! none of them.
+//! none of them. A fleet run keeps one 16-byte ledger entry per arrival,
+//! and a timing-only request or completion carries no tensor.
 //! This binary installs its own counting, peak-tracking global allocator
 //! and holds exactly one test, so no concurrently running test moves the
 //! counters.
@@ -13,9 +14,14 @@
 use fpgaccel::core::bitstreams::optimized_config;
 use fpgaccel::core::Flow;
 use fpgaccel::device::FpgaPlatform;
+use fpgaccel::fault::{FaultEvent, FaultKind, FaultPlan};
+use fpgaccel::fleet::{
+    device_rate, DeviceClass, Fleet, FleetConfig, FleetSpec, ModelDemand, TenantLoad, TenantPolicy,
+};
 use fpgaccel::serve::DeploymentCache;
 use fpgaccel::tensor::data;
 use fpgaccel::tensor::models::Model;
+use fpgaccel::tune::TuningDb;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -147,5 +153,58 @@ fn executor_frees_activations_and_stays_within_its_allocation_budget() {
     assert!(
         bytes <= 2_000_000,
         "three MobileNetV1 deployments hold {bytes} bytes"
+    );
+
+    // A fleet run through a domain outage, its heal, replays and hedges:
+    // 8 boards in 2 shards, one per failure domain, and one tenant offering
+    // 1.2x capacity for 1 s (37,632 requests). 364 bytes per offered
+    // request when a run kept per-request maps, an unboxed tensor slot in
+    // every request and completion, and a replay log on every shard; 138
+    // now.
+    let rate = device_rate(&mut DeploymentCache::new(), Model::LeNet5, s10sx)
+        .expect("LeNet-5 fits the S10SX");
+    let spec = FleetSpec {
+        classes: vec![DeviceClass {
+            platform: s10sx,
+            count: 8,
+        }],
+        demands: vec![ModelDemand {
+            model: Model::LeNet5,
+            rate_rps: 3.2 * rate,
+        }],
+        headroom: 0.25,
+        domains: 2,
+    };
+    let cfg = FleetConfig {
+        shards: 2,
+        ..FleetConfig::default()
+    };
+    let mut fleet = Fleet::build(&spec, cfg, &mut TuningDb::new()).expect("the fleet places");
+    fleet.arm(FaultPlan::new(
+        0,
+        vec![FaultEvent {
+            at_s: 0.1,
+            target: "dom-1".into(),
+            kind: FaultKind::DomainOutage,
+        }],
+    ));
+    let capacity = fleet.capacity_rps();
+    let tenants = [TenantLoad {
+        policy: TenantPolicy {
+            name: "a".into(),
+            weight: 1.0,
+            budget_rps: capacity,
+            burst: 20.0,
+        },
+        offered: vec![(Model::LeNet5, 1.2 * capacity)],
+    }];
+    let (raised, _, run) = measure(|| fleet.run(&tenants, 1.0));
+    let offered = run.tenants[0].offered;
+    assert_eq!(run.heals.len(), 1, "the outage heals once");
+    assert!(run.replays > 0 && run.hedges > 0);
+    assert!(
+        raised <= 200 * offered as usize,
+        "a fleet run raised the live heap by {raised} bytes, {} per offered request",
+        raised / offered as usize
     );
 }
