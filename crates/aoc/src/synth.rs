@@ -5,7 +5,7 @@ use crate::transform::auto_unroll_attrs;
 use fpgaccel_device::{DeviceModel, FpgaPlatform, Resources};
 use fpgaccel_tir::analysis::{analyze, analyze_with, AccessFact, AccumKind, KernelFacts, NestNode};
 use fpgaccel_tir::kernel::Scope;
-use fpgaccel_tir::Kernel;
+use fpgaccel_tir::{Kernel, Name};
 use std::collections::hash_map::DefaultHasher;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -117,7 +117,7 @@ pub enum LsuKind {
 #[derive(Clone, Debug)]
 pub struct LsuReport {
     /// Buffer served.
-    pub buf: String,
+    pub buf: Name,
     /// Inferred kind.
     pub kind: LsuKind,
     /// Access width in bits.

@@ -86,7 +86,7 @@ mod tests {
         let mut loops = Vec::new();
         k.body.visit(&mut |s| {
             if let Stmt::For { var, attr, .. } = s {
-                loops.push((var.as_str(), *attr));
+                loops.push((var.as_ref(), *attr));
             }
         });
         loops

@@ -524,6 +524,14 @@ mod tests {
         Flow::new(Model::LeNet5, platform).compile(cfg).unwrap()
     }
 
+    /// Serving and the fleet share deployments as `Arc<Deployment>`, so a
+    /// deployment, kernels included, must stay shareable across threads.
+    #[test]
+    fn deployments_can_be_shared_across_threads() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<Deployment>();
+    }
+
     #[test]
     fn infer_returns_probabilities_and_time() {
         let d = lenet(

@@ -161,10 +161,10 @@ impl Flow {
     /// does not synthesize for the platform (the thesis' naive MobileNet and
     /// all ResNet deployments fail on the Arria 10, §6.4.2/§6.4.3).
     pub fn compile(&self, config: &OptimizationConfig) -> Result<Deployment, FlowError> {
-        let _compile = self.tracer.phase(
-            "flow",
-            &format!("compile {}/{}", config.label, self.platform),
-        );
+        let _compile = self.tracer.is_enabled().then(|| {
+            let label = format!("compile {}/{}", config.label, self.platform);
+            self.tracer.phase("flow", &label)
+        });
         // Frontend + Relay passes (§3.1).
         let graph = {
             let _p = self.tracer.phase("flow", "import");

@@ -156,7 +156,7 @@ pub fn verify_deployment(d: &Deployment, input: &Tensor, rtol: f32) -> Result<()
     // Per-node outputs observed from the kernels themselves, and the
     // global buffer each came out of (for mismatch reports).
     let mut outputs: HashMap<NodeId, Vec<f32>> = HashMap::new();
-    let mut out_bufs: HashMap<NodeId, (String, BufRole)> = HashMap::new();
+    let mut out_bufs: HashMap<NodeId, (&str, BufRole)> = HashMap::new();
     outputs.insert(0, input.data().to_vec());
 
     for op in d.plan.ops() {
@@ -169,8 +169,8 @@ pub fn verify_deployment(d: &Deployment, input: &Tensor, rtol: f32) -> Result<()
             .iter()
             .find(|b| b.role == BufRole::Output && b.scope == fpgaccel_tir::Scope::Global)
         {
-            outputs.insert(op.node_id, result[&out_buf.name].clone());
-            out_bufs.insert(op.node_id, (out_buf.name.clone(), out_buf.role));
+            outputs.insert(op.node_id, result[out_buf.name.as_ref()].clone());
+            out_bufs.insert(op.node_id, (&out_buf.name, out_buf.role));
         }
     }
 
@@ -201,7 +201,7 @@ pub fn verify_deployment(d: &Deployment, input: &Tensor, rtol: f32) -> Result<()
             VerifyError::Mismatch {
                 node_id,
                 node: d.graph.nodes[node_id].name.clone(),
-                buf: buf.clone(),
+                buf: buf.to_string(),
                 role: *role,
                 index,
                 got,
@@ -280,12 +280,12 @@ fn bind_inputs(
         if data.len() != expected_len {
             return Err(VerifyError::BufferLen {
                 node: node.name.clone(),
-                buf: buf.name.clone(),
+                buf: buf.name.to_string(),
                 expected: expected_len,
                 got: data.len(),
             });
         }
-        inputs.insert(buf.name.clone(), data);
+        inputs.insert(buf.name.to_string(), data);
     }
     Ok(inputs)
 }

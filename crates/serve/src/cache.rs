@@ -14,7 +14,7 @@ use fpgaccel_core::{BatchLatencyModel, Deployment, Flow, FlowError, Optimization
 use fpgaccel_device::FpgaPlatform;
 use fpgaccel_tensor::graph::Graph;
 use fpgaccel_tensor::models::Model;
-use fpgaccel_trace::{Tracer, PID_SERVE};
+use fpgaccel_trace::{PhaseGuard, Tracer, PID_SERVE};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -85,18 +85,14 @@ impl DeploymentCache {
         let key = Self::key(model, platform, config);
         if let Some(d) = self.entries.get(&key) {
             self.hits += 1;
-            let _p = tracer.phase_on(
-                PID_SERVE,
-                "deploy",
-                &format!("deploy {model:?}/{platform} (cache hit)"),
-            );
+            let _p = deploy_phase(tracer, || {
+                format!("deploy {model:?}/{platform} (cache hit)")
+            });
             return Ok(Arc::clone(d));
         }
-        let _p = tracer.phase_on(
-            PID_SERVE,
-            "deploy",
-            &format!("deploy {model:?}/{platform} (cache miss)"),
-        );
+        let _p = deploy_phase(tracer, || {
+            format!("deploy {model:?}/{platform} (cache miss)")
+        });
         let d = Arc::new(
             self.flow(model, platform)
                 .with_tracer(tracer)
@@ -123,16 +119,16 @@ impl DeploymentCache {
         injector: &fpgaccel_fault::FaultInjector,
         max_retries: u32,
     ) -> Result<Arc<Deployment>, FlowError> {
-        let target = format!("{platform:?}");
-        let mut flakes = 0u32;
-        while flakes < max_retries && injector.take_synth_flake(&target) {
-            flakes += 1;
-            self.flakes += 1;
-            let _p = tracer.phase_on(
-                PID_SERVE,
-                "deploy",
-                &format!("synth-flake {model:?}/{platform} (retry {flakes})"),
-            );
+        if injector.is_enabled() {
+            let target = format!("{platform:?}");
+            let mut flakes = 0u32;
+            while flakes < max_retries && injector.take_synth_flake(&target) {
+                flakes += 1;
+                self.flakes += 1;
+                let _p = deploy_phase(tracer, || {
+                    format!("synth-flake {model:?}/{platform} (retry {flakes})")
+                });
+            }
         }
         self.get_or_compile_traced(model, platform, config, tracer)
     }
@@ -192,6 +188,14 @@ impl DeploymentCache {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+}
+
+/// Opens a deploy span on `tracer`, formatting its label only when the
+/// tracer records spans.
+fn deploy_phase(tracer: &Tracer, label: impl FnOnce() -> String) -> Option<PhaseGuard> {
+    tracer
+        .is_enabled()
+        .then(|| tracer.phase_on(PID_SERVE, "deploy", &label()))
 }
 
 #[cfg(test)]

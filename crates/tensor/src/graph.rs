@@ -418,6 +418,18 @@ impl Graph {
         counts
     }
 
+    /// [`Graph::use_counts`] plus the fused residual adds that read each
+    /// node.
+    fn reads(&self) -> Vec<usize> {
+        let mut uses = self.use_counts();
+        for n in &self.nodes {
+            if let Some(src) = n.fused.add_from {
+                uses[src] += 1;
+            }
+        }
+        uses
+    }
+
     /// The order the executors evaluate nodes in: ascending ids, except
     /// that a node waits for a later node its fused residual add reads.
     /// [`Graph::fuse`] can point `add_from` forward, at a projection
@@ -493,15 +505,7 @@ impl Graph {
             self.input_shape(),
             "graph input shape mismatch"
         );
-        let mut uses = free_dead.then(|| {
-            let mut uses = self.use_counts();
-            for n in &self.nodes {
-                if let Some(src) = n.fused.add_from {
-                    uses[src] += 1;
-                }
-            }
-            uses
-        });
+        let mut uses = free_dead.then(|| self.reads());
         let mut vals: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
         for id in self.eval_order().into_iter().skip(1) {
             let node = &self.nodes[id];
@@ -597,73 +601,74 @@ impl Graph {
     /// producing node's [`FusedEpilogue`], removing the standalone nodes.
     /// Only single-consumer edges are fused.
     ///
+    /// One forward pass that keeps the use counts up to date. A fusion
+    /// changes only its producer and the consumers of the node it removes,
+    /// all at or after the scan point, so no node already passed can
+    /// become fusable.
+    ///
     /// Consumes the graph and moves its parameters into the result; clone
     /// it first to keep the unfused graph (the clone shares the weights).
     pub fn fuse(self) -> Graph {
         let mut g = self;
-        loop {
-            let uses = g.use_counts();
-            let mut fused_one = false;
-            for id in 1..g.nodes.len() {
-                let (op, inputs) = (g.nodes[id].op.clone(), g.nodes[id].inputs.clone());
-                let fusable_into = |g: &Graph, p: NodeId| {
-                    matches!(g.nodes[p].op, Op::Conv2d { .. } | Op::Dense { .. })
-                };
-                match op {
-                    Op::Relu | Op::Relu6 => {
-                        let p = inputs[0];
-                        if uses[p] == 1
-                            && fusable_into(&g, p)
-                            && g.nodes[p].fused.activation == Activation::None
-                        {
-                            g.nodes[p].fused.activation = if op == Op::Relu {
-                                Activation::Relu
-                            } else {
-                                Activation::Relu6
-                            };
-                            g.remove_node(id, p);
-                            fused_one = true;
-                            break;
-                        }
-                    }
-                    Op::BatchNorm => {
-                        let p = inputs[0];
-                        // BN fuses only if nothing else is fused yet (it must
-                        // precede the activation/add mathematically).
-                        if uses[p] == 1 && fusable_into(&g, p) && g.nodes[p].fused.is_empty() {
-                            g.nodes[p].fused.bn = g.nodes[id].bn.take();
-                            g.remove_node(id, p);
-                            fused_one = true;
-                            break;
-                        }
-                    }
-                    Op::Add => {
-                        // Fuse the add into whichever operand is a conv/dense
-                        // with a single consumer and no activation fused past
-                        // the add point yet.
-                        for (slot, &p) in inputs.iter().enumerate() {
-                            if uses[p] == 1
-                                && fusable_into(&g, p)
-                                && g.nodes[p].fused.activation == Activation::None
-                                && g.nodes[p].fused.add_from.is_none()
-                            {
-                                let other = inputs[1 - slot];
-                                g.nodes[p].fused.add_from = Some(other);
-                                g.remove_node(id, p);
-                                fused_one = true;
-                                break;
-                            }
-                        }
-                        if fused_one {
-                            break;
-                        }
-                    }
-                    _ => {}
+        let mut uses = g.reads();
+        let mut id = 1;
+        while id < g.nodes.len() {
+            match g.fuse_node(id, &uses) {
+                Some(p) => {
+                    // `id` was `p`'s one reader; `p` now has id's readers.
+                    uses[p] = uses[id];
+                    uses.remove(id);
+                    g.remove_node(id, p);
                 }
+                None => id += 1,
             }
-            if !fused_one {
-                return g;
+        }
+        g
+    }
+
+    /// Folds node `id` into the epilogue of the producer it fuses into,
+    /// if a fusion rule applies, and returns that producer.
+    fn fuse_node(&mut self, id: NodeId, uses: &[usize]) -> Option<NodeId> {
+        let (nodes, inputs) = (&self.nodes, &self.nodes[id].inputs);
+        let sole =
+            |p: NodeId| uses[p] == 1 && matches!(nodes[p].op, Op::Conv2d { .. } | Op::Dense { .. });
+        match self.nodes[id].op {
+            Op::Relu | Op::Relu6 => {
+                let p = inputs[0];
+                if !sole(p) || nodes[p].fused.activation != Activation::None {
+                    return None;
+                }
+                self.nodes[p].fused.activation = if self.nodes[id].op == Op::Relu {
+                    Activation::Relu
+                } else {
+                    Activation::Relu6
+                };
+                Some(p)
             }
+            Op::BatchNorm => {
+                let p = inputs[0];
+                // BN fuses only if nothing else is fused yet (it must
+                // precede the activation/add mathematically).
+                if !sole(p) || !nodes[p].fused.is_empty() {
+                    return None;
+                }
+                self.nodes[p].fused.bn = self.nodes[id].bn.take();
+                Some(p)
+            }
+            Op::Add => {
+                // Fuse the add into whichever operand is a conv/dense with
+                // a single consumer and no activation fused past the add
+                // point yet. The fused add still reads the other operand,
+                // so that operand's use count stays.
+                let (a, b) = (inputs[0], inputs[1]);
+                let (p, other) = [(a, b), (b, a)].into_iter().find(|&(p, _)| {
+                    let f = &nodes[p].fused;
+                    sole(p) && f.activation == Activation::None && f.add_from.is_none()
+                })?;
+                self.nodes[p].fused.add_from = Some(other);
+                Some(p)
+            }
+            _ => None,
         }
     }
 
@@ -1067,6 +1072,188 @@ mod tests {
             1e-5,
             1e-6
         ));
+    }
+
+    /// A two-channel 1x1 convolution of node `x`.
+    fn conv1x1(g: &mut Graph, name: &str, x: NodeId, seed: u64) -> NodeId {
+        let op = Op::Conv2d {
+            out_channels: 2,
+            kernel: 1,
+            stride: 1,
+            pad: 0,
+            depthwise: false,
+        };
+        let w = Tensor::random(Shape::kcff(2, 2, 1), seed, 0.5);
+        g.push_with_params(name, op, vec![x], Some(w), None, None)
+    }
+
+    /// Fuses `g` and checks that the fused graph computes what `g` does.
+    fn fuse_checked(g: &Graph) -> Graph {
+        let fused = g.clone().fuse();
+        let x = Tensor::random(g.input_shape().clone(), 11, 1.0);
+        assert!(crate::allclose(
+            &g.execute(&x),
+            &fused.execute(&x),
+            1e-5,
+            1e-6
+        ));
+        fused
+    }
+
+    /// A node's id, name, inputs, fused activation, whether it carries a
+    /// fused batch norm, and its fused residual source.
+    type NodeLayout<'a> = (
+        NodeId,
+        &'a str,
+        Vec<NodeId>,
+        Activation,
+        bool,
+        Option<NodeId>,
+    );
+
+    /// Every node's [`NodeLayout`], in order.
+    fn layout(g: &Graph) -> Vec<NodeLayout<'_>> {
+        g.nodes
+            .iter()
+            .map(|n| {
+                let f = &n.fused;
+                let (act, bn) = (f.activation, f.bn.is_some());
+                (n.id, n.name.as_str(), n.inputs.clone(), act, bn, f.add_from)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn add_with_a_shared_first_operand_fuses_into_its_second() {
+        // a = bn(conv(x)), b = conv(x), s = a + b, c = conv(a), y = s + c:
+        // the batch norm folds into `conv_a`, which takes over its two
+        // readers, so `s` folds into `b` and reads `a`; then `y`'s first
+        // operand already carries an add, so `y` folds into `c`.
+        let mut g = Graph::new("add_order", Shape::chw(2, 3, 3));
+        let conv_a = conv1x1(&mut g, "conv_a", 0, 1);
+        let bn = Some((vec![1.5, 0.5], vec![0.1, -0.1]));
+        let a = g.push_with_params("bn", Op::BatchNorm, vec![conv_a], None, None, bn);
+        let b = conv1x1(&mut g, "conv_b", 0, 2);
+        let s = g.push("add_s", Op::Add, vec![a, b]);
+        let c = conv1x1(&mut g, "conv_c", a, 3);
+        g.push("add_y", Op::Add, vec![s, c]);
+        let none = Activation::None;
+        let fused = fuse_checked(&g);
+        assert_eq!(
+            layout(&fused),
+            [
+                (0, "input", vec![], none, false, None),
+                (1, "conv_a", vec![0], none, true, None),
+                (2, "conv_b", vec![0], none, false, Some(1)),
+                (3, "conv_c", vec![1], none, false, Some(2)),
+            ]
+        );
+        assert_eq!(fused.output, 3);
+    }
+
+    #[test]
+    fn add_of_two_sole_convs_fuses_into_its_first_operand() {
+        let mut g = Graph::new("add_first", Shape::chw(2, 3, 3));
+        let a = conv1x1(&mut g, "conv_a", 0, 10);
+        let b = conv1x1(&mut g, "conv_b", 0, 11);
+        g.push("add", Op::Add, vec![a, b]);
+        let none = Activation::None;
+        let fused = fuse_checked(&g);
+        assert_eq!(
+            layout(&fused),
+            [
+                (0, "input", vec![], none, false, None),
+                (1, "conv_a", vec![0], none, false, Some(2)),
+                (2, "conv_b", vec![0], none, false, None),
+            ]
+        );
+        assert_eq!(fused.output, 1);
+    }
+
+    #[test]
+    fn batchnorm_after_a_fused_activation_stays_a_node() {
+        let mut g = Graph::new("bn_after_act", Shape::chw(2, 3, 3));
+        let c = conv1x1(&mut g, "conv", 0, 4);
+        let r = g.push("relu", Op::Relu, vec![c]);
+        let bn = Some((vec![1.5, 0.5], vec![0.1, -0.1]));
+        g.push_with_params("bn", Op::BatchNorm, vec![r], None, None, bn);
+        let fused = fuse_checked(&g);
+        assert_eq!(
+            layout(&fused),
+            [
+                (0, "input", vec![], Activation::None, false, None),
+                (1, "conv", vec![0], Activation::Relu, false, None),
+                (2, "bn", vec![1], Activation::None, false, None),
+            ]
+        );
+        assert_eq!(fused.output, 2);
+    }
+
+    #[test]
+    fn relu_on_a_conv_with_two_consumers_stays_a_node() {
+        // c = conv(x), r = relu(c), d = conv(c), y = r + d: `r` cannot fold
+        // into the shared `c`, and `y` folds into `d`, reading `r`.
+        let mut g = Graph::new("shared_relu", Shape::chw(2, 3, 3));
+        let c = conv1x1(&mut g, "conv", 0, 5);
+        let r = g.push("relu", Op::Relu, vec![c]);
+        let d = conv1x1(&mut g, "conv_d", c, 6);
+        g.push("add", Op::Add, vec![r, d]);
+        let none = Activation::None;
+        let fused = fuse_checked(&g);
+        assert_eq!(
+            layout(&fused),
+            [
+                (0, "input", vec![], none, false, None),
+                (1, "conv", vec![0], none, false, None),
+                (2, "relu", vec![1], none, false, None),
+                (3, "conv_d", vec![1], none, false, Some(2)),
+            ]
+        );
+        assert_eq!(fused.output, 3);
+    }
+
+    #[test]
+    fn nothing_folds_into_an_operand_a_fused_add_reads() {
+        // c = conv(x), d = conv(x), s = d + c, r = relu(c), y = s + r: `s`
+        // folds into `d` and still reads `c`, which therefore keeps two
+        // readers and must not take `r`'s activation.
+        let mut g = Graph::new("add_reader", Shape::chw(2, 3, 3));
+        let c = conv1x1(&mut g, "conv", 0, 8);
+        let d = conv1x1(&mut g, "conv_d", 0, 9);
+        let s = g.push("add_s", Op::Add, vec![d, c]);
+        let r = g.push("relu", Op::Relu, vec![c]);
+        g.push("add_y", Op::Add, vec![s, r]);
+        let none = Activation::None;
+        let fused = fuse_checked(&g);
+        assert_eq!(
+            layout(&fused),
+            [
+                (0, "input", vec![], none, false, None),
+                (1, "conv", vec![0], none, false, None),
+                (2, "conv_d", vec![0], none, false, Some(1)),
+                (3, "relu", vec![1], none, false, None),
+                (4, "add_y", vec![2, 3], none, false, None),
+            ]
+        );
+        assert_eq!(fused.output, 4);
+    }
+
+    #[test]
+    fn relu_relu_chain_fuses_once() {
+        let mut g = Graph::new("relu_chain", Shape::chw(2, 3, 3));
+        let c = conv1x1(&mut g, "conv", 0, 7);
+        let r1 = g.push("relu_1", Op::Relu, vec![c]);
+        g.push("relu_2", Op::Relu, vec![r1]);
+        let fused = fuse_checked(&g);
+        assert_eq!(
+            layout(&fused),
+            [
+                (0, "input", vec![], Activation::None, false, None),
+                (1, "conv", vec![0], Activation::Relu, false, None),
+                (2, "relu_2", vec![1], Activation::None, false, None),
+            ]
+        );
+        assert_eq!(fused.output, 2);
     }
 
     #[test]

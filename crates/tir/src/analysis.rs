@@ -14,6 +14,7 @@
 //! * a recursive [`NestNode`] timing skeleton with symbolic trip counts the
 //!   timing model resolves per layer binding.
 
+use crate::dim::Name;
 use crate::expr::{Coeff, IExpr, VBinOp, VExpr};
 use crate::kernel::{BufRole, Kernel, Scope};
 use crate::stmt::{LoopAttr, Stmt};
@@ -23,7 +24,7 @@ use crate::stmt::{LoopAttr, Stmt};
 #[derive(Clone, Debug, PartialEq)]
 pub struct AccessFact {
     /// Buffer name.
-    pub buf: String,
+    pub buf: Name,
     /// Memory region of the buffer.
     pub scope: Scope,
     /// What the buffer carries.
@@ -112,7 +113,7 @@ pub enum NestNode {
     /// A pipelined or serial loop.
     Loop {
         /// Loop variable.
-        var: String,
+        var: Name,
         /// Trip count (symbolic dims allowed).
         extent: IExpr,
         /// Serial (`#pragma unroll 1`) vs pipelined.
@@ -153,9 +154,9 @@ pub struct KernelFacts {
     /// Global access sites.
     pub accesses: Vec<AccessFact>,
     /// Local (BRAM) buffers: `(name, resolved-or-symbolic length)`.
-    pub local_buffers: Vec<(String, IExpr)>,
+    pub local_buffers: Vec<(Name, IExpr)>,
     /// Private (register) buffers.
-    pub private_buffers: Vec<(String, IExpr)>,
+    pub private_buffers: Vec<(Name, IExpr)>,
     /// Strongest accumulation pattern in the kernel.
     pub accum: AccumKind,
     /// Uses Intel channels.
@@ -376,7 +377,7 @@ impl<'a> Cx<'a> {
 
     /// The work of storing `val` (to `store`, if given), with its accesses
     /// recorded in the kernel facts and in [`Cx::mem`].
-    fn leaf_for(&mut self, store: Option<(&'a str, &'a IExpr)>, val: &'a VExpr) -> Work {
+    fn leaf_for(&mut self, store: Option<(&'a Name, &'a IExpr)>, val: &'a VExpr) -> Work {
         let unroll = self.unroll_factor();
         let mut ops = OpCounts::default();
         let mut global_load_bufs = 0u64;
@@ -438,7 +439,7 @@ impl<'a> Cx<'a> {
     /// Records the access `buf[idx]`: its LSU (global) or port group
     /// (local) site in the kernel facts, and a global access's traffic in
     /// [`Cx::mem`]. Returns 1 for a global buffer, else 0.
-    fn access(&mut self, buf: &str, idx: &IExpr, is_store: bool) -> u64 {
+    fn access(&mut self, buf: &Name, idx: &IExpr, is_store: bool) -> u64 {
         let scope = match self.buf_scope(buf) {
             Some(scope @ (Scope::Global | Scope::Local)) => scope,
             _ => return 0,
@@ -457,15 +458,15 @@ impl<'a> Cx<'a> {
         // in several syntactic places collapses into one LSU when the access
         // pattern matches). Only a kept site copies its buffer name.
         let seen = self.facts.accesses.iter().any(|a| {
-            a.buf == buf
+            a.buf == *buf
                 && AccessFact {
-                    buf: String::new(),
+                    buf: Name::Borrowed(""),
                     ..*a
                 } == access
         });
         if !seen {
             self.facts.accesses.push(AccessFact {
-                buf: buf.to_string(),
+                buf: buf.clone(),
                 ..access
             });
         }
@@ -533,7 +534,7 @@ impl<'a> Cx<'a> {
                     && idx.coeff_of(l.var) == Coeff::Const(0)
             });
         AccessFact {
-            buf: String::new(),
+            buf: Name::Borrowed(""),
             scope,
             role: self.buf_role(buf),
             is_store,
@@ -738,7 +739,7 @@ mod tests {
     /// register accumulation (Listing 5.2) is distinguished.
     #[test]
     fn accumulation_scopes() {
-        let accum_body = |buf: &str| {
+        let accum_body = |buf: &'static str| {
             Stmt::for_(
                 "rc",
                 IExpr::Const(8),

@@ -160,7 +160,7 @@ fn emit_stmt(s: &Stmt, depth: usize, out: &mut String) {
 fn iexpr(e: &IExpr) -> String {
     match e {
         IExpr::Const(c) => c.to_string(),
-        IExpr::Var(v) => v.clone(),
+        IExpr::Var(v) => v.to_string(),
         IExpr::Add(a, b) => format!("({} + {})", iexpr(a), iexpr(b)),
         IExpr::Sub(a, b) => format!("({} - {})", iexpr(a), iexpr(b)),
         IExpr::Mul(a, b) => format!("({} * {})", iexpr(a), iexpr(b)),

@@ -27,7 +27,7 @@
 
 #![warn(clippy::too_many_lines)]
 
-use crate::dim::Dim;
+use crate::dim::{Dim, Name};
 use crate::expr::{BExpr, IExpr, VExpr};
 use crate::kernel::{BufRole, BufferDecl, ChannelDecl, Kernel};
 use crate::stmt::Stmt;
@@ -93,7 +93,7 @@ impl IoMode {
     /// channel whose elements the kernel body first stages into the local
     /// `in_cache` (§4.6: channel data must be staged into local memory for
     /// re-use). Returns the buffer the kernel's loads read.
-    fn source<'a>(&self, k: &mut Kernel, buf: &'a str, len: &IExpr) -> &'a str {
+    fn source(&self, k: &mut Kernel, buf: &'static str, len: &IExpr) -> &'static str {
         match self {
             IoMode::Global => {
                 k.bufs
@@ -111,7 +111,7 @@ impl IoMode {
 
     /// Declares the output on `k`: the global buffer `buf` of `len`
     /// elements, or the output channel.
-    fn sink(&self, k: &mut Kernel, buf: &str, len: IExpr) {
+    fn sink(&self, k: &mut Kernel, buf: &'static str, len: IExpr) {
         match self.decl() {
             None => k.bufs.push(BufferDecl::global(buf, BufRole::Output, len)),
             Some(decl) => k.chan_out.push(decl),
@@ -120,7 +120,7 @@ impl IoMode {
 
     /// Emits `val` as output element `idx`: a store into `buf`, or a
     /// channel write.
-    fn emit(&self, buf: &str, idx: IExpr, val: VExpr) -> Stmt {
+    fn emit(&self, buf: &'static str, idx: IExpr, val: VExpr) -> Stmt {
         match self {
             IoMode::Global => Stmt::store(buf, idx, val),
             IoMode::Channel { name, .. } => Stmt::WriteChannel {
@@ -271,8 +271,8 @@ impl ConvDims {
 
 /// The distinct symbolic dims among `dims`, in order: a parameterized
 /// kernel's integer arguments (§5.3).
-fn symbols<'a>(dims: impl IntoIterator<Item = &'a Dim>) -> Vec<String> {
-    let mut out: Vec<String> = Vec::new();
+fn symbols<'a>(dims: impl IntoIterator<Item = &'a Dim>) -> Vec<Name> {
+    let mut out: Vec<Name> = Vec::new();
     for d in dims {
         if let Dim::Sym(s) = d {
             if !out.contains(s) {
@@ -368,7 +368,7 @@ pub fn conv2d(spec: &ConvSpec) -> Kernel {
 /// cache. On a vectorized channel whose width divides the (constant)
 /// length, the loop splits into `len/width` wide pops — one channel word
 /// per cycle — matching the `floatN` channel the kernel declares.
-fn stage_in(cache: &str, len: &IExpr, chan: &str, width: usize) -> Stmt {
+fn stage_in(cache: &'static str, len: &IExpr, chan: &str, width: usize) -> Stmt {
     if let IExpr::Const(n) = len {
         if width > 1 && (*n as usize).is_multiple_of(width) {
             let w = IExpr::Const(width as i64);
@@ -403,24 +403,20 @@ fn stage_in(cache: &str, len: &IExpr, chan: &str, width: usize) -> Stmt {
 /// plain pipelined loop otherwise. `body` receives the element index.
 fn vec_loop(prefix: &str, extent: usize, v: usize, body: impl Fn(IExpr) -> Stmt) -> Stmt {
     let outer = format!("{prefix}o");
-    let inner = format!("{prefix}u");
     if v > 1 && extent.is_multiple_of(v) {
+        let inner = format!("{prefix}u");
         let vc = IExpr::Const(v as i64);
+        let idx = IExpr::var(outer.clone())
+            .mul(vc.clone())
+            .add(IExpr::var(inner.clone()));
         Stmt::for_(
-            &outer,
+            outer,
             IExpr::Const((extent / v) as i64),
-            Stmt::unrolled(
-                &inner,
-                vc.clone(),
-                body(IExpr::var(&outer).mul(vc).add(IExpr::var(&inner))),
-            ),
+            Stmt::unrolled(inner, vc, body(idx)),
         )
     } else {
-        Stmt::for_(
-            &outer,
-            IExpr::Const(extent as i64),
-            body(IExpr::var(&outer)),
-        )
+        let idx = IExpr::var(outer.clone());
+        Stmt::for_(outer, IExpr::Const(extent as i64), body(idx))
     }
 }
 
@@ -438,7 +434,7 @@ fn attach_body(k: &mut Kernel, main: Stmt) {
 
 /// `buf[idx] += term`: one accumulation step into a scratch or private
 /// accumulator.
-fn mac(buf: &str, idx: IExpr, term: VExpr) -> Stmt {
+fn mac(buf: &'static str, idx: IExpr, term: VExpr) -> Stmt {
     Stmt::store(buf, idx.clone(), VExpr::load(buf, idx).add(term))
 }
 
@@ -458,7 +454,7 @@ fn conv_shell(spec: &ConvSpec) -> (Kernel, &'static str) {
     spec.io_out.sink(&mut k, "out_fm", d.out_len());
     k.int_params = symbols([&d.c2, &d.c1, &d.h2, &d.w2, &d.h1, &d.w1]);
     if spec.explicit_strides {
-        k.int_params.push("stride_x".to_string());
+        k.int_params.push("stride_x".into());
     }
     (k, in_buf)
 }
@@ -504,7 +500,7 @@ fn weight_idx(spec: &ConvSpec, ax1: IExpr, rc: IExpr, ry: IExpr, rx: IExpr) -> I
 /// weight term.
 fn conv_product(
     spec: &ConvSpec,
-    in_buf: &str,
+    in_buf: &'static str,
     ax1: &IExpr,
     rc: &IExpr,
     yy: &IExpr,
@@ -538,7 +534,8 @@ fn conv2d_base(spec: &ConvSpec) -> Kernel {
         BufRole::Scratch,
         IExpr::dim(&d.h2).mul(IExpr::dim(&d.w2)),
     ));
-    let plane = |y: &str, x: &str| IExpr::var(y).mul(IExpr::dim(&d.w2)).add(IExpr::var(x));
+    let plane =
+        |y: &'static str, x: &'static str| IExpr::var(y).mul(IExpr::dim(&d.w2)).add(IExpr::var(x));
     let sp_idx = plane("yy", "xx");
     let (ax1, yy, xx) = (IExpr::var("ax1"), IExpr::var("yy"), IExpr::var("xx"));
     let product = conv_product(spec, in_buf, &ax1, &IExpr::var("rc"), &yy, &xx);
@@ -651,8 +648,9 @@ fn conv2d_tiled(spec: &ConvSpec, w2vec: usize, c2vec: usize, c1vec: usize) -> Ke
         "tmp",
         IExpr::Const((c2vec * w2vec) as i64),
     ));
-    let tile =
-        |o: &str, i: &str, v: usize| IExpr::var(o).mul(IExpr::Const(v as i64)).add(IExpr::var(i));
+    let tile = |o: &'static str, i: &'static str, v: usize| {
+        IExpr::var(o).mul(IExpr::Const(v as i64)).add(IExpr::var(i))
+    };
     let (ax1, xx, rc) = (
         tile("ax1o", "ax1i", c2vec),
         tile("xxo", "xxi", w2vec),
@@ -860,7 +858,7 @@ pub fn softmax(name: &str, n: usize, io_in: IoMode, io_out: IoMode, optimized: b
             ),
         ),
     ]);
-    let norm = |iv: &str| {
+    let norm = |iv: &'static str| {
         let val = VExpr::load("t_exp", IExpr::var(iv)).div(VExpr::load("t_sum", zero.clone()));
         io_out.emit("out_v", IExpr::var(iv), val)
     };
@@ -900,7 +898,7 @@ impl PoolKind {
     /// element `tap` at every window offset, then `emit` the result.
     fn sweep(
         self,
-        loops: [&str; 2],
+        loops: [&'static str; 2],
         window: usize,
         tap: VExpr,
         emit: impl FnOnce(VExpr) -> Stmt,
@@ -920,7 +918,13 @@ impl PoolKind {
 /// One output of a window reduction into the private `acc`: `acc = init`,
 /// then `acc = update` over the unrolled `window x window` loops `loops`,
 /// then `emit`.
-fn window_sweep(loops: [&str; 2], window: usize, init: VExpr, update: VExpr, emit: Stmt) -> Stmt {
+fn window_sweep(
+    loops: [&'static str; 2],
+    window: usize,
+    init: VExpr,
+    update: VExpr,
+    emit: Stmt,
+) -> Stmt {
     let f = IExpr::Const(window as i64);
     Stmt::block(vec![
         Stmt::store("acc", IExpr::Const(0), init),
@@ -1173,7 +1177,7 @@ impl RowRing {
         let (fc, sc) = (IExpr::Const(f as i64), IExpr::Const(s as i64));
         let w1c = IExpr::Const(self.w1 as i64);
         // Pops `rows` input rows into ring row `row` (which may use `var`).
-        let pop = |var: &str, rows: usize, cols: &str, row: IExpr| {
+        let pop = |var: &'static str, rows: usize, cols: &str, row: IExpr| {
             let read = |x: IExpr| {
                 let slot = row.clone().mul(w1c.clone()).add(x);
                 Stmt::store("ring", slot, VExpr::ReadChannel(self.chan.clone()))
@@ -1484,7 +1488,7 @@ mod tests {
             c1vec: 2,
         };
         let k = conv2d(&spec);
-        assert!(k.int_params.contains(&"ff".to_string()));
+        assert!(k.int_params.contains(&"ff".into()));
 
         for (ff, rc, hw) in [(4usize, 2usize, 4usize), (2, 4, 6)] {
             let input = Tensor::random(Shape::chw(rc, hw, hw), 7, 1.0);

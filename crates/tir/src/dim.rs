@@ -5,8 +5,14 @@
 //! arguments; at runtime a [`Binding`] maps each symbol to the concrete layer
 //! dimensions so one kernel can be time-multiplexed across layers (§4.9).
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
+
+/// A name in the IR: a loop variable, symbolic dimension or buffer. A
+/// literal such as `"ff"` borrows; only a generated name, such as the
+/// `{var}_o` of a split loop, owns its string.
+pub type Name = Cow<'static, str>;
 
 /// A dimension: compile-time constant or symbolic (`te.var`).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -14,12 +20,12 @@ pub enum Dim {
     /// Known at compile time — folded into generated code.
     Const(usize),
     /// Symbolic — becomes an integer kernel argument.
-    Sym(String),
+    Sym(Name),
 }
 
 impl Dim {
     /// Symbolic dimension with the given name.
-    pub fn sym(name: impl Into<String>) -> Dim {
+    pub fn sym(name: impl Into<Name>) -> Dim {
         Dim::Sym(name.into())
     }
 
@@ -61,7 +67,7 @@ impl fmt::Display for Dim {
 /// Runtime values for symbolic dimensions — the integer kernel arguments set
 /// by the host when re-using a parameterized kernel for a specific layer.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Binding(HashMap<String, usize>);
+pub struct Binding(HashMap<Name, usize>);
 
 impl Binding {
     /// Empty binding (sufficient for fully-constant kernels).
@@ -70,12 +76,12 @@ impl Binding {
     }
 
     /// Builds a binding from `(symbol, value)` pairs.
-    pub fn of(pairs: &[(&str, usize)]) -> Self {
-        Binding(pairs.iter().map(|&(k, v)| (k.to_string(), v)).collect())
+    pub fn of(pairs: &[(&'static str, usize)]) -> Self {
+        Binding(pairs.iter().map(|&(k, v)| (Name::from(k), v)).collect())
     }
 
     /// Adds/overwrites a symbol.
-    pub fn set(&mut self, name: impl Into<String>, value: usize) -> &mut Self {
+    pub fn set(&mut self, name: impl Into<Name>, value: usize) -> &mut Self {
         self.0.insert(name.into(), value);
         self
     }
@@ -98,7 +104,7 @@ impl Binding {
 
     /// Iterates over `(symbol, value)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, usize)> {
-        self.0.iter().map(|(k, &v)| (k.as_str(), v))
+        self.0.iter().map(|(k, &v)| (k.as_ref(), v))
     }
 
     /// Number of bound symbols.

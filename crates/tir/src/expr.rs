@@ -1,34 +1,39 @@
 //! Index, value and guard expressions, plus the affine stride analysis that
 //! determines memory-access coalescing (§2.4.3 Coalesced Accesses, §5.3).
 
-use crate::dim::{Binding, Dim};
+use crate::dim::{Binding, Dim, Name};
 use std::fmt;
+use std::sync::Arc;
 
 /// Integer (index) expressions. Loop variables and symbolic dimensions are
 /// both [`IExpr::Var`]s; bindings distinguish them at evaluation time.
+///
+/// Operands are shared: cloning an expression copies two reference counts,
+/// not a tree, so the generators reuse one index in several loads and
+/// guards.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum IExpr {
     /// Integer literal.
     Const(i64),
     /// Loop variable or symbolic dimension.
-    Var(String),
+    Var(Name),
     /// Sum.
-    Add(Box<IExpr>, Box<IExpr>),
+    Add(Arc<IExpr>, Arc<IExpr>),
     /// Difference.
-    Sub(Box<IExpr>, Box<IExpr>),
+    Sub(Arc<IExpr>, Arc<IExpr>),
     /// Product.
-    Mul(Box<IExpr>, Box<IExpr>),
+    Mul(Arc<IExpr>, Arc<IExpr>),
     /// Truncating division (used by the generated padding kernels, which the
     /// thesis notes map to expensive hardware, §6.3.2).
-    Div(Box<IExpr>, Box<IExpr>),
+    Div(Arc<IExpr>, Arc<IExpr>),
     /// Remainder (modulo addressing in padding kernels).
-    Mod(Box<IExpr>, Box<IExpr>),
+    Mod(Arc<IExpr>, Arc<IExpr>),
 }
 
 #[allow(clippy::should_implement_trait)] // builder-style DSL, mirrors TVM's te ops
 impl IExpr {
     /// Variable reference.
-    pub fn var(name: impl Into<String>) -> IExpr {
+    pub fn var(name: impl Into<Name>) -> IExpr {
         IExpr::Var(name.into())
     }
 
@@ -46,7 +51,7 @@ impl IExpr {
             (IExpr::Const(0), _) => rhs,
             (_, IExpr::Const(0)) => self,
             (IExpr::Const(a), IExpr::Const(b)) => IExpr::Const(a + b),
-            _ => IExpr::Add(Box::new(self), Box::new(rhs)),
+            _ => IExpr::Add(Arc::new(self), Arc::new(rhs)),
         }
     }
 
@@ -55,7 +60,7 @@ impl IExpr {
         match (&self, &rhs) {
             (_, IExpr::Const(0)) => self,
             (IExpr::Const(a), IExpr::Const(b)) => IExpr::Const(a - b),
-            _ => IExpr::Sub(Box::new(self), Box::new(rhs)),
+            _ => IExpr::Sub(Arc::new(self), Arc::new(rhs)),
         }
     }
 
@@ -66,7 +71,7 @@ impl IExpr {
             (IExpr::Const(1), _) => rhs,
             (_, IExpr::Const(1)) => self,
             (IExpr::Const(a), IExpr::Const(b)) => IExpr::Const(a * b),
-            _ => IExpr::Mul(Box::new(self), Box::new(rhs)),
+            _ => IExpr::Mul(Arc::new(self), Arc::new(rhs)),
         }
     }
 
@@ -75,7 +80,7 @@ impl IExpr {
         match (&self, &rhs) {
             (_, IExpr::Const(1)) => self,
             (IExpr::Const(a), IExpr::Const(b)) if *b != 0 => IExpr::Const(a / b),
-            _ => IExpr::Div(Box::new(self), Box::new(rhs)),
+            _ => IExpr::Div(Arc::new(self), Arc::new(rhs)),
         }
     }
 
@@ -83,7 +88,7 @@ impl IExpr {
     pub fn rem(self, rhs: IExpr) -> IExpr {
         match (&self, &rhs) {
             (IExpr::Const(a), IExpr::Const(b)) if *b != 0 => IExpr::Const(a % b),
-            _ => IExpr::Mod(Box::new(self), Box::new(rhs)),
+            _ => IExpr::Mod(Arc::new(self), Arc::new(rhs)),
         }
     }
 
@@ -254,7 +259,7 @@ pub enum VExpr {
     /// [`crate::kernel::BufferDecl`].
     Load {
         /// Buffer name.
-        buf: String,
+        buf: Name,
         /// Flattened element index.
         idx: IExpr,
     },
@@ -276,7 +281,7 @@ pub enum VExpr {
 #[allow(clippy::should_implement_trait)] // builder-style DSL, mirrors TVM's te ops
 impl VExpr {
     /// Load helper.
-    pub fn load(buf: impl Into<String>, idx: IExpr) -> VExpr {
+    pub fn load(buf: impl Into<Name>, idx: IExpr) -> VExpr {
         VExpr::Load {
             buf: buf.into(),
             idx,
@@ -388,7 +393,7 @@ impl fmt::Display for IExpr {
 mod tests {
     use super::*;
 
-    fn env(pairs: &[(&str, usize)]) -> Binding {
+    fn env(pairs: &[(&'static str, usize)]) -> Binding {
         Binding::of(pairs)
     }
 

@@ -8,7 +8,7 @@
 //! unbounded FIFOs shared across [`Interp::run`] calls, with producers run
 //! before consumers (sequential dataflow order).
 
-use crate::dim::Binding;
+use crate::dim::{Binding, Name};
 #[cfg(test)]
 use crate::expr::IExpr;
 use crate::expr::{BExpr, VBinOp, VExpr};
@@ -45,7 +45,7 @@ impl Interp {
         binding: &Binding,
         inputs: &HashMap<String, Vec<f32>>,
     ) -> HashMap<String, Vec<f32>> {
-        let mut store: HashMap<String, Vec<f32>> = HashMap::new();
+        let mut store: HashMap<Name, Vec<f32>> = HashMap::new();
         for buf in &kernel.bufs {
             let len = buf.resolved_len(binding);
             let init = if buf.scope == Scope::Global
@@ -53,7 +53,7 @@ impl Interp {
                 && buf.role != BufRole::Scratch
             {
                 let data = inputs
-                    .get(&buf.name)
+                    .get(buf.name.as_ref())
                     .unwrap_or_else(|| panic!("missing input buffer `{}`", buf.name));
                 assert_eq!(
                     data.len(),
@@ -76,11 +76,11 @@ impl Interp {
             .bufs
             .iter()
             .filter(|b| b.scope == Scope::Global)
-            .map(|b| (b.name.clone(), store.remove(&b.name).unwrap()))
+            .map(|b| (b.name.to_string(), store.remove(&b.name).unwrap()))
             .collect()
     }
 
-    fn exec(&mut self, stmt: &Stmt, env: &mut Binding, store: &mut HashMap<String, Vec<f32>>) {
+    fn exec(&mut self, stmt: &Stmt, env: &mut Binding, store: &mut HashMap<Name, Vec<f32>>) {
         match stmt {
             Stmt::For {
                 var, extent, body, ..
@@ -127,7 +127,7 @@ impl Interp {
         }
     }
 
-    fn eval_v(&mut self, v: &VExpr, env: &Binding, store: &HashMap<String, Vec<f32>>) -> f32 {
+    fn eval_v(&mut self, v: &VExpr, env: &Binding, store: &HashMap<Name, Vec<f32>>) -> f32 {
         match v {
             VExpr::Const(c) => *c,
             VExpr::Load { buf, idx } => {

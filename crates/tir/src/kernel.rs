@@ -1,7 +1,7 @@
 //! Complete OpenCL kernels: buffers, scalar arguments, channels and the
 //! Intel-specific kernel attributes (§2.4, §4.6–4.7).
 
-use crate::dim::{Binding, Dim};
+use crate::dim::{Binding, Dim, Name};
 use crate::expr::IExpr;
 use crate::stmt::Stmt;
 
@@ -42,7 +42,7 @@ pub enum BufRole {
 #[derive(Clone, Debug, PartialEq)]
 pub struct BufferDecl {
     /// Name referenced by loads/stores.
-    pub name: String,
+    pub name: Name,
     /// Memory region.
     pub scope: Scope,
     /// What the host binds to it.
@@ -55,7 +55,7 @@ pub struct BufferDecl {
 
 impl BufferDecl {
     /// Global kernel-argument buffer.
-    pub fn global(name: impl Into<String>, role: BufRole, len: IExpr) -> Self {
+    pub fn global(name: impl Into<Name>, role: BufRole, len: IExpr) -> Self {
         BufferDecl {
             name: name.into(),
             scope: Scope::Global,
@@ -65,7 +65,7 @@ impl BufferDecl {
     }
 
     /// Local (BRAM) buffer.
-    pub fn local(name: impl Into<String>, len: IExpr) -> Self {
+    pub fn local(name: impl Into<Name>, len: IExpr) -> Self {
         BufferDecl {
             name: name.into(),
             scope: Scope::Local,
@@ -75,7 +75,7 @@ impl BufferDecl {
     }
 
     /// Private (register) buffer.
-    pub fn private(name: impl Into<String>, len: IExpr) -> Self {
+    pub fn private(name: impl Into<Name>, len: IExpr) -> Self {
         BufferDecl {
             name: name.into(),
             scope: Scope::Private,
@@ -122,7 +122,7 @@ pub struct Kernel {
     /// All buffers, in declaration order; `Global` ones are arguments.
     pub bufs: Vec<BufferDecl>,
     /// Symbolic-dimension integer arguments, in order (§5.3).
-    pub int_params: Vec<String>,
+    pub int_params: Vec<Name>,
     /// Channels this kernel reads from.
     pub chan_in: Vec<ChannelDecl>,
     /// Channels this kernel writes to.

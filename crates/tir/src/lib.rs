@@ -14,7 +14,8 @@
 //!
 //! Structure:
 //!
-//! * [`dim`] — constant/symbolic dimensions and runtime bindings.
+//! * [`dim`] — constant/symbolic dimensions, runtime bindings and the
+//!   [`Name`] of every loop variable, symbolic dimension and buffer.
 //! * [`expr`] — integer index expressions, float value expressions, boolean
 //!   guards, and the affine stride analysis that decides whether AOC can
 //!   coalesce a memory access (§2.4.3, §5.3).
@@ -43,7 +44,7 @@ pub mod quantize;
 pub mod schedule;
 pub mod stmt;
 
-pub use dim::{Binding, Dim};
+pub use dim::{Binding, Dim, Name};
 pub use expr::{BExpr, Coeff, IExpr, QuantMode, VExpr};
 pub use kernel::{BufRole, BufferDecl, ChannelDecl, Kernel, Scope};
 pub use quantize::{quantize_kernel, KernelQuant};

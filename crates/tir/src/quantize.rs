@@ -72,7 +72,7 @@ pub fn quantize_kernel(kernel: &Kernel, q: &KernelQuant) -> Kernel {
     let roles: HashMap<&str, BufRole> = kernel
         .bufs
         .iter()
-        .map(|b| (b.name.as_str(), b.role))
+        .map(|b| (b.name.as_ref(), b.role))
         .collect();
     let mut out = kernel.clone();
     out.body = rewrite_stmt(&kernel.body, &roles, q);
@@ -97,7 +97,7 @@ fn rewrite_stmt(s: &Stmt, roles: &HashMap<&str, BufRole>, q: &KernelQuant) -> St
         }
         Stmt::Store { buf, idx, val } => {
             let val = rewrite_v(val, roles, q);
-            let val = if roles.get(buf.as_str()) == Some(&BufRole::Output) {
+            let val = if roles.get(buf.as_ref()) == Some(&BufRole::Output) {
                 val.quant(q.mode(q.output_scale))
             } else {
                 val
@@ -122,7 +122,7 @@ fn rewrite_stmt(s: &Stmt, roles: &HashMap<&str, BufRole>, q: &KernelQuant) -> St
 fn rewrite_v(e: &VExpr, roles: &HashMap<&str, BufRole>, q: &KernelQuant) -> VExpr {
     match e {
         VExpr::Load { buf, .. } => {
-            let scale = match roles.get(buf.as_str()) {
+            let scale = match roles.get(buf.as_ref()) {
                 Some(BufRole::Input) => Some(q.input_scale),
                 Some(BufRole::Weights) => Some(q.weight_scale),
                 Some(BufRole::Residual) => Some(q.residual_scale),

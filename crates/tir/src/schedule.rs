@@ -141,16 +141,16 @@ fn split_inner(
             }
             let (vo, vi) = (format!("{var}_o"), format!("{var}_i"));
             let outer_extent = extent.clone().div(IExpr::Const(factor as i64));
-            let rebuilt = IExpr::var(&vo)
+            let rebuilt = IExpr::var(vo.clone())
                 .mul(IExpr::Const(factor as i64))
-                .add(IExpr::var(&vi));
+                .add(IExpr::var(vi.clone()));
             let new_body = subst_stmt(body, var, &rebuilt);
             Stmt::For {
-                var: vo,
+                var: vo.into(),
                 extent: outer_extent,
                 attr: *attr,
                 body: Box::new(Stmt::For {
-                    var: vi,
+                    var: vi.into(),
                     extent: IExpr::Const(factor as i64),
                     attr: LoopAttr::Pipelined,
                     body: Box::new(new_body),
@@ -343,7 +343,7 @@ fn fuse_inner(
                                 continue;
                             }
                             *found = true;
-                            let second = subst_stmt(b2, v2, &IExpr::var(v1));
+                            let second = subst_stmt(b2, v2, &IExpr::Var(a.clone()));
                             out.push(Stmt::For {
                                 var: a.clone(),
                                 extent: e1.clone(),
@@ -498,7 +498,7 @@ pub fn loop_extents(stmt: &Stmt) -> Vec<(String, Option<i64>)> {
     stmt.visit(&mut |s| {
         if let Stmt::For { var, extent, .. } = s {
             out.push((
-                var.clone(),
+                var.to_string(),
                 match extent {
                     IExpr::Const(e) => Some(*e),
                     _ => None,
@@ -721,7 +721,7 @@ mod tests {
         let mut attrs = Vec::new();
         s.visit(&mut |st| {
             if let Stmt::For { var, attr, .. } = st {
-                attrs.push((var.clone(), *attr));
+                attrs.push((var.to_string(), *attr));
             }
         });
         assert_eq!(

@@ -1,6 +1,7 @@
 //! Loop-nest statements with the pipelining/unrolling annotations AOC reacts
 //! to (§2.4.4, §4.1).
 
+use crate::dim::Name;
 use crate::expr::{BExpr, IExpr, VExpr};
 
 /// How a loop is realized in hardware.
@@ -23,7 +24,7 @@ pub enum Stmt {
     /// A counted loop `for (var = 0; var < extent; ++var)`.
     For {
         /// Loop variable name.
-        var: String,
+        var: Name,
         /// Trip count (may be symbolic).
         extent: IExpr,
         /// Hardware realization.
@@ -36,7 +37,7 @@ pub enum Stmt {
     /// `buf[idx] = val`.
     Store {
         /// Destination buffer name.
-        buf: String,
+        buf: Name,
         /// Flattened element index.
         idx: IExpr,
         /// Value.
@@ -60,7 +61,7 @@ pub enum Stmt {
 
 impl Stmt {
     /// Builds a pipelined loop.
-    pub fn for_(var: impl Into<String>, extent: IExpr, body: Stmt) -> Stmt {
+    pub fn for_(var: impl Into<Name>, extent: IExpr, body: Stmt) -> Stmt {
         Stmt::For {
             var: var.into(),
             extent,
@@ -70,7 +71,7 @@ impl Stmt {
     }
 
     /// Builds a fully-unrolled loop.
-    pub fn unrolled(var: impl Into<String>, extent: IExpr, body: Stmt) -> Stmt {
+    pub fn unrolled(var: impl Into<Name>, extent: IExpr, body: Stmt) -> Stmt {
         Stmt::For {
             var: var.into(),
             extent,
@@ -80,7 +81,7 @@ impl Stmt {
     }
 
     /// Builds a store.
-    pub fn store(buf: impl Into<String>, idx: IExpr, val: VExpr) -> Stmt {
+    pub fn store(buf: impl Into<Name>, idx: IExpr, val: VExpr) -> Stmt {
         Stmt::Store {
             buf: buf.into(),
             idx,

@@ -5,7 +5,8 @@
 //! forward pass holds only the live frontier of the graph rather than every
 //! layer's output. A zoo graph's weights are generated on first read and
 //! shared: building, compiling and deploying a model generate and copy
-//! none of them. A fleet run keeps one 16-byte ledger entry per arrival,
+//! none of them, and fusing and compiling it allocate a bounded number of
+//! times. A fleet run keeps one 16-byte ledger entry per arrival,
 //! and a timing-only request or completion carries no tensor.
 //! This binary installs its own counting, peak-tracking global allocator
 //! and holds exactly one test, so no concurrently running test moves the
@@ -92,11 +93,17 @@ fn held<T>(f: impl FnOnce() -> T) -> (usize, T) {
 fn executor_frees_activations_and_stays_within_its_allocation_budget() {
     // A built zoo graph holds its weights' shapes and seeds, not their
     // values: ResNet-34's 87 MB of weights are generated on first read.
-    let (bytes, _) = held(|| Model::ResNet34.build());
+    let (bytes, resnet) = held(|| Model::ResNet34.build());
     assert!(
         bytes <= 1_000_000,
         "a built ResNet-34 graph holds {bytes} bytes"
     );
+
+    // Fusion is one forward pass that updates use counts in place: one
+    // allocation, for the counts (1,882 when every fusion restarted the
+    // scan and cloned each node's inputs).
+    let (_, allocs, _) = measure(|| resnet.fuse());
+    assert!(allocs <= 8, "fusing ResNet-34 made {allocs} allocations");
 
     // Every activation of compiled MobileNetV1 together is 35.2 MB; the
     // largest set alive at once is 6.54 MB. The first execute also
@@ -136,6 +143,17 @@ fn executor_frees_activations_and_stays_within_its_allocation_budget() {
     assert!(
         raised <= 2_000_000,
         "a MobileNetV1 compile raised the live heap by {raised} bytes"
+    );
+
+    // The same Folded-Optimized compile from a built flow. Index operands
+    // are shared and literal IR names borrowed: 3,355 allocations when
+    // every index subtree was deep-copied and every name was a `String`,
+    // 1,293 now.
+    let flow = Flow::for_graph(source.clone(), s10sx);
+    let (_, allocs, _) = measure(|| flow.compile(&config).expect("MobileNetV1 fits the S10SX"));
+    assert!(
+        allocs <= 1_800,
+        "a MobileNetV1 compile made {allocs} allocations"
     );
 
     // One cache builds the model once, so its deployments on all three

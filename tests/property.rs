@@ -289,7 +289,7 @@ fn schedule_chain_preserves_semantics_at_each_step() {
         //     tmp[0] = scale                      (invariant in o)
         //     for i in 0..n: out[o*n+i]  = a[o*n+i] * tmp[0]
         //     for j in 0..n: out[o*n+j] += b[j]   (element-wise: fusible)
-        let row = |v: &str| {
+        let row = |v: &'static str| {
             IExpr::var("o")
                 .mul(IExpr::Const(n as i64))
                 .add(IExpr::var(v))
