@@ -25,7 +25,7 @@ fn bench_conv() {
     });
     // Depthwise 3x3 @ 56x56 over 128 channels.
     let input = Tensor::random(Shape::chw(128, 58, 58), 5, 1.0);
-    let w = Tensor::random(Shape(vec![128, 1, 3, 3]), 6, 0.5);
+    let w = Tensor::random(Shape::new(&[128, 1, 3, 3]), 6, 0.5);
     bench("conv2d/depthwise_3x3_128", 10, 5, || {
         ops::depthwise_conv2d(&input, &w, &p)
     });

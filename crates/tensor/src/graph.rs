@@ -13,7 +13,7 @@
 //!   form TVM's codegen emits and whose cost the thesis measures
 //!   (Tables 6.8/6.16).
 
-use crate::ops::{self, Activation, Conv2dParams};
+use crate::ops::{self, Activation, ConvArgs};
 use crate::shape::{conv_out_shape, Shape};
 use crate::tensor::Tensor;
 use std::collections::HashMap;
@@ -123,6 +123,15 @@ impl FusedEpilogue {
     /// True if nothing is fused.
     pub fn is_empty(&self) -> bool {
         self.activation == Activation::None && self.bn.is_none() && self.add_from.is_none()
+    }
+
+    /// The activation the producing operator applies: none when a fused
+    /// residual add follows, since the activation must come after the add.
+    pub(crate) fn before_add(&self) -> Activation {
+        match self.add_from {
+            Some(_) => Activation::None,
+            None => self.activation,
+        }
     }
 }
 
@@ -237,6 +246,25 @@ pub struct Node {
 }
 
 impl Node {
+    /// A convolution node's stride, padding and fused epilogue, borrowed
+    /// from its fields, with the activation a fused residual add defers
+    /// left out.
+    ///
+    /// # Panics
+    /// Panics if the node is not a convolution.
+    pub(crate) fn conv_args(&self) -> ConvArgs<'_> {
+        let Op::Conv2d { stride, pad, .. } = self.op else {
+            panic!("{}: conv_args of a {} node", self.name, self.op.kind_name())
+        };
+        ConvArgs {
+            stride,
+            pad,
+            bias: self.bias.as_deref(),
+            bn: self.fused.bn.as_ref().map(|(s, b)| (&s[..], &b[..])),
+            activation: self.fused.before_add(),
+        }
+    }
+
     /// Number of trainable parameters carried by this node.
     pub fn param_count(&self) -> usize {
         self.weights.as_deref().map_or(0, Weights::numel)
@@ -534,31 +562,14 @@ impl Graph {
         let arg = |i: usize| val(node.inputs[i]);
         let mut out = match &node.op {
             Op::Input => unreachable!(),
-            Op::Conv2d {
-                stride,
-                pad,
-                depthwise,
-                ..
-            } => {
-                let p = Conv2dParams {
-                    stride: *stride,
-                    pad: *pad,
-                    bias: node.bias.clone(),
-                    bn: node.fused.bn.clone(),
-                    activation: if node.fused.add_from.is_some() {
-                        // Activation must come after the residual add; apply later.
-                        Activation::None
-                    } else {
-                        node.fused.activation
-                    },
-                };
+            Op::Conv2d { depthwise, .. } => {
                 let w = node.weights.as_deref().expect("conv weights");
                 if *depthwise {
-                    ops::depthwise_conv2d(arg(0), w, &p)
+                    ops::depthwise_conv2d(arg(0), w, node.conv_args())
                 } else {
                     // Algorithm choice is transparent: im2col+GEMM for
                     // reduction-heavy layers, direct otherwise.
-                    ops::conv2d_auto(arg(0), w, &p)
+                    ops::conv2d_auto(arg(0), w, node.conv_args())
                 }
             }
             Op::Dense { .. } => ops::dense(
@@ -1314,7 +1325,7 @@ mod tests {
     #[test]
     fn matching_parameters_push() {
         push_params(conv3x3(4, false), Shape::kcff(4, 2, 3), Some(4));
-        push_params(conv3x3(2, true), Shape(vec![2, 1, 3, 3]), None);
+        push_params(conv3x3(2, true), Shape::new(&[2, 1, 3, 3]), None);
         push_params(Op::Dense { units: 10 }, Shape::d2(10, 72), Some(10));
         push_any(Op::BatchNorm, None, None, Some((2, 2)));
         push_any(Op::Relu, None, None, None);
@@ -1376,13 +1387,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "layer: weight dimension 2 (F) is 2, expected 3")]
     fn conv_weights_must_have_f_rows() {
-        push_params(conv3x3(4, false), Shape(vec![4, 2, 2, 3]), None);
+        push_params(conv3x3(4, false), Shape::new(&[4, 2, 2, 3]), None);
     }
 
     #[test]
     #[should_panic(expected = "layer: weight dimension 3 (F) is 2, expected 3")]
     fn conv_filters_must_be_square() {
-        push_params(conv3x3(4, false), Shape(vec![4, 2, 3, 2]), None);
+        push_params(conv3x3(4, false), Shape::new(&[4, 2, 3, 2]), None);
     }
 
     #[test]
@@ -1394,13 +1405,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "layer: weight dimension 0 (C) is 3, expected 2")]
     fn depthwise_weights_must_have_one_filter_per_channel() {
-        push_params(conv3x3(2, true), Shape(vec![3, 1, 3, 3]), None);
+        push_params(conv3x3(2, true), Shape::new(&[3, 1, 3, 3]), None);
     }
 
     #[test]
     #[should_panic(expected = "layer: weight dimension 1 (channel multiplier) is 2, expected 1")]
     fn depthwise_filters_must_read_one_channel() {
-        push_params(conv3x3(2, true), Shape(vec![2, 2, 3, 3]), None);
+        push_params(conv3x3(2, true), Shape::new(&[2, 2, 3, 3]), None);
     }
 
     #[test]

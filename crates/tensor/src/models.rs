@@ -158,7 +158,7 @@ impl Builder {
             pad,
             depthwise: true,
         };
-        let shape = Shape(vec![c, 1, kernel, kernel]);
+        let shape = Shape::new(&[c, 1, kernel, kernel]);
         self.weighted(name, op, from, shape, kernel * kernel, false)
     }
 

@@ -6,6 +6,7 @@ use crate::shape::conv_out_shape;
 #[cfg(test)]
 use crate::shape::Shape;
 use crate::tensor::Tensor;
+use std::ops::Range;
 
 /// Hyper-parameters of a convolution (§2.1.2): stride `S`, zero-padding `P`,
 /// and the fused epilogue (bias + activation) the flow attaches after the
@@ -37,14 +38,53 @@ impl Conv2dParams {
     /// Applies the fused epilogue (bias, folded BN, activation) to one output
     /// element of channel `k`.
     #[inline]
+    pub fn epilogue(&self, k: usize, acc: f32) -> f32 {
+        ConvArgs::from(self).epilogue(k, acc)
+    }
+}
+
+/// A convolution's stride, padding and fused epilogue, borrowed from where
+/// they are kept: a [`Conv2dParams`] or a graph node's own fields. The
+/// convolution operators take `impl Into<ConvArgs>`, so a caller passes a
+/// `&Conv2dParams` or builds these without copying a parameter vector.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ConvArgs<'a> {
+    /// Stride `S` (same in both spatial dims).
+    pub stride: usize,
+    /// Zero padding `P` (same on all sides).
+    pub pad: usize,
+    /// Optional per-output-channel bias.
+    pub bias: Option<&'a [f32]>,
+    /// Optional folded batch norm: per-output-channel `(scale, shift)`.
+    pub bn: Option<(&'a [f32], &'a [f32])>,
+    /// Fused activation.
+    pub activation: Activation,
+}
+
+impl ConvArgs<'_> {
+    /// Applies the fused epilogue (bias, folded BN, activation) to one output
+    /// element of channel `k`.
+    #[inline]
     pub fn epilogue(&self, k: usize, mut acc: f32) -> f32 {
-        if let Some(b) = &self.bias {
+        if let Some(b) = self.bias {
             acc += b[k];
         }
-        if let Some((s, sh)) = &self.bn {
+        if let Some((s, sh)) = self.bn {
             acc = acc * s[k] + sh[k];
         }
         self.activation.apply(acc)
+    }
+}
+
+impl<'a> From<&'a Conv2dParams> for ConvArgs<'a> {
+    fn from(p: &'a Conv2dParams) -> Self {
+        ConvArgs {
+            stride: p.stride,
+            pad: p.pad,
+            bias: p.bias.as_deref(),
+            bn: p.bn.as_ref().map(|(s, sh)| (&s[..], &sh[..])),
+            activation: p.activation,
+        }
     }
 }
 
@@ -56,7 +96,8 @@ impl Conv2dParams {
 ///
 /// # Panics
 /// Panics on rank/shape mismatches.
-pub fn conv2d(input: &Tensor, weights: &Tensor, p: &Conv2dParams) -> Tensor {
+pub fn conv2d<'a>(input: &Tensor, weights: &Tensor, p: impl Into<ConvArgs<'a>>) -> Tensor {
+    let p = p.into();
     assert_eq!(input.shape().rank(), 3, "conv2d input must be CHW");
     assert_eq!(weights.shape().rank(), 4, "conv2d weights must be KCFF");
     let (c1, h1, w1) = (
@@ -72,14 +113,12 @@ pub fn conv2d(input: &Tensor, weights: &Tensor, p: &Conv2dParams) -> Tensor {
     );
     assert_eq!(f, f2, "conv2d filters must be square");
     assert_eq!(wc, c1, "conv2d weight input-channel mismatch");
-    if let Some(b) = &p.bias {
+    if let Some(b) = p.bias {
         assert_eq!(b.len(), k, "bias length must equal output channels");
     }
     let out_shape = conv_out_shape(input.shape(), k, f, p.stride, p.pad);
     let (h2, w2) = (out_shape.dim(1), out_shape.dim(2));
 
-    let istride = input.shape().strides();
-    let wstride = weights.shape().strides();
     let idata = input.data();
     let wdata = weights.data();
 
@@ -100,10 +139,8 @@ pub fn conv2d(input: &Tensor, weights: &Tensor, p: &Conv2dParams) -> Tensor {
                             if ix < 0 || ix >= w1 as isize {
                                 continue;
                             }
-                            let iv =
-                                idata[rc * istride[0] + iy as usize * istride[1] + ix as usize];
-                            let wv =
-                                wdata[ax1 * wstride[0] + rc * wstride[1] + ry * wstride[2] + rx];
+                            let iv = idata[(rc * h1 + iy as usize) * w1 + ix as usize];
+                            let wv = wdata[((ax1 * c1 + rc) * f + ry) * f + rx];
                             acc += iv * wv;
                         }
                     }
@@ -118,9 +155,22 @@ pub fn conv2d(input: &Tensor, weights: &Tensor, p: &Conv2dParams) -> Tensor {
 /// Depthwise convolution (§2.1.2): one filter per input channel, weights
 /// `[C, 1, F, F]`, output `[C, H2, W2]`.
 ///
+/// Each channel plane is built tap by tap: tap `(ry, rx)` adds
+/// `input * weight` into every output element whose input coordinate lies
+/// inside the unpadded input, a precomputed range of rows and, within each
+/// row, of columns, so no element is bounds-tested. Every element still
+/// sums its taps from `0.0` in `(ry, rx)` order, as a per-pixel loop that
+/// skips the padding would, and the epilogue runs once per element at the
+/// end.
+///
 /// # Panics
 /// Panics on rank/shape mismatches.
-pub fn depthwise_conv2d(input: &Tensor, weights: &Tensor, p: &Conv2dParams) -> Tensor {
+pub fn depthwise_conv2d<'a>(
+    input: &Tensor,
+    weights: &Tensor,
+    p: impl Into<ConvArgs<'a>>,
+) -> Tensor {
+    let p = p.into();
     assert_eq!(input.shape().rank(), 3, "depthwise input must be CHW");
     assert_eq!(weights.shape().rank(), 4, "depthwise weights must be C1FF");
     let (c, h1, w1) = (
@@ -133,33 +183,54 @@ pub fn depthwise_conv2d(input: &Tensor, weights: &Tensor, p: &Conv2dParams) -> T
     let f = weights.shape().dim(2);
     let out_shape = conv_out_shape(input.shape(), c, f, p.stride, p.pad);
     let (h2, w2) = (out_shape.dim(1), out_shape.dim(2));
+    let (s, pad) = (p.stride, p.pad);
     let idata = input.data();
     let wdata = weights.data();
 
     let mut out = vec![0.0f32; c * h2 * w2];
     crate::par::for_each_chunk_mut(&mut out, h2 * w2, |ch, plane| {
-        for yy in 0..h2 {
-            for xx in 0..w2 {
-                let mut acc = 0.0f32;
-                for ry in 0..f {
-                    let iy = (p.stride * yy + ry) as isize - p.pad as isize;
-                    if iy < 0 || iy >= h1 as isize {
-                        continue;
-                    }
-                    for rx in 0..f {
-                        let ix = (p.stride * xx + rx) as isize - p.pad as isize;
-                        if ix < 0 || ix >= w1 as isize {
-                            continue;
+        let iplane = &idata[ch * h1 * w1..(ch + 1) * h1 * w1];
+        let taps = &wdata[ch * f * f..(ch + 1) * f * f];
+        for ry in 0..f {
+            let rows = tap_range(h2, h1, ry, s, pad);
+            for rx in 0..f {
+                let cols = tap_range(w2, w1, rx, s, pad);
+                if cols.is_empty() {
+                    continue;
+                }
+                let wv = taps[ry * f + rx];
+                let ix = s * cols.start + rx - pad;
+                for yy in rows.clone() {
+                    let iy = s * yy + ry - pad;
+                    let src = &iplane[iy * w1 + ix..(iy + 1) * w1];
+                    let dst = &mut plane[yy * w2 + cols.start..yy * w2 + cols.end];
+                    // Stride 1 has its own loop because it vectorizes and
+                    // the stepped one does not (half the depthwise time).
+                    if s == 1 {
+                        for (o, &v) in dst.iter_mut().zip(src) {
+                            *o += v * wv;
                         }
-                        acc += idata[ch * h1 * w1 + iy as usize * w1 + ix as usize]
-                            * wdata[ch * f * f + ry * f + rx];
+                    } else {
+                        for (o, &v) in dst.iter_mut().zip(src.iter().step_by(s)) {
+                            *o += v * wv;
+                        }
                     }
                 }
-                plane[yy * w2 + xx] = p.epilogue(ch, acc);
             }
+        }
+        for v in plane {
+            *v = p.epilogue(ch, *v);
         }
     });
     Tensor::from_vec(out_shape, out)
+}
+
+/// The output positions `o < out` whose input coordinate
+/// `stride * o + r - pad` for window offset `r` lies in `0..input`.
+fn tap_range(out: usize, input: usize, r: usize, stride: usize, pad: usize) -> Range<usize> {
+    let start = pad.saturating_sub(r).div_ceil(stride);
+    let end = (input + pad).saturating_sub(r).div_ceil(stride).min(out);
+    start.min(end)..end
 }
 
 #[cfg(test)]
@@ -239,7 +310,7 @@ mod tests {
         // Depthwise conv == direct conv with block-diagonal weights.
         let c = 3;
         let input = Tensor::random(Shape::chw(c, 5, 5), 21, 1.0);
-        let dw = Tensor::random(Shape(vec![c, 1, 3, 3]), 22, 1.0);
+        let dw = Tensor::random(Shape::new(&[c, 1, 3, 3]), 22, 1.0);
         let out_dw = depthwise_conv2d(&input, &dw, &Conv2dParams::plain(1, 0));
 
         let mut full = Tensor::zeros(Shape::kcff(c, c, 3));

@@ -6,7 +6,7 @@
 //! cross-check each other (unit + property tests), and the Criterion benches
 //! compare their host performance the way the TF/TVM baselines would.
 
-use super::conv::Conv2dParams;
+use super::conv::ConvArgs;
 use crate::shape::{conv_out_shape, Shape};
 use crate::tensor::Tensor;
 
@@ -100,7 +100,8 @@ pub fn im2col(input: &Tensor, f: usize, stride: usize, pad: usize) -> Tensor {
 ///
 /// # Panics
 /// Panics on shape mismatches.
-pub fn conv2d_im2col(input: &Tensor, weights: &Tensor, p: &Conv2dParams) -> Tensor {
+pub fn conv2d_im2col<'a>(input: &Tensor, weights: &Tensor, p: impl Into<ConvArgs<'a>>) -> Tensor {
+    let p = p.into();
     assert_eq!(weights.shape().rank(), 4, "weights must be KCFF");
     let k = weights.shape().dim(0);
     let c1 = weights.shape().dim(1);
@@ -131,7 +132,7 @@ pub fn conv2d_im2col(input: &Tensor, weights: &Tensor, p: &Conv2dParams) -> Tens
 /// direct implementation for small reductions where the unfold overhead
 /// dominates. Both compute the same function (property-tested); results may
 /// differ by float reassociation only.
-pub fn conv2d_auto(input: &Tensor, weights: &Tensor, p: &Conv2dParams) -> Tensor {
+pub fn conv2d_auto<'a>(input: &Tensor, weights: &Tensor, p: impl Into<ConvArgs<'a>>) -> Tensor {
     let c1 = weights.shape().dim(1);
     let f = weights.shape().dim(2);
     if c1 * f * f >= 8 {
@@ -144,7 +145,7 @@ pub fn conv2d_auto(input: &Tensor, weights: &Tensor, p: &Conv2dParams) -> Tensor
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{conv2d, Activation};
+    use crate::ops::{conv2d, Activation, Conv2dParams};
 
     #[test]
     fn matmul_identity() {

@@ -15,7 +15,7 @@ mod pad;
 mod pool;
 
 pub use activation::{relu, relu6, softmax, Activation};
-pub use conv::{conv2d, depthwise_conv2d, Conv2dParams};
+pub use conv::{conv2d, depthwise_conv2d, Conv2dParams, ConvArgs};
 pub use dense::dense;
 pub use gemm::{conv2d_auto, conv2d_im2col, im2col, matmul};
 pub use pad::pad2d;

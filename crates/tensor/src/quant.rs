@@ -40,7 +40,7 @@
 //! agreement), not a per-layer verification concern.
 
 use crate::graph::{add_residual, Graph, Node, NodeId, Op};
-use crate::ops::{self, Activation, Conv2dParams};
+use crate::ops::{self, Activation, ConvArgs};
 use crate::shape::{conv_out_shape, Shape};
 use crate::tensor::Tensor;
 use std::collections::{BTreeMap, HashMap};
@@ -577,29 +577,14 @@ impl<'a> QuantizedGraph<'a> {
         let arg = |i: usize| &vals[&node.inputs[i]];
         // Residual adds defer the fused activation past the add, exactly as
         // the f32 executor does.
-        let act = if node.fused.add_from.is_some() {
-            Activation::None
-        } else {
-            node.fused.activation
-        };
+        let act = node.fused.before_add();
         let mut out = match &node.op {
             Op::Input => unreachable!("input nodes are seeded, not evaluated"),
-            Op::Conv2d {
-                stride,
-                pad,
-                depthwise,
-                ..
-            } => {
-                let p = Conv2dParams {
-                    stride: *stride,
-                    pad: *pad,
-                    bias: node.bias.clone(),
-                    bn: node.fused.bn.clone(),
-                    activation: act,
-                };
+            Op::Conv2d { depthwise, .. } => {
+                let p = node.conv_args();
                 let w = node.weights.as_deref().expect("conv weights");
                 match self.node_precision(node.id).map(|p| p.qmax()) {
-                    Some(Some(qmax)) => self.qconv(node, arg(0), w, &p, *depthwise, qmax)?,
+                    Some(Some(qmax)) => self.qconv(node, arg(0), w, p, *depthwise, qmax)?,
                     weights_rounding => {
                         // Fp16 rounds the weights; an f32 mixed-mode layer
                         // convolves them untouched.
@@ -612,9 +597,9 @@ impl<'a> QuantizedGraph<'a> {
                             _ => w,
                         };
                         if *depthwise {
-                            ops::depthwise_conv2d(arg(0), w, &p)
+                            ops::depthwise_conv2d(arg(0), w, p)
                         } else {
-                            ops::conv2d_auto(arg(0), w, &p)
+                            ops::conv2d_auto(arg(0), w, p)
                         }
                     }
                 }
@@ -663,7 +648,7 @@ impl<'a> QuantizedGraph<'a> {
         node: &Node,
         input: &Tensor,
         weights: &Tensor,
-        p: &Conv2dParams,
+        p: ConvArgs<'_>,
         depthwise: bool,
         qmax: i32,
     ) -> Result<Tensor, QuantError> {

@@ -2,42 +2,67 @@
 
 use std::fmt;
 
+/// The highest rank a [`Shape`] holds: `[K, C, F, F]` convolution weights.
+const MAX_RANK: usize = 4;
+
 /// A dense tensor shape (row-major).
 ///
 /// CNN feature maps use `[C, H, W]` (the thesis fixes batch `N = 1`), weights
 /// use `[K, C, F, F]`, dense weights use `[M, N]` and vectors use `[N]`.
+///
+/// The dims are kept inline, so building or cloning a shape never
+/// allocates. Dims past the rank stay zero, so the derived `Eq` and `Hash`
+/// see only the dims in use.
 #[derive(Clone, PartialEq, Eq, Hash)]
-pub struct Shape(pub Vec<usize>);
+pub struct Shape {
+    dims: [usize; MAX_RANK],
+    rank: usize,
+}
 
 impl Shape {
+    /// A shape with the given dims.
+    ///
+    /// # Panics
+    /// Panics if there are more than four dims.
+    pub fn new(dims: &[usize]) -> Self {
+        let rank = dims.len();
+        assert!(
+            rank <= MAX_RANK,
+            "a shape holds at most {MAX_RANK} dims, got rank {rank}"
+        );
+        let mut inline = [0; MAX_RANK];
+        inline[..rank].copy_from_slice(dims);
+        Shape { dims: inline, rank }
+    }
+
     /// 1-D shape.
     pub fn d1(n: usize) -> Self {
-        Shape(vec![n])
+        Shape::new(&[n])
     }
 
     /// 2-D shape.
     pub fn d2(a: usize, b: usize) -> Self {
-        Shape(vec![a, b])
+        Shape::new(&[a, b])
     }
 
     /// Channel-first feature-map shape `[C, H, W]`.
     pub fn chw(c: usize, h: usize, w: usize) -> Self {
-        Shape(vec![c, h, w])
+        Shape::new(&[c, h, w])
     }
 
     /// Convolution weight shape `[K, C, F, F]`.
     pub fn kcff(k: usize, c: usize, f: usize) -> Self {
-        Shape(vec![k, c, f, f])
+        Shape::new(&[k, c, f, f])
     }
 
     /// Number of dimensions.
     pub fn rank(&self) -> usize {
-        self.0.len()
+        self.rank
     }
 
     /// Total element count (product of all dims; 1 for scalar shapes).
     pub fn numel(&self) -> usize {
-        self.0.iter().product()
+        self.dims().iter().product()
     }
 
     /// Dimension `i`.
@@ -45,21 +70,12 @@ impl Shape {
     /// # Panics
     /// Panics if `i >= rank()`.
     pub fn dim(&self, i: usize) -> usize {
-        self.0[i]
+        self.dims()[i]
     }
 
     /// The dims as a slice.
     pub fn dims(&self) -> &[usize] {
-        &self.0
-    }
-
-    /// Row-major strides (in elements) for this shape.
-    pub fn strides(&self) -> Vec<usize> {
-        let mut s = vec![1usize; self.0.len()];
-        for i in (0..self.0.len().saturating_sub(1)).rev() {
-            s[i] = s[i + 1] * self.0[i + 1];
-        }
-        s
+        &self.dims[..self.rank]
     }
 
     /// Linear offset of a multi-index.
@@ -69,9 +85,9 @@ impl Shape {
     /// out of range.
     #[inline]
     pub fn offset(&self, idx: &[usize]) -> usize {
-        debug_assert_eq!(idx.len(), self.0.len(), "index rank mismatch");
+        debug_assert_eq!(idx.len(), self.rank, "index rank mismatch");
         let mut off = 0usize;
-        for (d, (&i, &n)) in idx.iter().zip(&self.0).enumerate() {
+        for (d, (&i, &n)) in idx.iter().zip(self.dims()).enumerate() {
             debug_assert!(i < n, "index {i} out of range {n} in dim {d}");
             off = off * n + i;
         }
@@ -81,26 +97,31 @@ impl Shape {
 
 impl fmt::Debug for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Shape{:?}", self.0)
+        write!(f, "Shape{:?}", self.dims())
     }
 }
 
 impl fmt::Display for Shape {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let parts: Vec<String> = self.0.iter().map(|d| d.to_string()).collect();
-        write!(f, "{}", parts.join("x"))
+        for (i, d) in self.dims().iter().enumerate() {
+            if i > 0 {
+                f.write_str("x")?;
+            }
+            write!(f, "{d}")?;
+        }
+        Ok(())
     }
 }
 
 impl From<Vec<usize>> for Shape {
     fn from(v: Vec<usize>) -> Self {
-        Shape(v)
+        Shape::new(&v)
     }
 }
 
 impl From<&[usize]> for Shape {
     fn from(v: &[usize]) -> Self {
-        Shape(v.to_vec())
+        Shape::new(v)
     }
 }
 
@@ -139,16 +160,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn strides_row_major() {
-        let s = Shape(vec![2, 3, 4]);
-        assert_eq!(s.strides(), vec![12, 4, 1]);
-        assert_eq!(s.numel(), 24);
+    fn numel_is_the_product_of_the_dims() {
+        assert_eq!(Shape::new(&[2, 3, 4]).numel(), 24);
     }
 
     #[test]
     fn offset_matches_strides() {
-        let s = Shape(vec![5, 7, 3]);
-        let st = s.strides();
+        let s = Shape::new(&[5, 7, 3]);
+        let st = [7 * 3, 3, 1];
         for a in 0..5 {
             for b in 0..7 {
                 for c in 0..3 {
@@ -179,5 +198,32 @@ mod tests {
     #[test]
     fn display_is_x_separated() {
         assert_eq!(Shape::chw(16, 5, 5).to_string(), "16x5x5");
+        assert_eq!(Shape::d1(10).to_string(), "10");
+        assert_eq!(Shape::new(&[]).to_string(), "");
+    }
+
+    #[test]
+    fn debug_lists_the_dims_in_use() {
+        assert_eq!(format!("{:?}", Shape::kcff(8, 1, 3)), "Shape[8, 1, 3, 3]");
+        assert_eq!(format!("{:?}", Shape::d2(2, 5)), "Shape[2, 5]");
+        assert_eq!(format!("{:?}", Shape::new(&[])), "Shape[]");
+    }
+
+    #[test]
+    fn equality_and_hash_see_only_the_dims_in_use() {
+        use std::collections::HashSet;
+        assert_eq!(Shape::from(vec![3, 4]), Shape::d2(3, 4));
+        assert_eq!(Shape::from(&[3, 4][..]), Shape::d2(3, 4));
+        assert_ne!(Shape::d2(3, 4), Shape::chw(3, 4, 0));
+        assert_ne!(Shape::d1(0), Shape::new(&[]));
+        let set: HashSet<Shape> = [Shape::d2(3, 4), Shape::new(&[3, 4])].into();
+        assert_eq!(set.len(), 1);
+        assert_eq!(Shape::new(&[]).numel(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 5")]
+    fn rank_above_four_is_rejected() {
+        Shape::new(&[1, 2, 3, 4, 5]);
     }
 }

@@ -1416,7 +1416,7 @@ mod tests {
     fn depthwise_conv_matches_reference() {
         let dims = ConvDims::constant(3, 3, 4, 4, 3, 1);
         let input = Tensor::random(Shape::chw(3, 6, 6), 5, 1.0);
-        let weights = Tensor::random(Shape(vec![3, 1, 3, 3]), 6, 0.5);
+        let weights = Tensor::random(Shape::new(&[3, 1, 3, 3]), 6, 0.5);
         let expect = ops::depthwise_conv2d(&input, &weights, &Conv2dParams::plain(1, 0));
         for schedule in [
             ConvSchedule::Base,
@@ -1729,7 +1729,7 @@ mod tests {
         // input, which exercises the trailing-row drain.
         for (c, h2, f, s, h1) in [(3usize, 4usize, 3usize, 1usize, 6usize), (3, 3, 3, 2, 8)] {
             let input = Tensor::random(Shape::chw(c, h1, h1), 21, 1.0);
-            let weights = Tensor::random(Shape(vec![c, 1, f, f]), 22, 0.5);
+            let weights = Tensor::random(Shape::new(&[c, 1, f, f]), 22, 0.5);
             let expect = ops::depthwise_conv2d(&input, &weights, &Conv2dParams::plain(s, 0));
             let dims =
                 ConvDims::constant(c, c, h2, h2, f, s).with_input(Dim::Const(h1), Dim::Const(h1));
@@ -1760,7 +1760,7 @@ mod tests {
         // identical to the scalar stream; only cycle accounting changes.
         let (c, h2, f, s, h1) = (3usize, 4usize, 3usize, 1usize, 6usize);
         let input = Tensor::random(Shape::chw(c, h1, h1), 21, 1.0);
-        let weights = Tensor::random(Shape(vec![c, 1, f, f]), 22, 0.5);
+        let weights = Tensor::random(Shape::new(&[c, 1, f, f]), 22, 0.5);
         let expect = ops::depthwise_conv2d(&input, &weights, &Conv2dParams::plain(s, 0));
         let dims =
             ConvDims::constant(c, c, h2, h2, f, s).with_input(Dim::Const(h1), Dim::Const(h1));

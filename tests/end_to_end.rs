@@ -59,7 +59,7 @@ fn mini_net() -> Graph {
     let r = g.push("stem_relu", Op::Relu, vec![bn]);
 
     // Depthwise separable stage.
-    let w_dw = Tensor::he_init(Shape(vec![8, 1, 3, 3]), 9, 101);
+    let w_dw = Tensor::he_init(Shape::new(&[8, 1, 3, 3]), 9, 101);
     let dw = g.push_with_params(
         "dw",
         Op::Conv2d {

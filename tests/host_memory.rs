@@ -3,7 +3,9 @@
 //!
 //! `Graph::execute` drops every activation after its last consumer, so a
 //! forward pass holds only the live frontier of the graph rather than every
-//! layer's output. A zoo graph's weights are generated on first read and
+//! layer's output, and a warm one allocates little beyond those outputs:
+//! parallel calls run on parked workers, shapes are inline and convolution
+//! parameters are borrowed. A zoo graph's weights are generated on first read and
 //! shared: building, compiling and deploying a model generate and copy
 //! none of them, and fusing and compiling it allocate a bounded number of
 //! times. A fleet run keeps one 16-byte ledger entry per arrival,
@@ -20,8 +22,8 @@ use fpgaccel::fleet::{
     device_rate, DeviceClass, Fleet, FleetConfig, FleetSpec, ModelDemand, TenantLoad, TenantPolicy,
 };
 use fpgaccel::serve::DeploymentCache;
-use fpgaccel::tensor::data;
 use fpgaccel::tensor::models::Model;
+use fpgaccel::tensor::{data, par};
 use fpgaccel::tune::TuningDb;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -105,6 +107,16 @@ fn executor_frees_activations_and_stays_within_its_allocation_budget() {
     let (_, allocs, _) = measure(|| resnet.fuse());
     assert!(allocs <= 8, "fusing ResNet-34 made {allocs} allocations");
 
+    // A parallel call hands its shares to the pool's parked workers, which
+    // the first parallel call spawns: 4 allocations per call when every
+    // call spawned its threads, 0 now.
+    let mut buf = vec![0.0f32; 1 << 20];
+    let fill = |i: usize, chunk: &mut [f32]| chunk.fill(i as f32);
+    par::for_each_chunk_mut(&mut buf, 1 << 10, fill);
+    let (_, allocs, _) = measure(|| par::for_each_chunk_mut(&mut buf, 1 << 10, fill));
+    assert_eq!(allocs, 0, "a warm parallel call made {allocs} allocations");
+    drop(buf);
+
     // Every activation of compiled MobileNetV1 together is 35.2 MB; the
     // largest set alive at once is 6.54 MB. The first execute also
     // generates the 16.9 MB of weights, which the graph then keeps.
@@ -115,20 +127,35 @@ fn executor_frees_activations_and_stays_within_its_allocation_budget() {
         raised <= 25_000_000,
         "the first MobileNetV1 execute raised the live heap by {raised} bytes"
     );
-    let (raised, _, _) = measure(|| mobilenet.execute(&x));
+    // A warm execute allocates its node outputs, the im2col matrices and a
+    // few bookkeeping vectors: 53 for 46 nodes. It made 267 when every
+    // parallel call spawned threads, every shape was a heap vector and
+    // every convolution cloned its bias and batch-norm vectors.
+    let (raised, allocs, _) = measure(|| mobilenet.execute(&x));
     assert!(
         raised <= 8_000_000,
         "MobileNetV1 execute raised the live heap by {raised} bytes"
     );
+    let budget = mobilenet.nodes.len() + 10;
+    assert!(
+        allocs <= budget,
+        "a warm MobileNetV1 execute made {allocs} allocations (budget {budget})"
+    );
 
-    // A first execute: 45 allocations, 10 of them generating the five
-    // weight tensors.
+    // A first execute: 24 allocations, 10 of them generating the five
+    // weight tensors (45 with heap shapes and cloned parameters); a warm
+    // one 19 (35).
     let lenet = Model::LeNet5.build().fuse().materialize_padding();
     let x = data::synthetic_digit(7, 3);
     let (_, allocs, _) = measure(|| lenet.execute(&x));
     assert!(
-        allocs <= 50,
-        "one LeNet-5 execute made {allocs} allocations"
+        allocs <= 30,
+        "the first LeNet-5 execute made {allocs} allocations"
+    );
+    let (_, allocs, _) = measure(|| lenet.execute(&x));
+    assert!(
+        allocs <= 20,
+        "a warm LeNet-5 execute made {allocs} allocations"
     );
 
     // Compiling from a prebuilt graph generates and copies no weights:

@@ -465,6 +465,101 @@ fn gemm_conv_matches_direct() {
     }
 }
 
+/// The per-pixel depthwise loop the row-tap kernel replaced: each output
+/// element sums its in-bounds taps from 0.0 in `(ry, rx)` order, then runs
+/// the epilogue.
+fn depthwise_per_pixel(input: &Tensor, w: &Tensor, p: &Conv2dParams) -> Vec<f32> {
+    let (c, h1, w1) = (
+        input.shape().dim(0),
+        input.shape().dim(1),
+        input.shape().dim(2),
+    );
+    let f = w.shape().dim(2);
+    let h2 = (h1 + 2 * p.pad - f) / p.stride + 1;
+    let w2 = (w1 + 2 * p.pad - f) / p.stride + 1;
+    let mut out = Vec::with_capacity(c * h2 * w2);
+    for ch in 0..c {
+        for yy in 0..h2 {
+            for xx in 0..w2 {
+                let mut acc = 0.0f32;
+                for ry in 0..f {
+                    for rx in 0..f {
+                        let iy = (p.stride * yy + ry) as isize - p.pad as isize;
+                        let ix = (p.stride * xx + rx) as isize - p.pad as isize;
+                        if (0..h1 as isize).contains(&iy) && (0..w1 as isize).contains(&ix) {
+                            acc += input.data()[(ch * h1 + iy as usize) * w1 + ix as usize]
+                                * w.data()[(ch * f + ry) * f + rx];
+                        }
+                    }
+                }
+                out.push(p.epilogue(ch, acc));
+            }
+        }
+    }
+    out
+}
+
+/// The row-tap depthwise kernel is bit-identical to the per-pixel loop for
+/// strides 1–3, pads 0–2 and windows 1–5, on planes from 1×1 up, ragged
+/// widths, every epilogue, and planes large enough to run in parallel.
+#[test]
+fn depthwise_is_bit_identical_to_the_per_pixel_loop() {
+    let mut rng = Rng64::seed_from_u64(0xC0_440D);
+    let mut tested = 0;
+    for s in 1..=3 {
+        for pad in 0..=2 {
+            for f in 1..=5 {
+                for h in 1..=7 {
+                    for w in [h, 1 + rng.below(19) as usize] {
+                        if h + 2 * pad < f || w + 2 * pad < f {
+                            continue;
+                        }
+                        let c = 1 + rng.below(3) as usize;
+                        assert_depthwise_bits(&mut rng, c, h, w, f, s, pad);
+                        tested += 1;
+                    }
+                }
+            }
+        }
+    }
+    // Above the parallel threshold, so the channels are split over threads.
+    for (c, hw, f, s, pad) in [(3, 80, 3, 1, 1), (5, 83, 3, 2, 1), (2, 97, 5, 3, 2)] {
+        assert_depthwise_bits(&mut rng, c, hw, hw + 3, f, s, pad);
+        tested += 1;
+    }
+    assert_eq!(tested, 548, "every shape that fits its window runs");
+}
+
+fn assert_depthwise_bits(
+    rng: &mut Rng64,
+    c: usize,
+    h: usize,
+    w: usize,
+    f: usize,
+    s: usize,
+    pad: usize,
+) {
+    let seed = rng.next_u64() % 1000;
+    let input = Tensor::random(Shape::chw(c, h, w), seed, 1.0);
+    let weights = Tensor::random(Shape::new(&[c, 1, f, f]), seed ^ 5, 0.5);
+    let channel_values = |base: f32| (0..c).map(|i| base + 0.1 * i as f32).collect::<Vec<_>>();
+    let p = Conv2dParams {
+        stride: s,
+        pad,
+        bias: (rng.below(2) == 0).then(|| channel_values(-0.2)),
+        bn: (rng.below(2) == 0).then(|| (channel_values(0.9), channel_values(-0.1))),
+        activation: [Activation::None, Activation::Relu, Activation::Relu6][rng.below(3) as usize],
+    };
+    let got = ops::depthwise_conv2d(&input, &weights, &p);
+    let want = depthwise_per_pixel(&input, &weights, &p);
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(got.data()),
+        bits(&want),
+        "c={c} h={h} w={w} f={f} s={s} pad={pad}"
+    );
+}
+
 /// The three execution paths — native host operators chained by hand, the
 /// reference graph executor, and the compiled kernels run through the TIR
 /// interpreter — compute the same function, element-wise, for randomized
@@ -644,7 +739,7 @@ fn dataflow_pipelines_match_staged_and_host_baselines() {
             None,
         );
         let relu = g.push("relu", Op::Relu, vec![conv]);
-        let wd = Tensor::random(Shape(vec![c, 1, 3, 3]), seed ^ 7, 0.5);
+        let wd = Tensor::random(Shape::new(&[c, 1, 3, 3]), seed ^ 7, 0.5);
         let dw = g.push_with_params(
             "dw",
             Op::Conv2d {

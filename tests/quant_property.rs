@@ -67,7 +67,7 @@ fn random_network(rng: &mut Rng64, case: usize) -> Graph {
             }
             1 if h >= 3 => {
                 // Depthwise convolution, 3x3 pad 1 (the MobileNet shape).
-                let w = Tensor::random(Shape(vec![c, 1, 3, 3]), rng.next_u64() % 1000, 0.5);
+                let w = Tensor::random(Shape::new(&[c, 1, 3, 3]), rng.next_u64() % 1000, 0.5);
                 last = g.push_with_params(
                     format!("conv{i}_dw"),
                     Op::Conv2d {
