@@ -44,7 +44,7 @@ use fpgaccel_tensor::models::Model;
 use fpgaccel_tensor::rng::Rng64;
 use fpgaccel_trace::{FlightRecorder, Registry, Tracer, PID_FLEET};
 use fpgaccel_tune::TuningDb;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Hedged duplicates carry the original request id with this bit set, so
 /// completion accounting can fold both copies back onto one request.
@@ -221,6 +221,37 @@ impl TenantOutcome {
             self.completed_in_budget as f64 / self.admitted_in_budget as f64
         }
     }
+
+    /// The tenant's part of [`FleetRunResult::digest`].
+    fn digest(&self) -> String {
+        format!(
+            "{}:{}/{}/{}/{}/{}/{}/{}",
+            self.name,
+            self.offered,
+            self.admitted_in_budget,
+            self.admitted_over_budget,
+            self.shed_fleet,
+            self.shed_shard,
+            self.completed,
+            self.completed_in_budget
+        )
+    }
+}
+
+/// A shard's part of [`FleetRunResult::digest`]: its completed and shed
+/// counts and each rollout's outcome.
+fn shard_digest(r: &RunResult) -> String {
+    let rollouts: Vec<String> = r
+        .rollouts
+        .iter()
+        .map(|rep| format!("{}={}", rep.to_label, rep.outcome.label()))
+        .collect();
+    format!(
+        "c{}s{}r[{}]",
+        r.metrics.completed,
+        r.metrics.shed(),
+        rollouts.join(",")
+    )
 }
 
 /// Everything one fleet run produced.
@@ -229,7 +260,11 @@ pub struct FleetRunResult {
     pub plan: PlacementPlan,
     /// Per-tenant accounting, in tenant order.
     pub tenants: Vec<TenantOutcome>,
-    /// Each shard's full serving result, in shard order.
+    /// Each shard's serving result, in shard order, with `completions`
+    /// empty: a shard's completions are reduced to `(id, completion_s)`
+    /// pairs as soon as it has run, and attribution credits those to
+    /// [`FleetRunResult::tenants`], [`FleetRunResult::latency`] and the
+    /// hedge counts. Sheds, metrics and every other record are kept.
     pub shards: Vec<RunResult>,
     /// Requests routed to a shard (admitted and served a route).
     pub routed: u64,
@@ -298,40 +333,8 @@ impl FleetRunResult {
     /// two runs of the same fleet on the same trace must produce the same
     /// string, byte for byte.
     pub fn digest(&self) -> String {
-        let tenants: Vec<String> = self
-            .tenants
-            .iter()
-            .map(|t| {
-                format!(
-                    "{}:{}/{}/{}/{}/{}/{}/{}",
-                    t.name,
-                    t.offered,
-                    t.admitted_in_budget,
-                    t.admitted_over_budget,
-                    t.shed_fleet,
-                    t.shed_shard,
-                    t.completed,
-                    t.completed_in_budget
-                )
-            })
-            .collect();
-        let shards: Vec<String> = self
-            .shards
-            .iter()
-            .map(|r| {
-                let rollouts: Vec<String> = r
-                    .rollouts
-                    .iter()
-                    .map(|rep| format!("{}={}", rep.to_label, rep.outcome.label()))
-                    .collect();
-                format!(
-                    "c{}s{}r[{}]",
-                    r.metrics.completed,
-                    r.metrics.shed(),
-                    rollouts.join(",")
-                )
-            })
-            .collect();
+        let tenants: Vec<String> = self.tenants.iter().map(TenantOutcome::digest).collect();
+        let shards: Vec<String> = self.shards.iter().map(shard_digest).collect();
         let replicas: Vec<String> = self
             .plan
             .assignments
@@ -589,7 +592,7 @@ impl Fleet {
         );
         self.rollout_specs(&mut shards);
         let mut routed = self.admit_and_route(ledger, &mut qos, shards, cap);
-        let shard_results = self.run_shards(&mut routed.shards);
+        let (shard_results, served) = self.run_shards(&mut routed.shards, &routed.ledger);
         let domains = self.domains();
         // Attribution fills in the tenant ledger, the hedge wins and
         // suppressions, the latencies and the span.
@@ -618,7 +621,7 @@ impl Fleet {
             registry: Registry::new(),
             span_s: duration_s,
         };
-        attribute(&mut r, tenants, &qos, &mut routed.ledger);
+        attribute(&mut r, tenants, &qos, &mut routed.ledger, served);
         publish_metrics(&r, &self.healer.spec.classes, domains);
         r
     }
@@ -736,13 +739,35 @@ impl Fleet {
     }
 
     /// Tenant trace: per-tenant Poisson streams, seeded per tenant ×
-    /// model, merged into one arrival-ordered trace — the run's ledger,
-    /// sized exactly, with the merge's growth slack released.
+    /// model, merged into one arrival-ordered trace — the run's ledger.
+    /// Every stream is drawn twice, first only to count its arrivals, so
+    /// the ledger is allocated once at exact size: grown by doubling, its
+    /// last growth would hold the old and the new buffer at once, up to
+    /// three times the ledger's size.
     fn tenant_trace(&self, tenants: &[TenantLoad], duration_s: f64) -> Vec<Arrival> {
         let _p = self
             .tracer
             .phase_on(PID_FLEET, "trace", "generate tenant traces");
-        let mut merged: Vec<Arrival> = Vec::new();
+        let mut arrivals = 0usize;
+        self.for_each_arrival(tenants, duration_s, |_| arrivals += 1);
+        let mut ledger = Vec::with_capacity(arrivals);
+        self.for_each_arrival(tenants, duration_s, |a| ledger.push(a));
+        ledger.sort_by(|a, b| {
+            a.t.total_cmp(&b.t)
+                .then(a.tenant.cmp(&b.tenant))
+                .then(a.model.name().cmp(b.model.name()))
+        });
+        ledger
+    }
+
+    /// Calls `f` with every arrival of the seeded per-tenant × model
+    /// Poisson streams up to `duration_s`, stream by stream.
+    fn for_each_arrival(
+        &self,
+        tenants: &[TenantLoad],
+        duration_s: f64,
+        mut f: impl FnMut(Arrival),
+    ) {
         for (ti, tenant) in tenants.iter().enumerate() {
             let index = u32::try_from(ti).expect("fewer than 2^32 tenants");
             for (mi, &(model, rate)) in tenant.offered.iter().enumerate() {
@@ -765,7 +790,7 @@ impl Fleet {
                     if at > duration_s {
                         break;
                     }
-                    merged.push(Arrival {
+                    f(Arrival {
                         t: at,
                         tenant: index,
                         model,
@@ -776,13 +801,6 @@ impl Fleet {
                 }
             }
         }
-        merged.sort_by(|a, b| {
-            a.t.total_cmp(&b.t)
-                .then(a.tenant.cmp(&b.tenant))
-                .then(a.model.name().cmp(b.model.name()))
-        });
-        merged.shrink_to_fit();
-        merged
     }
 
     /// Admit and route: every arrival of the ledger, in gid order, through
@@ -830,8 +848,17 @@ impl Fleet {
     }
 
     /// Shard runs: every shard's server, with a flight recorder armed and
-    /// its rollouts scheduled, serves its routed sub-trace.
-    fn run_shards(&mut self, shards: &mut [ShardState]) -> Vec<RunResult> {
+    /// its rollouts scheduled, serves its routed sub-trace. One shard at a
+    /// time holds full records: its compact copies become `Request`s, at
+    /// exact size and with the ledger's model, just before its server
+    /// runs, and its `Completion`s become `(id, completion_s)` pairs, in
+    /// completion order and at exact size, as soon as it returns. Returns
+    /// each shard's result, `completions` emptied, and its pairs.
+    fn run_shards(
+        &mut self,
+        shards: &mut [ShardState],
+        ledger: &[Arrival],
+    ) -> (Vec<RunResult>, Vec<Vec<(u64, f64)>>) {
         let pools = std::mem::take(&mut self.pools);
         pools
             .into_iter()
@@ -846,9 +873,24 @@ impl Fleet {
                 for spec in shard.rollouts.drain(..) {
                     server.schedule_rollout(spec);
                 }
-                server.run_open_loop(std::mem::take(&mut shard.trace))
+                let trace = std::mem::take(&mut shard.trace);
+                let requests = trace
+                    .iter()
+                    .map(|&(id, arrival_s)| Request {
+                        id,
+                        model: ledger[(id & !HEDGE_BIT) as usize].model,
+                        arrival_s,
+                        deadline_s: None,
+                        input: None,
+                    })
+                    .collect();
+                drop(trace);
+                let mut result = server.run_open_loop(requests);
+                let completions = std::mem::take(&mut result.completions);
+                let served = completions.iter().map(|c| (c.id, c.completion_s)).collect();
+                (result, served)
             })
-            .collect()
+            .unzip()
     }
 }
 
@@ -885,8 +927,11 @@ struct ShardState {
     outage: Option<(f64, String)>,
     /// Simulated second the shard's modeled backlog drains.
     until: f64,
-    /// The routed sub-trace: primaries, hedges and replays.
-    trace: Vec<Request>,
+    /// The routed sub-trace, one 16-byte `(id, arrival_s)` copy per
+    /// primary, hedge and replay: the id is the gid, with [`HEDGE_BIT`] set
+    /// on a duplicate, and the model is the ledger's. The shard run turns
+    /// it into `Request`s.
+    trace: Vec<(u64, f64)>,
     health: ShardHealth,
     /// Requests landing before this instant are hedged: the guard window
     /// around a heal's restore.
@@ -1133,11 +1178,13 @@ impl<'f> Routing<'f> {
     }
 
     /// The one enqueue path: charges slot `k` of model `msi` one modeled
-    /// service interval from `at` and appends the request to the slot's
-    /// shard trace. Hedges and replays carry [`HEDGE_BIT`] and mark the
-    /// request duplicated in the ledger; a primary joins the shard's replay
-    /// log while the shard has an outage pending, the only time
-    /// [`Routing::replay`] can read it.
+    /// service interval from `at` and appends an `(id, at)` copy of the
+    /// request to the slot's shard trace. Hedges and replays carry
+    /// [`HEDGE_BIT`] in the id and mark the request duplicated in the
+    /// ledger; a primary joins the shard's replay log while the shard has
+    /// an outage pending, the only time [`Routing::replay`] can read it.
+    /// Every copy serves the ledger's model: replays reuse the primary's
+    /// model index.
     fn enqueue(&mut self, msi: usize, k: usize, gid: u64, role: Role, at: f64) {
         let ms = &self.fleet.serving[msi];
         let nominal = ms.rate_rps[k];
@@ -1150,13 +1197,9 @@ impl<'f> Routing<'f> {
                 1.0 / nominal
             };
         let duplicate = role != Role::Primary;
-        shard.trace.push(Request {
-            id: if duplicate { gid | HEDGE_BIT } else { gid },
-            model: ms.model,
-            arrival_s: at,
-            deadline_s: None,
-            input: None,
-        });
+        shard
+            .trace
+            .push((if duplicate { gid | HEDGE_BIT } else { gid }, at));
         match role {
             Role::Primary if shard.outage.is_some() => {
                 shard.log.push((gid, msi, k, shard.until));
@@ -1219,22 +1262,7 @@ impl HealPlanner {
             restore_s: f64::INFINITY,
             error: None,
         };
-        for d in victim.devices().iter().filter(|d| is_serving(d)) {
-            event.lost.push(d.name.clone());
-            match self.lost.iter_mut().find(|(p, _)| *p == d.platform) {
-                Some((_, n)) => *n += 1,
-                None => self.lost.push((d.platform, 1)),
-            }
-        }
-        // The surviving inventory: the spec minus every board written off
-        // so far, fleet-wide.
-        let mut survivor = self.spec.clone();
-        for c in &mut survivor.classes {
-            if let Some((_, n)) = self.lost.iter().find(|(p, _)| *p == c.platform) {
-                c.count = c.count.saturating_sub(*n);
-            }
-        }
-        match plan_placement(&survivor, &mut self.db, &mut self.cache) {
+        match self.replan_survivors(victim, &mut event.lost) {
             Ok(p) => event.plan_evaluations = p.evaluations,
             Err(e) => {
                 event.error = Some(e);
@@ -1257,25 +1285,7 @@ impl HealPlanner {
             let Some(k) = ms.shards.iter().position(|&x| x == shard) else {
                 continue;
             };
-            let target_rate = ms.rate_rps[k];
-            let mut adopted: Vec<(String, FpgaPlatform)> = Vec::new();
-            let mut got = 0.0f64;
-            while got < target_rate {
-                let mut best: Option<(usize, f64)> = None;
-                for (i, (_, p)) in spares.iter().enumerate() {
-                    let Ok(r) = device_rate(&mut self.cache, ms.model, *p) else {
-                        continue;
-                    };
-                    if best.is_none_or(|(_, br)| r > br) {
-                        best = Some((i, r));
-                    }
-                }
-                let Some((i, r)) = best else {
-                    break;
-                };
-                adopted.push(spares.remove(i));
-                got += r;
-            }
+            let (adopted, got) = self.take_spares(&mut spares, ms.model, ms.rate_rps[k]);
             if adopted.is_empty() {
                 continue;
             }
@@ -1320,21 +1330,78 @@ impl HealPlanner {
         }
         (event, specs, caps)
     }
+
+    /// Writes `victim`'s serving boards off, naming each in `lost`, and
+    /// re-plans the spec on the surviving inventory: the spec minus every
+    /// board written off so far, fleet-wide.
+    fn replan_survivors(
+        &mut self,
+        victim: &DevicePool,
+        lost: &mut Vec<String>,
+    ) -> Result<PlacementPlan, PlacementError> {
+        for d in victim.devices().iter().filter(|d| is_serving(d)) {
+            lost.push(d.name.clone());
+            match self.lost.iter_mut().find(|(p, _)| *p == d.platform) {
+                Some((_, n)) => *n += 1,
+                None => self.lost.push((d.platform, 1)),
+            }
+        }
+        let mut survivor = self.spec.clone();
+        for c in &mut survivor.classes {
+            if let Some((_, n)) = self.lost.iter().find(|(p, _)| *p == c.platform) {
+                c.count = c.count.saturating_sub(*n);
+            }
+        }
+        plan_placement(&survivor, &mut self.db, &mut self.cache)
+    }
+
+    /// Takes boards out of `spares` to serve `model`, the fastest feasible
+    /// one first (the earliest among equals), until their rates cover
+    /// `target_rate` or no feasible spare is left. Returns the adopted
+    /// boards and their summed rate.
+    fn take_spares(
+        &mut self,
+        spares: &mut Vec<(String, FpgaPlatform)>,
+        model: Model,
+        target_rate: f64,
+    ) -> (Vec<(String, FpgaPlatform)>, f64) {
+        let mut adopted = Vec::new();
+        let mut got = 0.0f64;
+        while got < target_rate {
+            let mut best: Option<(usize, f64)> = None;
+            for (i, (_, p)) in spares.iter().enumerate() {
+                let Ok(r) = device_rate(&mut self.cache, model, *p) else {
+                    continue;
+                };
+                if best.is_none_or(|(_, br)| r > br) {
+                    best = Some((i, r));
+                }
+            }
+            let Some((i, r)) = best else {
+                break;
+            };
+            adopted.push(spares.remove(i));
+            got += r;
+        }
+        (adopted, got)
+    }
 }
 
 /// Attribution: each tenant's door ledger from `qos`, then completions
-/// and sheds credited back through the run's `ledger`. The earliest
-/// completion of a request wins — at equal times the primary copy beats
-/// its duplicate — and later copies are suppressed; a shed counts only
-/// when no copy completed, and once per request even when both copies
-/// shed. Each winner's latency, from the *original* arrival even when the
-/// duplicate won, feeds the run histogram and
-/// `fleet_request_latency_seconds`, in shard order, then completion order.
+/// and sheds credited back through the run's `ledger`. `served` holds each
+/// shard's `(id, completion_s)` pairs, in shard order, then completion
+/// order. The earliest completion of a request wins — at equal times the
+/// primary copy beats its duplicate — and later copies are suppressed; a
+/// shed counts only when no copy completed, and once per request even when
+/// both copies shed. Each winner's latency, from the *original* arrival
+/// even when the duplicate won, feeds the run histogram and
+/// `fleet_request_latency_seconds` in that order.
 fn attribute(
     r: &mut FleetRunResult,
     tenants: &[TenantLoad],
     qos: &QosController,
     ledger: &mut [Arrival],
+    served: Vec<Vec<(u64, f64)>>,
 ) {
     r.tenants = tenants
         .iter()
@@ -1354,21 +1421,22 @@ fn attribute(
         })
         .collect();
     let copy = |id: u64| ((id & !HEDGE_BIT) as usize, id & HEDGE_BIT != 0);
-    // Each request's first completion time, indexed by gid (infinite while
-    // none); the ledger notes whether the duplicate made it.
+    // Each request's first completion time, indexed by gid: infinite while
+    // none, and minus infinity once its shed is counted. The ledger notes
+    // whether the duplicate made it.
     let mut first = vec![f64::INFINITY; ledger.len()];
     let mut completions = 0u64;
-    for c in r.shards.iter().flat_map(|s| &s.completions) {
+    for &(id, completion_s) in served.iter().flatten() {
         completions += 1;
-        let (g, duplicate) = copy(c.id);
-        if c.completion_s < first[g] || (c.completion_s == first[g] && !duplicate) {
-            first[g] = c.completion_s;
+        let (g, duplicate) = copy(id);
+        if completion_s < first[g] || (completion_s == first[g] && !duplicate) {
+            first[g] = completion_s;
             ledger[g].duplicate_won = duplicate;
         }
     }
     let mut winners = 0u64;
-    for c in r.shards.iter().flat_map(|s| &s.completions) {
-        let (g, duplicate) = copy(c.id);
+    for &(id, completion_s) in served.iter().flatten() {
+        let (g, duplicate) = copy(id);
         let a = &ledger[g];
         if duplicate != a.duplicate_won {
             continue; // suppressed copy
@@ -1380,7 +1448,7 @@ fn attribute(
         if a.verdict == Some(Verdict::Admit) {
             tenant.completed_in_budget += 1;
         }
-        let l = c.completion_s - a.t;
+        let l = completion_s - a.t;
         r.latency.record(l);
         r.registry.histogram_observe(
             "fleet_request_latency_seconds",
@@ -1389,16 +1457,15 @@ fn attribute(
             LATENCY_BOUNDS,
             l,
         );
-        r.span_s = r.span_s.max(c.completion_s);
+        r.span_s = r.span_s.max(completion_s);
     }
     r.hedge_suppressed = completions - winners;
-    let mut shed_seen: HashSet<usize> = HashSet::new();
     for shed in r.shards.iter().flat_map(|s| &s.sheds) {
         let (g, _) = copy(shed.id);
-        if first[g].is_finite() || !shed_seen.insert(g) {
-            continue;
+        if first[g] == f64::INFINITY {
+            first[g] = f64::NEG_INFINITY;
+            r.tenants[ledger[g].tenant as usize].shed_shard += 1;
         }
-        r.tenants[ledger[g].tenant as usize].shed_shard += 1;
     }
 }
 
@@ -1415,6 +1482,19 @@ const HEAL_BOUNDS: &[f64] = &[0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0];
 /// transitions and per-shard health ratios, heal outcomes, the per-tenant
 /// ledger, and the device-class aggregates.
 fn publish_metrics(r: &FleetRunResult, classes: &[DeviceClass], domains: usize) {
+    let registry = &r.registry;
+    publish_routing(r, domains);
+    publish_breakers(registry, &r.breakers, r.span_s);
+    publish_heals(registry, &r.heals);
+    publish_tenants(registry, &r.tenants);
+    // Class-scoped device aggregates: the fleet registry carries one
+    // series per device *class*, not per device — per-device busy and
+    // utilization stay in each shard's own registry.
+    publish_class_metrics(registry, classes, &r.shards, r.span_s);
+}
+
+/// The topology gauges and the routing and duplicate counters.
+fn publish_routing(r: &FleetRunResult, domains: usize) {
     let registry = &r.registry;
     registry.gauge_set(
         "fleet_shards_count",
@@ -1467,6 +1547,11 @@ fn publish_metrics(r: &FleetRunResult, classes: &[DeviceClass], domains: usize) 
     ] {
         registry.counter_add(name, help, &[], v as f64);
     }
+}
+
+/// Breaker transitions by target state and each shard's health ratio over
+/// a `span_s` run.
+fn publish_breakers(registry: &Registry, breakers: &[Vec<BreakerTransition>], span_s: f64) {
     // Register every transition label at zero so the families exist (and
     // dashboards resolve) even on a fault-free run.
     let transitions_help = "Circuit-breaker transitions, by target state.";
@@ -1478,7 +1563,7 @@ fn publish_metrics(r: &FleetRunResult, classes: &[DeviceClass], domains: usize) 
             0.0,
         );
     }
-    for (s, log) in r.breakers.iter().enumerate() {
+    for (s, log) in breakers.iter().enumerate() {
         for tr in log {
             registry.counter_inc(
                 "fleet_breaker_transitions_total",
@@ -1490,11 +1575,15 @@ fn publish_metrics(r: &FleetRunResult, classes: &[DeviceClass], domains: usize) 
             "fleet_shard_health_ratio",
             "Fraction of the run the shard's breaker was closed (healthy).",
             &[("shard", &s.to_string())],
-            health_ratio(log, r.span_s),
+            health_ratio(log, span_s),
         );
     }
-    let heal_ok = r.heals.iter().filter(|h| h.error.is_none()).count();
-    for (outcome, n) in [("replaced", heal_ok), ("failed", r.heals.len() - heal_ok)] {
+}
+
+/// Heal outcomes, and the restore latency of each heal that adopted boards.
+fn publish_heals(registry: &Registry, heals: &[HealEvent]) {
+    let heal_ok = heals.iter().filter(|h| h.error.is_none()).count();
+    for (outcome, n) in [("replaced", heal_ok), ("failed", heals.len() - heal_ok)] {
         registry.counter_add(
             "fleet_heal_events_total",
             "Self-healing re-placements, by outcome.",
@@ -1502,7 +1591,7 @@ fn publish_metrics(r: &FleetRunResult, classes: &[DeviceClass], domains: usize) 
             n as f64,
         );
     }
-    for h in &r.heals {
+    for h in heals {
         if h.error.is_none() && h.restore_s.is_finite() {
             registry.histogram_observe(
                 "fleet_heal_latency_seconds",
@@ -1513,7 +1602,12 @@ fn publish_metrics(r: &FleetRunResult, classes: &[DeviceClass], domains: usize) 
             );
         }
     }
-    for o in &r.tenants {
+}
+
+/// Each tenant's door admissions by budget bucket, sheds by scope and
+/// completions.
+fn publish_tenants(registry: &Registry, tenants: &[TenantOutcome]) {
+    for o in tenants {
         let t = o.name.as_str();
         registry.counter_add(
             "fleet_admitted_total",
@@ -1546,10 +1640,6 @@ fn publish_metrics(r: &FleetRunResult, classes: &[DeviceClass], domains: usize) 
             o.completed as f64,
         );
     }
-    // Class-scoped device aggregates: the fleet registry carries one
-    // series per device *class*, not per device — per-device busy and
-    // utilization stay in each shard's own registry.
-    publish_class_metrics(registry, classes, &r.shards, r.span_s);
 }
 
 /// Fraction of a `span_s` run a breaker with transition log `log` spent
@@ -1626,7 +1716,7 @@ fn publish_class_metrics(
 mod tests {
     use super::*;
     use crate::placement::ModelDemand;
-    use fpgaccel_serve::{Completion, ServiceMetrics, Shed, ShedReason};
+    use fpgaccel_serve::{ServiceMetrics, Shed, ShedReason};
 
     fn ev(at_s: f64, target: &str, kind: FaultKind) -> FaultEvent {
         FaultEvent {
@@ -1696,6 +1786,128 @@ mod tests {
     #[test]
     fn a_ledger_arrival_takes_16_bytes() {
         assert_eq!(std::mem::size_of::<Arrival>(), 16);
+    }
+
+    #[test]
+    fn a_routed_copy_takes_16_bytes() {
+        fn element_size<T>(_: &[T]) -> usize {
+            std::mem::size_of::<T>()
+        }
+        let mut fleet = fleet(Vec::new());
+        let routing = routing(&mut fleet);
+        assert_eq!(element_size(&routing.out.shards[0].trace), 16);
+    }
+
+    /// The tenant trace as a plain merge builds it: every stream pushed in
+    /// turn onto one growing vector, then stably sorted.
+    fn merged_by_push(fleet: &Fleet, tenants: &[TenantLoad], duration_s: f64) -> Vec<Arrival> {
+        let mut merged = Vec::new();
+        for (ti, tenant) in tenants.iter().enumerate() {
+            for (mi, &(model, rate)) in tenant.offered.iter().enumerate() {
+                let seed = hash2(hash_str(fleet.cfg.seed, &tenant.policy.name), mi as u64);
+                let mut rng = Rng64::seed_from_u64(seed);
+                let mut t = rng.exponential(rate);
+                while t <= duration_s {
+                    merged.push(Arrival {
+                        t,
+                        tenant: ti as u32,
+                        model,
+                        verdict: None,
+                        duplicated: false,
+                        duplicate_won: false,
+                    });
+                    t += rng.exponential(rate);
+                }
+            }
+        }
+        merged.sort_by(|a, b| {
+            a.t.total_cmp(&b.t)
+                .then(a.tenant.cmp(&b.tenant))
+                .then(a.model.name().cmp(b.model.name()))
+        });
+        merged
+    }
+
+    #[test]
+    fn the_tenant_trace_is_allocated_at_exact_size_in_merge_order() {
+        let mut fleet = fleet(Vec::new());
+        // A second served model, so that tenant `a` offers two models; the
+        // trace reads only which models the placement serves.
+        fleet.serving.push(ModelShards {
+            model: Model::MobileNetV1,
+            shards: vec![0],
+            rate_rps: vec![1.0],
+            router: Router::new(0, 1, VNODES),
+        });
+        let tenant = |name: &str, offered| TenantLoad {
+            policy: TenantPolicy {
+                name: name.into(),
+                weight: 1.0,
+                budget_rps: 1.0,
+                burst: 1.0,
+            },
+            offered,
+        };
+        let tenants = [
+            tenant(
+                "a",
+                vec![(Model::LeNet5, 3000.0), (Model::MobileNetV1, 2000.0)],
+            ),
+            tenant("b", vec![(Model::LeNet5, 1000.0)]),
+        ];
+        let fields = |ledger: &[Arrival]| -> Vec<(f64, u32, Model)> {
+            ledger.iter().map(|a| (a.t, a.tenant, a.model)).collect()
+        };
+        for seed in [1, 7, 0xF1EE7] {
+            fleet.cfg.seed = seed;
+            let ledger = fleet.tenant_trace(&tenants, 0.5);
+            assert_eq!(ledger.len(), ledger.capacity(), "seed {seed}");
+            let reference = merged_by_push(&fleet, &tenants, 0.5);
+            assert_eq!(fields(&ledger), fields(&reference), "seed {seed}");
+            for model in [Model::LeNet5, Model::MobileNetV1] {
+                assert!(ledger.iter().any(|a| a.tenant == 0 && a.model == model));
+            }
+            assert!(ledger
+                .iter()
+                .all(|a| a.verdict.is_none() && !a.duplicated && !a.duplicate_won));
+        }
+    }
+
+    #[test]
+    fn shard_runs_serve_the_ledger_model_and_reduce_completions_to_pairs() {
+        let mut fleet = fleet(Vec::new());
+        let mut routing = routing(&mut fleet);
+        // gid 3 asks for a model no shard serves, so each server that gets a
+        // copy of it sheds that copy under the model it was handed.
+        routing.out.ledger[3].model = Model::MobileNetV1;
+        for gid in 0..8u64 {
+            let at = 1e-3 * gid as f64;
+            routing.enqueue(0, (gid % 2) as usize, gid, Role::Primary, at);
+        }
+        routing.enqueue(0, 1, 2, Role::Hedge, 0.01);
+        routing.enqueue(0, 0, 3, Role::Hedge, 0.011);
+        let mut routed = std::mem::take(&mut routing.out);
+        let (results, served) = fleet.run_shards(&mut routed.shards, &routed.ledger);
+        let dup = HEDGE_BIT;
+        let expected: [&[u64]; 2] = [&[0, 2, 4, 6], &[1, 5, 7, 2 | dup]];
+        let shed: [u64; 2] = [3 | dup, 3];
+        for s in 0..2 {
+            assert!(routed.shards[s].trace.is_empty(), "the run took the copies");
+            let r = &results[s];
+            assert!(r.completions.is_empty());
+            assert_eq!(r.metrics.completed, served[s].len() as u64);
+            let mut ids: Vec<u64> = served[s].iter().map(|&(id, _)| id).collect();
+            ids.sort_unstable();
+            assert_eq!(ids, expected[s], "shard {s}");
+            assert!(
+                served[s].windows(2).all(|w| w[0].1 <= w[1].1),
+                "shard {s}'s pairs are in completion order"
+            );
+            assert_eq!(r.sheds.len(), 1);
+            let sh = &r.sheds[0];
+            assert_eq!((sh.id, sh.model), (shed[s], Model::MobileNetV1));
+            assert_eq!(sh.reason, ShedReason::Unserved);
+        }
     }
 
     #[test]
@@ -1776,12 +1988,9 @@ mod tests {
         routing.enqueue(0, 0, 7, Role::Primary, 0.01);
         routing.enqueue(0, 1, 7, Role::Hedge, 0.02);
         routing.enqueue(0, 1, 8, Role::Replay, 0.03);
-        let ids = |s: usize| -> Vec<u64> {
-            let trace = &routing.out.shards[s].trace;
-            trace.iter().map(|r| r.id).collect()
-        };
-        assert_eq!(ids(0), vec![7]);
-        assert_eq!(ids(1), vec![7 | HEDGE_BIT, 8 | HEDGE_BIT]);
+        let trace = |s: usize| routing.out.shards[s].trace.clone();
+        assert_eq!(trace(0), vec![(7, 0.01)]);
+        assert_eq!(trace(1), vec![(7 | HEDGE_BIT, 0.02), (8 | HEDGE_BIT, 0.03)]);
         assert_eq!((routing.out.hedges, routing.out.replays), (1, 1));
         assert!(routing.out.ledger[7].duplicated && routing.out.ledger[8].duplicated);
         // Only the primary joins the replay log, and every copy charges
@@ -1795,7 +2004,7 @@ mod tests {
         // With no outage pending, no replay can read a log: shard 1 logs
         // none of its primaries.
         routing.enqueue(0, 1, 9, Role::Primary, 0.04);
-        assert_eq!(routing.out.shards[1].trace.last().map(|r| r.id), Some(9));
+        assert_eq!(routing.out.shards[1].trace.last(), Some(&(9, 0.04)));
         assert!(routing.out.shards[1].log.is_empty());
         assert!(!routing.out.ledger[9].duplicated);
     }
@@ -1820,21 +2029,8 @@ mod tests {
             offered: Vec::new(),
         }];
         let model = Model::LeNet5;
-        let result = |(done, shed): &HandMade| RunResult {
-            completions: done
-                .iter()
-                .map(|&(id, completion_s)| Completion {
-                    id,
-                    model,
-                    device: 0,
-                    arrival_s: 0.0,
-                    completion_s,
-                    batch_size: 1,
-                    brownout: false,
-                    brownout_rung: 0,
-                    output: None,
-                })
-                .collect(),
+        let result = |(_, shed): &HandMade| RunResult {
+            completions: Vec::new(),
             sheds: shed
                 .iter()
                 .map(|&id| Shed {
@@ -1880,7 +2076,8 @@ mod tests {
             duplicated: true,
             ..arrival(0.0)
         }];
-        attribute(&mut r, &tenants, &qos, &mut ledger);
+        let served = shards.iter().map(|(done, _)| done.to_vec()).collect();
+        attribute(&mut r, &tenants, &qos, &mut ledger, served);
         r
     }
 

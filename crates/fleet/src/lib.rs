@@ -33,6 +33,7 @@
 //!   aggregates per-class `fleet_*` metrics.
 
 #![warn(missing_docs)]
+#![warn(clippy::too_many_lines)]
 
 pub mod driver;
 pub mod hash;

@@ -227,37 +227,7 @@ pub fn plan_placement(
 
     let mut evaluations = 0usize;
     let mut remaining: Vec<usize> = spec.classes.iter().map(|c| c.count).collect();
-
-    // Probe every (model, class) pair once; infeasible pairs keep their
-    // structured compile error for the NoFeasibleClass report.
-    let mut feasible: Vec<Vec<Probe>> = Vec::with_capacity(spec.demands.len());
-    for d in &spec.demands {
-        let mut probes = Vec::new();
-        let mut reasons = Vec::new();
-        for (slot, c) in spec.classes.iter().enumerate() {
-            evaluations += 1;
-            match device_rate(cache, d.model, c.platform) {
-                Ok(device_rate_rps) => probes.push(Probe {
-                    platform: c.platform,
-                    inventory_slot: slot,
-                    device_rate_rps,
-                }),
-                Err(e) => reasons.push((c.platform, e)),
-            }
-        }
-        if probes.is_empty() && d.rate_rps > 0.0 {
-            return Err(PlacementError::NoFeasibleClass {
-                model: d.model,
-                reasons,
-            });
-        }
-        probes.sort_by(|a, b| {
-            b.device_rate_rps
-                .total_cmp(&a.device_rate_rps)
-                .then(a.inventory_slot.cmp(&b.inventory_slot))
-        });
-        feasible.push(probes);
-    }
+    let feasible = probe_classes(spec, cache, &mut evaluations)?;
 
     // Most-constrained model first (fewest feasible classes; demand-order
     // tie-break), each filling from its fastest class down.
@@ -316,6 +286,46 @@ pub fn plan_placement(
     };
     db.placements.insert(digest, plan.record());
     Ok(plan)
+}
+
+/// Probes every (model, class) pair of `spec` once, counting each probe in
+/// `evaluations`: per demand, its feasible classes fastest first (inventory
+/// order among equals). A demand with a positive rate and no feasible class
+/// fails with every class's structured compile error.
+fn probe_classes(
+    spec: &FleetSpec,
+    cache: &mut DeploymentCache,
+    evaluations: &mut usize,
+) -> Result<Vec<Vec<Probe>>, PlacementError> {
+    let mut feasible: Vec<Vec<Probe>> = Vec::with_capacity(spec.demands.len());
+    for d in &spec.demands {
+        let mut probes = Vec::new();
+        let mut reasons = Vec::new();
+        for (slot, c) in spec.classes.iter().enumerate() {
+            *evaluations += 1;
+            match device_rate(cache, d.model, c.platform) {
+                Ok(device_rate_rps) => probes.push(Probe {
+                    platform: c.platform,
+                    inventory_slot: slot,
+                    device_rate_rps,
+                }),
+                Err(e) => reasons.push((c.platform, e)),
+            }
+        }
+        if probes.is_empty() && d.rate_rps > 0.0 {
+            return Err(PlacementError::NoFeasibleClass {
+                model: d.model,
+                reasons,
+            });
+        }
+        probes.sort_by(|a, b| {
+            b.device_rate_rps
+                .total_cmp(&a.device_rate_rps)
+                .then(a.inventory_slot.cmp(&b.inventory_slot))
+        });
+        feasible.push(probes);
+    }
+    Ok(feasible)
 }
 
 /// Reconstructs a plan from a cached record, re-deriving per-device rates
