@@ -421,7 +421,7 @@ mod tests {
             .iter()
             .find(|p| p.trigger == "device-lost" && p.subject == "s10mx-0")
             .expect("device loss triggers a postmortem");
-        let kinds: Vec<&str> = pm.events.iter().map(|e| e.kind.as_str()).collect();
+        let kinds: Vec<&str> = pm.events.iter().map(|e| e.kind()).collect();
         assert!(kinds.contains(&"hang-detected"), "window shows the hang");
         assert!(
             kinds.contains(&"reprogram-fail"),

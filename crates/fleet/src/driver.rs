@@ -752,11 +752,7 @@ impl Fleet {
         self.for_each_arrival(tenants, duration_s, |_| arrivals += 1);
         let mut ledger = Vec::with_capacity(arrivals);
         self.for_each_arrival(tenants, duration_s, |a| ledger.push(a));
-        ledger.sort_by(|a, b| {
-            a.t.total_cmp(&b.t)
-                .then(a.tenant.cmp(&b.tenant))
-                .then(a.model.name().cmp(b.model.name()))
-        });
+        sort_merged(&mut ledger);
         ledger
     }
 
@@ -819,6 +815,11 @@ impl Fleet {
         let mut routing = Routing::new(self, cap, shards, ledger);
         for gid in 0..arrivals {
             routing.route(gid, qos);
+        }
+        // The sub-traces grew by doubling; each waits for its shard's run
+        // holding only its copies.
+        for shard in &mut routing.out.shards {
+            shard.trace.shrink_to_fit();
         }
         routing.out
     }
@@ -892,6 +893,18 @@ impl Fleet {
             })
             .unzip()
     }
+}
+
+/// Sorts merged arrivals into the ledger's order: time, then tenant, then
+/// model name. Arrivals equal in all three are equal in every field before
+/// routing (no verdict, no duplicate), so the unstable sort gives the
+/// stable sort's ledger without a scratch buffer half the ledger's size.
+fn sort_merged(ledger: &mut [Arrival]) {
+    ledger.sort_unstable_by(|a, b| {
+        a.t.total_cmp(&b.t)
+            .then(a.tenant.cmp(&b.tenant))
+            .then(a.model.name().cmp(b.model.name()))
+    });
 }
 
 /// True when `d` serves a model; spare boards serve none.
@@ -1358,19 +1371,26 @@ impl HealPlanner {
     /// Takes boards out of `spares` to serve `model`, the fastest feasible
     /// one first (the earliest among equals), until their rates cover
     /// `target_rate` or no feasible spare is left. Returns the adopted
-    /// boards and their summed rate.
+    /// boards and their summed rate. A board's rate depends only on its
+    /// platform, so each platform is priced once.
     fn take_spares(
         &mut self,
         spares: &mut Vec<(String, FpgaPlatform)>,
         model: Model,
         target_rate: f64,
     ) -> (Vec<(String, FpgaPlatform)>, f64) {
+        let mut rates: Vec<(FpgaPlatform, Option<f64>)> = Vec::new();
+        for (_, p) in spares.iter() {
+            if rates.iter().all(|(q, _)| q != p) {
+                rates.push((*p, device_rate(&mut self.cache, model, *p).ok()));
+            }
+        }
         let mut adopted = Vec::new();
         let mut got = 0.0f64;
         while got < target_rate {
             let mut best: Option<(usize, f64)> = None;
             for (i, (_, p)) in spares.iter().enumerate() {
-                let Ok(r) = device_rate(&mut self.cache, model, *p) else {
+                let Some(r) = rates.iter().find(|(q, _)| q == p).and_then(|&(_, r)| r) else {
                     continue;
                 };
                 if best.is_none_or(|(_, br)| r > br) {
@@ -1871,6 +1891,81 @@ mod tests {
                 .iter()
                 .all(|a| a.verdict.is_none() && !a.duplicated && !a.duplicate_won));
         }
+    }
+
+    #[test]
+    fn the_ledger_sort_matches_a_stable_sort_on_tied_keys() {
+        let (l, m) = (Model::LeNet5, Model::MobileNetV1);
+        // Exact ties in (time, tenant, model), and keys that differ only in
+        // tenant or model, as the merge sees them: no verdict or duplicate.
+        let keys = [
+            (0.2, 1, l),
+            (0.1, 0, m),
+            (0.1, 0, l),
+            (0.2, 1, l),
+            (0.1, 1, l),
+            (0.1, 0, m),
+            (0.0, 2, m),
+            (0.1, 0, l),
+            (0.2, 0, m),
+            (0.1, 0, m),
+        ];
+        // Long enough that the unstable sort does not fall back to an
+        // insertion sort, which is stable.
+        let merged: Vec<Arrival> = (0..200)
+            .map(|k| keys[k * 7 % keys.len()])
+            .map(|(t, tenant, model)| Arrival {
+                t,
+                tenant,
+                model,
+                verdict: None,
+                duplicated: false,
+                duplicate_won: false,
+            })
+            .collect();
+        let mut stable = merged.clone();
+        stable.sort_by(|a, b| {
+            a.t.total_cmp(&b.t)
+                .then(a.tenant.cmp(&b.tenant))
+                .then(a.model.name().cmp(b.model.name()))
+        });
+        let mut ledger = merged;
+        sort_merged(&mut ledger);
+        let fields = |ledger: &[Arrival]| -> Vec<_> {
+            ledger
+                .iter()
+                .map(|a| {
+                    let flags = (a.verdict, a.duplicated, a.duplicate_won);
+                    (a.t.to_bits(), a.tenant, a.model, flags)
+                })
+                .collect()
+        };
+        assert_eq!(fields(&ledger), fields(&stable));
+    }
+
+    #[test]
+    fn a_heal_prices_each_spare_platform_once() {
+        let mut fleet = fleet(Vec::new());
+        let (sx, a10) = (FpgaPlatform::Stratix10Sx, FpgaPlatform::Arria10Gx);
+        let mut spares: Vec<(String, FpgaPlatform)> = [sx, a10, sx, a10, sx, a10]
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| (format!("spare-{i}"), p))
+            .collect();
+        let mut by_rate = spares.clone();
+        let rate = |p| device_rate(&mut DeploymentCache::new(), Model::LeNet5, p).unwrap();
+        let (rate_sx, rate_a10) = (rate(sx), rate(a10));
+        let rate_of = |p| if p == sx { rate_sx } else { rate_a10 };
+        by_rate.sort_by(|a, b| rate_of(b.1).total_cmp(&rate_of(a.1)));
+        let healer = &mut fleet.healer;
+        let asked = |h: &HealPlanner| h.cache.hits() + h.cache.misses();
+        let before = asked(healer);
+        let (adopted, got) = healer.take_spares(&mut spares, Model::LeNet5, f64::INFINITY);
+        assert_eq!(asked(healer) - before, 2, "one cache query per platform");
+        // Every spare, the fastest first and in spare order among equals.
+        assert!(spares.is_empty());
+        assert_eq!(adopted, by_rate);
+        assert_eq!(got, adopted.iter().map(|a| rate_of(a.1)).sum::<f64>());
     }
 
     #[test]

@@ -11,7 +11,9 @@ use fpgaccel_fault::RetryPolicy;
 use fpgaccel_tensor::models::Model;
 use fpgaccel_tensor::rng::Rng64;
 use fpgaccel_tensor::Tensor;
-use fpgaccel_trace::{FlightRecorder, HotPathProfiler, Postmortem, Registry, Tracer, PID_SERVE};
+use fpgaccel_trace::{
+    FlightData, FlightRecorder, HotPathProfiler, Postmortem, Registry, Tracer, PID_SERVE,
+};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -304,6 +306,9 @@ pub struct Server {
     rollouts: Vec<RolloutRun>,
     slos: Vec<SloMonitor>,
     flight: FlightRecorder,
+    /// The pool's device names, shared by the flight recorder's completion
+    /// events; filled when an enabled recorder is attached.
+    device_names: Vec<Arc<str>>,
     profiler: HotPathProfiler,
 }
 
@@ -332,6 +337,7 @@ impl Server {
             rollouts: Vec::new(),
             slos: Vec::new(),
             flight: FlightRecorder::disabled(),
+            device_names: Vec::new(),
             profiler: HotPathProfiler::disabled(),
         }
     }
@@ -394,10 +400,18 @@ impl Server {
     /// completions, sheds, retries, recovery actions and rollout events
     /// into its ring, and freezes a [`Postmortem`] on batch timeouts,
     /// quarantines, device loss, rollbacks and SLO breaches. The caller
-    /// keeps its own handle (clones share the ring), and the snapshots
-    /// are also returned in [`RunResult::postmortems`].
+    /// keeps its own handle (clones share the ring); the run's snapshots
+    /// move out of the recorder into [`RunResult::postmortems`].
     pub fn with_flight_recorder(mut self, flight: &FlightRecorder) -> Server {
         self.flight = flight.clone();
+        if flight.is_enabled() {
+            self.device_names = self
+                .pool
+                .devices()
+                .iter()
+                .map(|d| Arc::from(d.name.as_str()))
+                .collect();
+        }
         self
     }
 
@@ -511,8 +525,11 @@ impl Server {
                 self.last_event_s = self.last_event_s.max(rollout.last_t());
                 if self.flight.is_enabled() {
                     for ev in rollout.unseen_events() {
-                        self.flight
-                            .record(ev.t_s, "rollout", &ev.action, &ev.device, &ev.detail);
+                        self.flight.record(
+                            ev.t_s,
+                            "rollout",
+                            FlightData::text(&ev.action, &ev.device, &ev.detail),
+                        );
                         if ev.action == "rollback-begin" {
                             self.flight
                                 .trigger(ev.t_s, "rollback", &ev.device, &ev.detail);
@@ -579,8 +596,11 @@ impl Server {
     /// recorder's ring — every fault/recovery action is incident context.
     fn record_recovery_event(&mut self, ev: RecoveryEvent) {
         if self.flight.is_enabled() {
-            self.flight
-                .record(ev.t_s, "recovery", &ev.action, &ev.subject, &ev.detail);
+            self.flight.record(
+                ev.t_s,
+                "recovery",
+                FlightData::text(&ev.action, &ev.subject, &ev.detail),
+            );
         }
         self.recovery.push(ev);
     }
@@ -610,7 +630,7 @@ impl Server {
                 detail: detail.clone(),
             });
             self.flight
-                .trigger(a.t_s, "slo-breach", model.name(), &detail);
+                .trigger(a.t_s, "slo-breach", model.name(), detail);
         }
     }
 
@@ -650,9 +670,11 @@ impl Server {
             self.flight.record(
                 time_s,
                 "serve",
-                "shed",
-                format_args!("req {id}"),
-                format_args!("{} ({label})", model.name()),
+                FlightData::Shed {
+                    id,
+                    model: model.name(),
+                    reason: label,
+                },
             );
         }
         self.observe_slo(model, time_s, None, false);
@@ -963,13 +985,13 @@ impl Server {
             self.flight.record(
                 completion_s,
                 "serve",
-                "completion",
-                format_args!("req {id}"),
-                format_args!(
-                    "{} x{size} on {device_name}, latency {:.3} ms",
-                    model.name(),
-                    (completion_s - arrival_s) * 1e3
-                ),
+                FlightData::Completion {
+                    id,
+                    model: model.name(),
+                    batch: size,
+                    device: Arc::clone(&self.device_names[b.at.device]),
+                    arrival_s,
+                },
             );
         }
         self.observe_slo(model, completion_s, Some(completion_s - arrival_s), true);
@@ -1044,7 +1066,7 @@ impl Server {
             fail_s,
             "timeout",
             &device_name,
-            &format!("{} x{size} watchdog fired", model.name()),
+            format!("{} x{size} watchdog fired", model.name()),
         );
         let fault = self.cfg.fault;
         let rec = self.pool.quarantine(
@@ -1137,7 +1159,7 @@ impl Server {
             until_s,
             "quarantine",
             device_name,
-            &format!(
+            format!(
                 "reprogrammed back to service after {} attempt(s)",
                 rec.attempts.len()
             ),
@@ -1174,7 +1196,7 @@ impl Server {
             lost_s,
             "device-lost",
             device_name,
-            &format!("{} reprogram attempts failed", rec.attempts.len()),
+            format!("{} reprogram attempts failed", rec.attempts.len()),
         );
     }
 
@@ -1240,9 +1262,11 @@ impl Server {
                 self.flight.record(
                     due,
                     "serve",
-                    "retry",
-                    format_args!("req {}", r.id),
-                    format_args!("{} attempt {n}", model.name()),
+                    FlightData::Retry {
+                        id: r.id,
+                        model: model.name(),
+                        attempt: n,
+                    },
                 );
             }
             self.park(r, due);
@@ -1348,7 +1372,7 @@ impl Server {
             rollouts: self.rollouts.iter().map(RolloutRun::report).collect(),
             devices,
             slo_alerts,
-            postmortems: self.flight.postmortems(),
+            postmortems: self.flight.take_postmortems(),
         }
     }
 

@@ -50,7 +50,7 @@ pub mod profile;
 pub mod tracer;
 
 pub use chrome::chrome_trace_json;
-pub use flight::{FlightEvent, FlightRecorder, Postmortem};
+pub use flight::{EventText, FlightData, FlightEvent, FlightRecorder, Postmortem};
 pub use metrics::Registry;
 pub use profile::HotPathProfiler;
 pub use tracer::{PhaseGuard, TraceEvent, Tracer, PID_FLEET, PID_FLOW, PID_SERVE, PID_TUNE};

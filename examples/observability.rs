@@ -134,9 +134,9 @@ fn main() {
             "  t={:7.3} ms [{}] {:<10} {:<12} {}",
             e.t_s * 1e3,
             e.lane,
-            e.kind,
-            e.subject,
-            e.detail
+            e.kind(),
+            e.subject(),
+            e.detail()
         );
     }
     println!(

@@ -11,7 +11,8 @@
 //! times. A fleet run keeps one 16-byte ledger entry per arrival and a
 //! 16-byte record per routed copy and per completion, holds full requests
 //! and completions for one shard at a time, and a timing-only request or
-//! completion carries no tensor.
+//! completion carries no tensor; its flight recorders store raw fields and
+//! hand their postmortems over by move.
 //! This binary installs its own counting, peak-tracking global allocator
 //! and holds exactly one test, so no concurrently running test moves the
 //! counters.
@@ -208,7 +209,10 @@ fn executor_frees_activations_and_stays_within_its_allocation_budget() {
     // request when a run kept per-request maps, an unboxed tensor slot in
     // every request and completion, and a replay log on every shard; 138
     // when every shard's 48-byte requests and 64-byte completions were
-    // alive at once; 110 now.
+    // alive at once; 110 when flight records held formatted text; 107 now.
+    // It makes at most 3,000 allocations (1,518 now; 13,963 when every
+    // flight record formatted four strings and every postmortem was copied
+    // event by event, twice).
     let rate = device_rate(&mut DeploymentCache::new(), Model::LeNet5, s10sx)
         .expect("LeNet-5 fits the S10SX");
     let spec = FleetSpec {
@@ -246,7 +250,7 @@ fn executor_frees_activations_and_stays_within_its_allocation_budget() {
         },
         offered: vec![(Model::LeNet5, 1.2 * capacity)],
     }];
-    let (raised, _, run) = measure(|| fleet.run(&tenants, 1.0));
+    let (raised, allocs, run) = measure(|| fleet.run(&tenants, 1.0));
     let offered = run.tenants[0].offered;
     assert_eq!(run.heals.len(), 1, "the outage heals once");
     assert!(run.replays > 0 && run.hedges > 0);
@@ -254,5 +258,9 @@ fn executor_frees_activations_and_stays_within_its_allocation_budget() {
         raised <= 130 * offered as usize,
         "a fleet run raised the live heap by {raised} bytes, {} per offered request",
         raised / offered as usize
+    );
+    assert!(
+        allocs <= 3_000,
+        "a fleet run made {allocs} allocations for {offered} offered requests"
     );
 }

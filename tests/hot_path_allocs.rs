@@ -1,7 +1,9 @@
 //! Allocation guard for the per-request and per-event hot paths.
 //!
-//! Once their series, names and buffers exist, metric updates, flight
-//! recording, batch dispatch and simulated device events allocate nothing.
+//! Once their series, names and buffers exist, metric updates, batch
+//! dispatch and simulated device events allocate nothing; flight recording
+//! allocates nothing from the first event on, and a postmortem snapshot a
+//! constant number of times.
 //! This binary installs its own counting global allocator and holds exactly
 //! one test, so no concurrently running test moves the counter.
 
@@ -11,9 +13,10 @@ use fpgaccel::device::FpgaPlatform;
 use fpgaccel::serve::loadgen::{open_loop_poisson, with_deadline};
 use fpgaccel::serve::{DevicePool, ServeConfig, Server};
 use fpgaccel::tensor::models::Model;
-use fpgaccel::trace::{FlightRecorder, Registry};
+use fpgaccel::trace::{FlightData, FlightRecorder, Registry};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Heap allocations (and reallocations) since process start.
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
@@ -73,21 +76,51 @@ fn metric_updates_on_existing_series_allocate_nothing() {
     assert_eq!(r.value("serve_hot_total", &two), Some(502.0));
 }
 
-fn a_full_flight_ring_records_without_allocating() {
-    let flight = FlightRecorder::enabled(256);
-    let record = |id: u64| {
+fn flight_records_allocate_nothing_and_snapshots_a_constant_number() {
+    let device: Arc<str> = Arc::from("s10sx-0");
+    let record = |flight: &FlightRecorder, id: u64| {
         flight.record(
             id as f64 * 1e-4,
             "serve",
-            "completion",
-            format_args!("req {id}"),
-            format_args!("lenet5 x8 on s10sx-{}, latency {:.3} ms", id % 3, 1.5),
+            FlightData::Completion {
+                id,
+                model: "lenet5",
+                batch: 8,
+                device: Arc::clone(&device),
+                arrival_s: id as f64 * 1e-4 - 1.5e-3,
+            },
         );
     };
-    (0..256).for_each(record);
-    let ((), allocs) = counted(|| (256..1256).for_each(record));
-    assert_eq!(allocs, 0, "1000 records into a full ring allocated");
+    // From the first event on: the empty ring fills, then wraps.
+    let flight = FlightRecorder::enabled(256);
+    let ((), allocs) = counted(|| (0..1256).for_each(|id| record(&flight, id)));
+    assert_eq!(allocs, 0, "1256 records from an empty ring on allocated");
     assert_eq!(flight.len(), 256);
+    // A snapshot copies the window in one allocation, whatever its size:
+    // a rare event's text, here every fourth event's, is shared, not copied.
+    let snapshot = |capacity: usize| {
+        let flight = FlightRecorder::enabled(capacity);
+        for id in 0..capacity as u64 {
+            if id % 4 == 0 {
+                let text = FlightData::text("reprogram-fail", "s10sx-0", "attempt 1 of 3");
+                flight.record(id as f64 * 1e-4, "recovery", text);
+            } else {
+                record(&flight, id);
+            }
+        }
+        let detail = String::from("lenet5 x8 watchdog fired");
+        let (taken, allocs) = counted(|| flight.trigger(1.0, "timeout", "s10sx-0", detail));
+        assert!(taken);
+        assert_eq!(flight.take_postmortems()[0].events.len(), capacity);
+        allocs
+    };
+    let (small, large) = (snapshot(16), snapshot(4096));
+    assert_eq!(
+        small, large,
+        "a trigger made {small} allocations on a 16-event ring, {large} on a 4096-event one"
+    );
+    // The subject, the window and the postmortem list.
+    assert!(small <= 3, "a trigger made {small} allocations");
 }
 
 fn warm_open_loop_serving_allocates_under_one_per_twenty_requests() {
@@ -162,7 +195,7 @@ fn simulated_events_allocate_under_one_each() {
 #[test]
 fn hot_paths_allocate_only_for_new_series_names_and_buffers() {
     metric_updates_on_existing_series_allocate_nothing();
-    a_full_flight_ring_records_without_allocating();
+    flight_records_allocate_nothing_and_snapshots_a_constant_number();
     warm_open_loop_serving_allocates_under_one_per_twenty_requests();
     simulated_events_allocate_under_one_each();
 }

@@ -120,7 +120,7 @@ fn slo_breach_pages_and_produces_a_postmortem_timeline() {
     assert!(
         pm.events
             .iter()
-            .any(|e| e.kind == "completion" && e.detail.contains("latency")),
+            .any(|e| e.kind() == "completion" && e.detail().contains("latency")),
         "window shows the completions whose latencies burned the budget"
     );
 
