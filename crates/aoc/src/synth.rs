@@ -9,6 +9,7 @@ use fpgaccel_tir::{Kernel, Name};
 use std::collections::hash_map::DefaultHasher;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Arithmetic precision of the generated datapath. The thesis deploys
 /// 32-bit float throughout but identifies quantization as the main avenue
@@ -133,8 +134,9 @@ pub struct LsuReport {
 /// Synthesis result for one kernel.
 #[derive(Clone, Debug)]
 pub struct KernelReport {
-    /// Kernel name.
-    pub name: String,
+    /// Kernel name, shared by every simulated event and per-kernel total
+    /// of the kernel.
+    pub name: Arc<str>,
     /// Structural facts of the kernel as synthesized (after platform
     /// auto-unroll).
     pub facts: KernelFacts,
@@ -199,7 +201,7 @@ impl BitstreamReport {
     pub fn kernel(&self, name: &str) -> &KernelReport {
         self.kernels
             .iter()
-            .find(|k| k.name == name)
+            .find(|k| &*k.name == name)
             .unwrap_or_else(|| panic!("no kernel `{name}` in bitstream"))
     }
 }
@@ -384,7 +386,7 @@ pub fn synthesize_kernel(
     };
 
     KernelReport {
-        name: kernel.name.clone(),
+        name: kernel.name.as_str().into(),
         autorun: kernel.autorun,
         facts,
         lsus,

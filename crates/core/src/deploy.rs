@@ -18,7 +18,8 @@ use fpgaccel_tensor::Tensor;
 use fpgaccel_tir::{Binding, Kernel};
 use fpgaccel_trace::Tracer;
 use std::collections::HashMap;
-use std::sync::LazyLock;
+use std::fmt;
+use std::sync::{Arc, LazyLock, Mutex, PoisonError};
 
 /// The host execution plan.
 #[derive(Clone, Debug)]
@@ -154,10 +155,12 @@ pub struct BatchStats {
     pub gflops: f64,
     /// Event-class breakdown (Figure 6.2).
     pub breakdown: Breakdown,
-    /// Device-busy seconds per kernel.
-    pub kernel_seconds: HashMap<String, f64>,
-    /// FLOPs attributed to each kernel across the batch.
-    pub kernel_flops: HashMap<String, u64>,
+    /// Device-busy seconds per kernel, keyed by the bitstream's shared
+    /// kernel names.
+    pub kernel_seconds: HashMap<Arc<str>, f64>,
+    /// FLOPs attributed to each kernel across the batch, keyed like
+    /// [`BatchStats::kernel_seconds`].
+    pub kernel_flops: HashMap<Arc<str>, u64>,
     /// Per-image completion latencies, seconds: first input-write queued to
     /// output-read end, in image order.
     pub latencies: Vec<f64>,
@@ -209,11 +212,12 @@ pub struct BatchLatencyModel {
 
 impl BatchLatencyModel {
     /// Calibrates the model from a single-image run and a `probe`-image run
-    /// (`probe ≥ 2`; larger probes average out pipeline fill).
+    /// (`probe ≥ 2`; larger probes average out pipeline fill), both read
+    /// through the deployment's memo ([`Deployment::batch_seconds`]).
     pub fn calibrate(d: &Deployment, probe: usize) -> BatchLatencyModel {
         let probe = probe.max(2);
-        let one = d.simulate_batch(1).seconds;
-        let many = d.simulate_batch(probe).seconds;
+        let one = d.batch_seconds(1);
+        let many = d.batch_seconds(probe);
         let per_image_s = ((many - one) / (probe - 1) as f64).max(1e-12);
         BatchLatencyModel {
             base_s: (one - per_image_s).max(0.0),
@@ -239,7 +243,6 @@ pub struct DeploymentQuant {
 }
 
 /// A compiled, synthesized, deployable accelerator.
-#[derive(Debug)]
 pub struct Deployment {
     /// The fused network graph (functional semantics + parameters).
     pub graph: Graph,
@@ -256,6 +259,25 @@ pub struct Deployment {
     /// Quantization state when compiled with [`OptimizationConfig::quant`];
     /// `None` for f32 deployments.
     pub quant: Option<DeploymentQuant>,
+    /// Clean batch seconds per batch size, filled by
+    /// [`Deployment::batch_seconds`]. A pool dispatches a few dozen sizes,
+    /// so a list is enough.
+    batch_memo: Mutex<Vec<(usize, f64)>>,
+}
+
+/// Every field but the batch memo, which caches derived values.
+impl fmt::Debug for Deployment {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Deployment")
+            .field("graph", &self.graph)
+            .field("plan", &self.plan)
+            .field("bitstream", &self.bitstream)
+            .field("device", &self.device)
+            .field("config", &self.config)
+            .field("calib", &self.calib)
+            .field("quant", &self.quant)
+            .finish()
+    }
 }
 
 impl Deployment {
@@ -278,6 +300,7 @@ impl Deployment {
             config,
             calib,
             quant: None,
+            batch_memo: Mutex::new(Vec::new()),
         }
     }
 
@@ -339,6 +362,40 @@ impl Deployment {
         self.simulate_batch_traced(n, &Tracer::disabled(), "")
     }
 
+    /// Simulated seconds of a clean batch of `n` images: the `seconds` of
+    /// [`Deployment::simulate_batch`], simulated on the first call for each
+    /// `n` and memoized in the deployment. Every pool, shard and
+    /// calibration sharing the deployment shares the memo, so each size is
+    /// simulated once per deployment.
+    ///
+    /// A deployment must not be mutated after its first call here, or the
+    /// memo goes stale; serving callers hold it in an `Arc`.
+    ///
+    /// # Panics
+    /// Panics if `n == 0`.
+    pub fn batch_seconds(&self, n: usize) -> f64 {
+        // The memo only ever gains a finished entry, so a simulation that
+        // panicked under the lock left it valid.
+        let mut memo = self
+            .batch_memo
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        if let Some(&(_, s)) = memo.iter().find(|&&(m, _)| m == n) {
+            return s;
+        }
+        let s = self.simulate_batch(n).seconds;
+        memo.push((n, s));
+        s
+    }
+
+    /// Distinct batch sizes [`Deployment::batch_seconds`] has simulated.
+    pub fn memoized_batches(&self) -> usize {
+        self.batch_memo
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
+    }
+
     /// [`Deployment::simulate_batch`] with every simulated OpenCL event
     /// also recorded on `tracer` as nested queued/submit/run slices, under
     /// a device track group named `label` (see `fpgaccel_runtime::timeline`).
@@ -382,6 +439,7 @@ impl Deployment {
             self.bitstream.fmax_mhz,
         );
         sim.profiling = self.config.profiling;
+        sim.reserve_kernels(self.bitstream.kernels.len());
         if tracer.is_enabled() {
             let label = if label.is_empty() {
                 format!("{} {} x{}", self.device.platform, self.config.label, n)
@@ -427,9 +485,8 @@ impl Deployment {
         let sync_each = self.config.profiling
             || (!folded && (!self.config.concurrent || !self.config.channels));
 
-        // Map kernel name -> flops per single invocation set, accumulated
-        // while enqueueing.
-        let mut kernel_flops: HashMap<String, u64> = HashMap::new();
+        // Kernel name -> FLOPs over the batch, accumulated while enqueueing.
+        let mut kernel_flops = HashMap::with_capacity(self.bitstream.kernels.len());
         // Per-image completion latency: every event's timestamps are fixed
         // at enqueue time, so each image's latency is known as soon as its
         // read-back is enqueued.
@@ -438,8 +495,9 @@ impl Deployment {
             let write_ev = sim.enqueue_write(q_io, "input", in_bytes, &[]);
             let mut prev = write_ev;
             for op in self.plan.ops() {
+                let report = self.bitstream.kernel(&op.kernel.name);
                 let flops = node_flops(&self.graph, &self.graph.nodes[op.node_id]);
-                add_flops(&mut kernel_flops, &op.kernel.name, flops);
+                *kernel_flops.entry(Arc::clone(&report.name)).or_default() += flops;
                 let coupling = op.coupling.map(|fifo| ChannelCoupling {
                     producer: prev,
                     fifo,
@@ -448,7 +506,6 @@ impl Deployment {
                 // launch reads the previous one's output in global memory.
                 let after = coupling.is_none().then_some(prev);
                 let queue = (!op.kernel.autorun).then(|| lane_queue(op.lane));
-                let report = self.bitstream.kernel(&op.kernel.name);
                 prev = sim.enqueue_kernel(queue, report, op.binding, after.as_slice(), coupling);
                 if sync_each {
                     sim.wait(prev);
@@ -466,23 +523,18 @@ impl Deployment {
             }
         }
         sim.finish();
-        self.batch_stats(&sim, kernel_flops, latencies)
+        self.batch_stats(sim, kernel_flops, latencies)
     }
 
     /// The statistics of a finished batch simulation.
     fn batch_stats(
         &self,
-        sim: &Sim,
-        kernel_flops: HashMap<String, u64>,
+        sim: Sim,
+        kernel_flops: HashMap<Arc<str>, u64>,
         latencies: Vec<f64>,
     ) -> BatchStats {
         let n = latencies.len();
         let seconds = sim.last_event_end().max(sim.now());
-        let kernel_seconds = sim
-            .kernel_seconds()
-            .iter()
-            .map(|(k, &s)| (k.to_string(), s))
-            .collect();
         let fps = n as f64 / seconds;
         let gflops = fps * self.flops() as f64 / 1e9;
         let latency = LatencyQuantiles::of(&latencies);
@@ -492,21 +544,11 @@ impl Deployment {
             fps,
             gflops,
             breakdown: sim.breakdown(),
-            kernel_seconds,
+            events: sim.events().to_vec(),
+            kernel_seconds: sim.into_kernel_seconds(),
             kernel_flops,
             latencies,
             latency,
-            events: sim.events().to_vec(),
-        }
-    }
-}
-
-/// Adds `flops` to `kernel`'s total, allocating its name on first sight only.
-fn add_flops(kernel_flops: &mut HashMap<String, u64>, kernel: &str, flops: u64) {
-    match kernel_flops.get_mut(kernel) {
-        Some(total) => *total += flops,
-        None => {
-            kernel_flops.insert(kernel.to_string(), flops);
         }
     }
 }
@@ -696,6 +738,37 @@ mod tests {
         assert!(err < 0.15, "prediction off by {:.1}%", err * 100.0);
         // More images always predicted slower.
         assert!(m.seconds(10) < m.seconds(11));
+    }
+
+    #[test]
+    fn memoized_batch_seconds_match_a_fresh_simulation_bit_for_bit() {
+        use crate::bitstreams::optimized_config;
+        for model in Model::ALL {
+            for platform in FpgaPlatform::ALL {
+                let Ok(d) = Flow::new(model, platform).compile(&optimized_config(model, platform))
+                else {
+                    continue;
+                };
+                for n in [1, 4, 16] {
+                    let fresh = d.simulate_batch(n).seconds;
+                    assert_eq!(d.batch_seconds(n).to_bits(), fresh.to_bits());
+                    assert_eq!(d.batch_seconds(n).to_bits(), fresh.to_bits());
+                }
+                assert_eq!(d.memoized_batches(), 3, "{model:?} on {platform:?}");
+                // The calibration the pool used before the memo: two
+                // simulations of its own.
+                let probe = 16;
+                let one = d.simulate_batch(1).seconds;
+                let many = d.simulate_batch(probe).seconds;
+                let per_image_s = ((many - one) / (probe - 1) as f64).max(1e-12);
+                let old = BatchLatencyModel {
+                    base_s: (one - per_image_s).max(0.0),
+                    per_image_s,
+                };
+                assert_eq!(BatchLatencyModel::calibrate(&d, probe), old);
+                assert_eq!(d.memoized_batches(), 3, "calibration read the memo");
+            }
+        }
     }
 
     #[test]

@@ -520,7 +520,7 @@ impl Fleet {
         let mut out = Vec::new();
         for (s, pool) in self.pools.iter().enumerate() {
             if self.domain_of(s) == domain {
-                out.extend(pool.devices().iter().map(|d| d.name.clone()));
+                out.extend(pool.devices().iter().map(|d| d.name.to_string()));
             }
         }
         out
@@ -547,7 +547,7 @@ impl Fleet {
             .devices()
             .iter()
             .find(|d| d.deployment(model).is_some())
-            .map(|d| d.name.clone())
+            .map(|d| d.name.to_string())
     }
 
     /// Schedules a fleet-wide rollout, replayed shard by shard at `run`.
@@ -649,7 +649,7 @@ impl Fleet {
             })
             .collect();
         let owner = |name: &str| {
-            let owns = |p: &DevicePool| p.devices().iter().any(|d| d.name == name);
+            let owns = |p: &DevicePool| p.devices().iter().any(|d| &*d.name == name);
             self.pools.iter().rposition(owns)
         };
         for e in self.fleet_plans.iter().flat_map(|p| &p.events) {
@@ -664,7 +664,7 @@ impl Fleet {
                     for d in self.pools[s].devices().iter().filter(|d| is_serving(d)) {
                         let dark = |kind| FaultEvent {
                             at_s: e.at_s,
-                            target: d.name.clone(),
+                            target: d.name.to_string(),
                             kind,
                         };
                         shard.events.push(dark(FaultKind::DeviceHang));
@@ -712,7 +712,7 @@ impl Fleet {
                 let FaultKind::DeviceSlow { factor } = e.kind else {
                     continue;
                 };
-                let Some(dev) = self.pools[s].devices().iter().find(|d| d.name == e.target) else {
+                let Some(dev) = self.pools[s].devices().iter().find(|d| *d.name == e.target) else {
                     continue;
                 };
                 for (msi, ms) in self.serving.iter().enumerate() {
@@ -1142,7 +1142,7 @@ impl<'f> Routing<'f> {
             return;
         };
         let f = &mut *self.fleet;
-        let (event, specs, restores) = f.healer.heal(t, s, domain, &f.pools[s], &f.serving);
+        let (event, specs, restores) = f.healer.heal(t, s, domain, &mut f.pools[s], &f.serving);
         let shard = &mut self.out.shards[s];
         if event.error.is_none() && event.restore_s.is_finite() {
             shard.health.extend_open(event.restore_s);
@@ -1256,13 +1256,15 @@ impl HealPlanner {
     /// serving the lost models via heal [`RolloutSpec`]s. Returns the
     /// structured event, the rollouts to schedule on the shard, and the
     /// `(model index, slot, rate)` the adoption restores at
-    /// [`HealEvent::restore_s`].
+    /// [`HealEvent::restore_s`]. The victim's cache takes the designs the
+    /// planner compiled, so the rollouts deploy them without compiling
+    /// them again.
     fn heal(
         &mut self,
         t_open: f64,
         shard: usize,
         domain: String,
-        victim: &DevicePool,
+        victim: &mut DevicePool,
         serving: &[ModelShards],
     ) -> (HealEvent, Vec<RolloutSpec>, Vec<(usize, usize, f64)>) {
         let mut event = HealEvent {
@@ -1289,7 +1291,7 @@ impl HealPlanner {
             .devices()
             .iter()
             .filter(|d| d.health() == DeviceHealth::Healthy && !is_serving(d))
-            .map(|d| (d.name.clone(), d.platform))
+            .map(|d| (d.name.to_string(), d.platform))
             .collect();
         let mut specs = Vec::new();
         let mut caps = Vec::new();
@@ -1340,6 +1342,7 @@ impl HealPlanner {
         // guard margin — the breaker stays parked until the boards are live.
         if !event.adopted.is_empty() {
             event.restore_s = at + 0.05;
+            victim.cache_mut().share_from(&self.cache);
         }
         (event, specs, caps)
     }
@@ -1353,7 +1356,7 @@ impl HealPlanner {
         lost: &mut Vec<String>,
     ) -> Result<PlacementPlan, PlacementError> {
         for d in victim.devices().iter().filter(|d| is_serving(d)) {
-            lost.push(d.name.clone());
+            lost.push(d.name.to_string());
             match self.lost.iter_mut().find(|(p, _)| *p == d.platform) {
                 Some((_, n)) => *n += 1,
                 None => self.lost.push((d.platform, 1)),
@@ -1966,6 +1969,78 @@ mod tests {
         assert!(spares.is_empty());
         assert_eq!(adopted, by_rate);
         assert_eq!(got, adopted.iter().map(|a| rate_of(a.1)).sum::<f64>());
+    }
+
+    #[test]
+    fn a_run_compiles_each_design_once_across_the_heal_and_every_pool() {
+        // A build from a warm database compiles only the placed pair,
+        // LeNet-5 on the S10SX. When dom-1 goes dark, the heal's re-plan
+        // and the adoption of the victim's Arria 10 spares need LeNet-5 on
+        // the A10: the heal planner compiles it, and the victim pool's
+        // adoption rollouts deploy that same deployment.
+        let (sx, a10) = (FpgaPlatform::Stratix10Sx, FpgaPlatform::Arria10Gx);
+        let rate = device_rate(&mut DeploymentCache::new(), Model::LeNet5, sx).unwrap();
+        let class = |platform, count| DeviceClass { platform, count };
+        let spec = FleetSpec {
+            classes: vec![class(sx, 4), class(a10, 8)],
+            demands: vec![ModelDemand {
+                model: Model::LeNet5,
+                rate_rps: 3.0 * rate,
+            }],
+            headroom: 0.25,
+            domains: 2,
+        };
+        let mut db = TuningDb::new();
+        plan_placement(&spec, &mut db, &mut DeploymentCache::new()).unwrap();
+        let cfg = FleetConfig {
+            shards: 2,
+            ..FleetConfig::default()
+        };
+        let mut fleet = Fleet::build(&spec, cfg, &mut db).unwrap();
+        assert!(fleet.plan.from_cache);
+        let template_misses = fleet.healer.cache.misses();
+        fleet.arm(FaultPlan::new(
+            0,
+            vec![ev(0.1, "dom-1", FaultKind::DomainOutage)],
+        ));
+        let tenants = [TenantLoad {
+            policy: TenantPolicy {
+                name: "a".into(),
+                weight: 1.0,
+                budget_rps: fleet.capacity_rps(),
+                burst: 20.0,
+            },
+            offered: vec![(Model::LeNet5, fleet.capacity_rps())],
+        }];
+        // `Fleet::run`'s phases, keeping the fleet and its heal planner.
+        let mut shards = fleet.expand_faults();
+        let cap = fleet.capacity_model(&shards);
+        let ledger = fleet.tenant_trace(&tenants, 0.5);
+        let mut qos = QosController::new(vec![tenants[0].policy.clone()], fleet.capacity_rps());
+        fleet.rollout_specs(&mut shards);
+        let mut routed = fleet.admit_and_route(ledger, &mut qos, shards, cap);
+        let (results, _) = fleet.run_shards(&mut routed.shards, &routed.ledger);
+        assert_eq!(routed.heals.len(), 1);
+        let adopted = &routed.heals[0].adopted;
+        assert!(!adopted.is_empty(), "the heal adopts A10 spares");
+        assert!(results[1]
+            .devices
+            .iter()
+            .any(|d| adopted.contains(&d.device)
+                && d.deployments.iter().any(|(m, _)| *m == Model::LeNet5)));
+        // Each pool's cache started as a clone of the template's, counts
+        // included.
+        let pool_misses: u64 = results
+            .iter()
+            .map(|r| {
+                r.registry
+                    .value("serve_deploy_cache_misses_total", &[])
+                    .unwrap() as u64
+            })
+            .map(|m| m - template_misses)
+            .sum();
+        let distinct = [(Model::LeNet5, sx), (Model::LeNet5, a10)].len() as u64;
+        assert_eq!(fleet.healer.cache.misses() + pool_misses, distinct);
     }
 
     #[test]

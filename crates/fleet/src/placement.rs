@@ -24,7 +24,7 @@
 
 use crate::hash::{hash2, hash_str};
 use fpgaccel_core::bitstreams::optimized_config;
-use fpgaccel_core::FlowError;
+use fpgaccel_core::{BatchLatencyModel, FlowError};
 use fpgaccel_device::FpgaPlatform;
 use fpgaccel_serve::DeploymentCache;
 use fpgaccel_tensor::models::Model;
@@ -199,7 +199,7 @@ pub fn device_rate(
     platform: FpgaPlatform,
 ) -> Result<f64, FlowError> {
     let dep = cache.get_or_compile(model, platform, &optimized_config(model, platform))?;
-    let lm = cache.calibration(&dep, PROBE_BATCH);
+    let lm = BatchLatencyModel::calibrate(&dep, PROBE_BATCH);
     Ok(PROBE_BATCH as f64 / lm.seconds(PROBE_BATCH))
 }
 

@@ -118,7 +118,7 @@ impl CouplingSpec {
 /// streaming millions of images must not grow an unbounded event log. With
 /// [`EventRetention::Recent`] the simulation folds every event into running
 /// aggregates (identical, bit for bit, to aggregating the full trace) and
-/// keeps only a ring of the newest events for dependency resolution.
+/// keeps only a window of the newest events for dependency resolution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventRetention {
     /// Keep every event (the default; required by consumers that inspect
@@ -126,7 +126,9 @@ pub enum EventRetention {
     Full,
     /// Keep only the most recent `n` events; older ones are dropped after
     /// being folded into the running aggregates. Dependencies may only
-    /// reference retained events.
+    /// reference retained events. The log is one buffer of `2n` events,
+    /// allocated at the first event; once it is full, the oldest `n` are
+    /// dropped at once.
     Recent(usize),
 }
 
@@ -151,11 +153,14 @@ pub struct Sim {
     fault_target: String,
     host_clock: f64,
     queue_last_end: Vec<f64>,
-    /// Every kernel and buffer name seen, allocated once per simulation.
+    /// Every buffer name seen, allocated once per simulation. Kernel
+    /// events share their report's name.
     names: HashSet<Arc<str>>,
     kernel_busy: HashMap<Arc<str>, f64>,
     events: Vec<SimEvent>,
     /// Events dropped from the front of `events` under `Recent` retention.
+    /// The buffer may still hold older events than the window; `events()`
+    /// and `event()` see only the window.
     dropped: usize,
     // Running aggregates over every event ever pushed, accumulated in push
     // order — the same order `Breakdown::of` iterates, so `breakdown()`
@@ -273,7 +278,15 @@ impl Sim {
 
     /// All retained events (the full trace under [`EventRetention::Full`]).
     pub fn events(&self) -> &[SimEvent] {
-        &self.events
+        &self.events[self.hidden()..]
+    }
+
+    /// Buffered events older than the retention window.
+    fn hidden(&self) -> usize {
+        match self.retention {
+            EventRetention::Full => 0,
+            EventRetention::Recent(n) => self.events.len().saturating_sub(n.max(1)),
+        }
     }
 
     /// An event by id.
@@ -282,9 +295,9 @@ impl Sim {
     /// Panics if the event was dropped under [`EventRetention::Recent`].
     pub fn event(&self, id: EventId) -> &SimEvent {
         assert!(
-            id >= self.dropped,
+            id >= self.dropped + self.hidden(),
             "event {id} was dropped (retention keeps the last {} events)",
-            self.events.len()
+            self.events().len()
         );
         &self.events[id - self.dropped]
     }
@@ -318,6 +331,18 @@ impl Sim {
     /// Running device-busy seconds per kernel over the whole history.
     pub fn kernel_seconds(&self) -> &HashMap<Arc<str>, f64> {
         &self.kernel_seconds
+    }
+
+    /// [`Sim::kernel_seconds`], moved out of a finished simulation.
+    pub fn into_kernel_seconds(self) -> HashMap<Arc<str>, f64> {
+        self.kernel_seconds
+    }
+
+    /// Sizes the per-kernel maps for `kernels` distinct kernels, so a
+    /// simulation of a bitstream with that many never grows them.
+    pub fn reserve_kernels(&mut self, kernels: usize) {
+        self.kernel_busy.reserve(kernels);
+        self.kernel_seconds.reserve(kernels);
     }
 
     /// The shared copy of `name`, allocated on its first event only.
@@ -362,15 +387,20 @@ impl Sim {
             EventKind::Write => self.agg_write_s += ev.duration(),
             EventKind::Read => self.agg_read_s += ev.duration(),
         }
-        self.events.push(ev);
         if let EventRetention::Recent(n) = self.retention {
-            let cap = n.max(1);
-            if self.events.len() > cap {
-                let excess = self.events.len() - cap;
+            // One buffer of two windows: a full buffer drops its older
+            // window in one move instead of one event per push.
+            let window = n.max(1);
+            if self.events.capacity() < 2 * window {
+                self.events.reserve_exact(2 * window - self.events.len());
+            }
+            if self.events.len() >= 2 * window {
+                let excess = self.events.len() - window;
                 self.events.drain(..excess);
                 self.dropped += excess;
             }
         }
+        self.events.push(ev);
         self.profiler.end(probe);
         self.dropped + self.events.len() - 1
     }
@@ -477,7 +507,7 @@ impl Sim {
             start = start.max(dispatch_ready).max(self.queue_last_end[q]);
             enqueued = Some((q, queued, submit));
         }
-        let name = self.intern(&report.name);
+        let name = Arc::clone(&report.name);
         start = start.max(self.kernel_busy.get(&name).copied().unwrap_or(0.0));
         let mut end = (start + dur + stall).max(end_floor);
         if self.fault.is_enabled() {
@@ -1013,6 +1043,45 @@ mod more_tests {
         // The retained window is the newest events, ids still stable.
         assert_eq!(&*sim.events()[0].name, "w44");
         assert_eq!(&*sim.event(49).name, "w49");
+    }
+
+    /// `events` writes `w0`, `w1`, ... under a 4-event window.
+    fn windowed(events: usize, mut check: impl FnMut(&Sim, usize)) -> Sim {
+        let mut sim = Sim::new(
+            FpgaPlatform::Stratix10Sx.model(),
+            AocOptions::default(),
+            Calib::default(),
+            200.0,
+        );
+        sim.retention = EventRetention::Recent(4);
+        let q = sim.create_queue();
+        for i in 0..events {
+            assert_eq!(sim.enqueue_write(q, &format!("w{i}"), 1024, &[]), i);
+            check(&sim, i);
+        }
+        sim
+    }
+
+    #[test]
+    fn recent_retention_shows_exactly_the_newest_window_after_every_event() {
+        windowed(30, |sim, i| {
+            let newest: Vec<String> = (i.saturating_sub(3)..=i).map(|k| format!("w{k}")).collect();
+            let shown: Vec<&str> = sim.events().iter().map(|e| &*e.name).collect();
+            assert_eq!(shown, newest, "after event {i}");
+            for (id, name) in (i.saturating_sub(3)..).zip(&newest) {
+                assert_eq!(&*sim.event(id).name, name);
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "event 25 was dropped (retention keeps the last 4 events)")]
+    fn a_buffered_event_older_than_the_window_is_not_addressable() {
+        // The buffer compacted last before event 28, so it still holds
+        // events 24 and 25, which the window no longer shows.
+        let sim = windowed(30, |_, _| {});
+        assert_eq!(&*sim.event(26).name, "w26");
+        let _ = sim.event(25);
     }
 
     #[test]

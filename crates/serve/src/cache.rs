@@ -20,21 +20,17 @@ use std::sync::Arc;
 
 /// A cache of compiled deployments.
 ///
-/// Cloning is cheap (shared `Arc`s) and carries the compiled entries, model
-/// graphs and calibration memos along — a fleet builds one warm template
-/// cache and hands each shard pool a clone, so hundreds of devices cost one
-/// compile and one calibration per deployment.
+/// Cloning is cheap (shared `Arc`s) and carries the compiled entries and
+/// model graphs along — a fleet builds one warm template cache and hands
+/// each shard pool a clone, so hundreds of devices cost one compile per
+/// deployment, and one simulation per batch size: each deployment memoizes
+/// its own batch seconds ([`Deployment::batch_seconds`]).
 #[derive(Clone, Default)]
 pub struct DeploymentCache {
     entries: HashMap<String, Arc<Deployment>>,
     /// Each model's source graph, built on its first compile. It holds
     /// weight shapes until a deployment's graph is executed.
     graphs: HashMap<Model, Arc<Graph>>,
-    /// Latency models memoized per (deployment identity, probe size).
-    /// Calibration is a pure function of the deployment, and cached
-    /// deployments are pinned for the cache's lifetime, so the allocation
-    /// address is a stable key.
-    calibrations: HashMap<(usize, usize), BatchLatencyModel>,
     hits: u64,
     misses: u64,
     flakes: u64,
@@ -152,16 +148,24 @@ impl DeploymentCache {
         self.get_or_compile(model, platform, &config)
     }
 
-    /// Calibrated [`BatchLatencyModel`] for a cached deployment, memoized
-    /// per (deployment, probe size). The two calibration probes
-    /// (`simulate_batch(1)` and `simulate_batch(probe)`) run once per
-    /// deployment, not once per device the deployment lands on.
-    pub fn calibration(&mut self, d: &Arc<Deployment>, probe: usize) -> BatchLatencyModel {
-        let key = (Arc::as_ptr(d) as usize, probe);
-        *self
-            .calibrations
-            .entry(key)
-            .or_insert_with(|| BatchLatencyModel::calibrate(d, probe))
+    /// [`BatchLatencyModel::calibrate`], kept for callers that calibrate
+    /// through the cache. Its two probes read the deployment's memo, so
+    /// they are simulated once per deployment, not once per device or
+    /// cache it lands on.
+    pub fn calibration(&self, d: &Deployment, probe: usize) -> BatchLatencyModel {
+        BatchLatencyModel::calibrate(d, probe)
+    }
+
+    /// Adds every deployment `other` holds that this cache lacks, counting
+    /// neither a hit nor a miss: a later deploy of one of them is a hit
+    /// that shares `other`'s deployment, and its memo, instead of a second
+    /// compile.
+    pub fn share_from(&mut self, other: &DeploymentCache) {
+        for (key, d) in &other.entries {
+            if !self.entries.contains_key(key) {
+                self.entries.insert(key.clone(), Arc::clone(d));
+            }
+        }
     }
 
     /// Cache hits so far.

@@ -102,8 +102,10 @@ pub struct Recovery {
 
 /// One FPGA in the pool with its deployed models.
 pub struct PooledDevice {
-    /// Human-readable name, e.g. `s10sx-0`.
-    pub name: String,
+    /// Human-readable name, e.g. `s10sx-0`, built once by
+    /// [`DevicePool::add_device`] and shared by every record naming the
+    /// device.
+    pub name: Arc<str>,
     /// The FPGA platform.
     pub platform: FpgaPlatform,
     deployments: HashMap<Model, Arc<Deployment>>,
@@ -127,7 +129,7 @@ pub struct PooledDevice {
 }
 
 impl PooledDevice {
-    fn new(name: String, platform: FpgaPlatform) -> PooledDevice {
+    fn new(name: Arc<str>, platform: FpgaPlatform) -> PooledDevice {
         PooledDevice {
             name,
             platform,
@@ -296,12 +298,6 @@ pub struct DevicePool {
     tracer: Tracer,
     fault: FaultInjector,
     index: RefCell<DispatchIndex>,
-    /// Simulated batch seconds memoized per (deployment identity, size):
-    /// devices sharing a cached deployment share one discrete-event
-    /// simulation per batch size instead of re-running it per device —
-    /// the difference between O(deployments) and O(devices) simulation
-    /// cost in fleet-sized pools.
-    batch_memo: HashMap<(usize, usize), f64>,
 }
 
 impl Default for DevicePool {
@@ -319,13 +315,12 @@ impl DevicePool {
             tracer: Tracer::disabled(),
             fault: FaultInjector::disabled(),
             index: RefCell::new(DispatchIndex::default()),
-            batch_memo: HashMap::new(),
         }
     }
 
     /// A pool whose deployment cache starts pre-warmed — a fleet shard
-    /// sharing compiles and calibrations with its sibling shards through a
-    /// cloned template cache.
+    /// sharing compiles, and each deployment's memoized batch seconds, with
+    /// its sibling shards through a cloned template cache.
     pub fn with_cache(cache: DeploymentCache) -> DevicePool {
         DevicePool {
             cache,
@@ -369,7 +364,7 @@ impl DevicePool {
             .filter(|d| d.platform == platform)
             .count();
         let name = format!("{}-{n}", platform.label().to_lowercase());
-        self.devices.push(PooledDevice::new(name, platform));
+        self.devices.push(PooledDevice::new(name.into(), platform));
         self.invalidate_index();
         self.devices.len() - 1
     }
@@ -396,7 +391,7 @@ impl DevicePool {
             self.cache
                 .get_or_compile_traced(model, platform, config, &self.tracer)?
         };
-        let lm = self.cache.calibration(&d, CALIBRATION_PROBE);
+        let lm = BatchLatencyModel::calibrate(&d, CALIBRATION_PROBE);
         let dev = &mut self.devices[device];
         dev.deployments.insert(model, d);
         dev.latency_models.insert(model, lm);
@@ -422,7 +417,7 @@ impl DevicePool {
             let d = self
                 .cache
                 .get_or_compile_traced(model, platform, config, &self.tracer)?;
-            let lm = self.cache.calibration(&d, CALIBRATION_PROBE);
+            let lm = BatchLatencyModel::calibrate(&d, CALIBRATION_PROBE);
             ds.push(d);
             lms.push(lm);
         }
@@ -441,6 +436,12 @@ impl DevicePool {
     /// The shared deployment cache.
     pub fn cache(&self) -> &DeploymentCache {
         &self.cache
+    }
+
+    /// The shared deployment cache, to hand it designs compiled elsewhere
+    /// ([`DeploymentCache::share_from`]).
+    pub fn cache_mut(&mut self) -> &mut DeploymentCache {
+        &mut self.cache
     }
 
     /// Picks the device with the shortest expected completion for a batch
@@ -676,7 +677,9 @@ impl DevicePool {
     /// starting at `start_s`, under the attached fault injector.
     ///
     /// Without faults in play this is the clean execution time, memoized
-    /// per deployment and batch size. When the plan has events
+    /// in the deployment per batch size ([`Deployment::batch_seconds`]), so
+    /// every device and pool sharing the deployment simulates each size
+    /// once. When the plan has events
     /// covering the window, the batch is re-simulated under the injector's
     /// time view: a simulated duration past the hang watchdog becomes
     /// [`BatchOutcome::TimedOut`] (declared `timeout_mult` × the clean
@@ -691,14 +694,17 @@ impl DevicePool {
         timeout_mult: f64,
         rung: usize,
     ) -> BatchOutcome {
-        let base = self.batch_seconds_shared(device, model, n, rung);
+        let dev = &self.devices[device];
+        let d = dev
+            .serving_deployment(model, rung)
+            .expect("dispatched variant is deployed");
+        let base = d.batch_seconds(n);
         if !self.fault.is_enabled() {
             return BatchOutcome::Done {
                 completion_s: start_s + base,
             };
         }
-        let dev = &self.devices[device];
-        let name = dev.name.as_str();
+        let name = &*dev.name;
         let timeout = timeout_mult.max(1.0) * base;
         // A persistent slowdown stretches execution uniformly without
         // re-simulation: the device is degraded, not hung, so the batch
@@ -711,9 +717,6 @@ impl DevicePool {
                 completion_s: start_s + base * slow,
             };
         }
-        let d = dev
-            .serving_deployment(model, rung)
-            .expect("dispatched variant is deployed");
         let stats = d.simulate_batch_faulted(n, &view, name);
         if stats.seconds >= HANG_WATCHDOG_S {
             let hang_s = view
@@ -730,29 +733,6 @@ impl DevicePool {
             return BatchOutcome::Corrupted { completion_s };
         }
         BatchOutcome::Done { completion_s }
-    }
-
-    /// Clean batch-execution seconds for `device`, memoized per
-    /// (deployment identity, batch size) at pool scope. Devices sharing an
-    /// `Arc<Deployment>` (the common case — the cache hands the same
-    /// deployment to every device of a class) pay for one discrete-event
-    /// simulation per batch size, not one per device: the simulation is a
-    /// pure function of the deployment and the size.
-    fn batch_seconds_shared(&mut self, device: usize, model: Model, n: usize, rung: usize) -> f64 {
-        let d = Arc::clone(
-            self.devices[device]
-                .serving_deployment(model, rung)
-                .expect("dispatched variant is deployed"),
-        );
-        // The cache pins every compiled deployment for the pool's lifetime,
-        // so the allocation address is a stable identity.
-        let key = (Arc::as_ptr(&d) as usize, n);
-        if let Some(&s) = self.batch_memo.get(&key) {
-            return s;
-        }
-        let s = d.simulate_batch(n).seconds;
-        self.batch_memo.insert(key, s);
-        s
     }
 
     /// Quarantines a hung device and reprograms it: up to `max_attempts`
@@ -1000,17 +980,33 @@ mod tests {
     }
 
     #[test]
-    fn batch_seconds_memoizes_the_simulation() {
-        let mut pool = pool_with_two_s10(Model::LeNet5);
-        let mut run = |device, n| match pool.execute_batch(device, Model::LeNet5, n, 0.0, 4.0, 0) {
-            BatchOutcome::Done { completion_s } => completion_s,
-            other => panic!("a fault-free batch ended {other:?}"),
+    fn pools_sharing_a_cache_share_each_batch_simulation() {
+        let run = |pool: &mut DevicePool, device, n| {
+            let outcome = pool.execute_batch(device, Model::LeNet5, n, 0.0, 4.0, 0);
+            match outcome {
+                BatchOutcome::Done { completion_s } => completion_s,
+                other => panic!("a fault-free batch ended {other:?}"),
+            }
         };
-        let a = run(0, 8);
-        // The second device shares the cached deployment, so its batch of
-        // the same size reads the same memo entry.
-        assert_eq!(run(1, 8), a);
-        assert!(run(0, 16) > a);
-        assert_eq!(pool.batch_memo.len(), 2);
+        let mut first = pool_with_two_s10(Model::LeNet5);
+        let first_seconds = [run(&mut first, 0, 8), run(&mut first, 1, 16)];
+        assert!(first_seconds[1] > first_seconds[0]);
+        let d = Arc::clone(first.devices()[0].deployment(Model::LeNet5).unwrap());
+        // Calibration simulated sizes 1 and 16, the batches only 8 more.
+        assert_eq!(d.memoized_batches(), 3);
+        let mut second = DevicePool::with_cache(first.cache().clone());
+        let board = second.add_device(FpgaPlatform::Stratix10Sx);
+        let cfg = optimized_config(Model::LeNet5, FpgaPlatform::Stratix10Sx);
+        second.deploy(board, Model::LeNet5, &cfg).unwrap();
+        let second_seconds = [run(&mut second, board, 8), run(&mut second, board, 16)];
+        assert_eq!(
+            first_seconds.map(f64::to_bits),
+            second_seconds.map(f64::to_bits)
+        );
+        assert!(Arc::ptr_eq(
+            &d,
+            second.devices()[board].deployment(Model::LeNet5).unwrap()
+        ));
+        assert_eq!(d.memoized_batches(), 3, "the second pool simulated again");
     }
 }

@@ -512,7 +512,8 @@ impl RolloutRun {
             .enumerate()
             .filter(|(_, d)| {
                 d.health() != crate::pool::DeviceHealth::Lost
-                    && (d.latency_model(model).is_some() || self.spec.adopt.contains(&d.name))
+                    && (d.latency_model(model).is_some()
+                        || self.spec.adopt.iter().any(|a| a.as_str() == &*d.name))
             })
             .map(|(i, _)| i)
             .collect();

@@ -306,9 +306,6 @@ pub struct Server {
     rollouts: Vec<RolloutRun>,
     slos: Vec<SloMonitor>,
     flight: FlightRecorder,
-    /// The pool's device names, shared by the flight recorder's completion
-    /// events; filled when an enabled recorder is attached.
-    device_names: Vec<Arc<str>>,
     profiler: HotPathProfiler,
 }
 
@@ -337,7 +334,6 @@ impl Server {
             rollouts: Vec::new(),
             slos: Vec::new(),
             flight: FlightRecorder::disabled(),
-            device_names: Vec::new(),
             profiler: HotPathProfiler::disabled(),
         }
     }
@@ -404,14 +400,6 @@ impl Server {
     /// move out of the recorder into [`RunResult::postmortems`].
     pub fn with_flight_recorder(mut self, flight: &FlightRecorder) -> Server {
         self.flight = flight.clone();
-        if flight.is_enabled() {
-            self.device_names = self
-                .pool
-                .devices()
-                .iter()
-                .map(|d| Arc::from(d.name.as_str()))
-                .collect();
-        }
         self
     }
 
@@ -974,7 +962,7 @@ impl Server {
                     arrival_s,
                     completion_s,
                     &[
-                        ("device", device_name.clone()),
+                        ("device", device_name.to_string()),
                         ("batch", size.to_string()),
                         ("dispatch_s", format!("{}", b.dispatch_s)),
                     ],
@@ -989,7 +977,7 @@ impl Server {
                     id,
                     model: model.name(),
                     batch: size,
-                    device: Arc::clone(&self.device_names[b.at.device]),
+                    device: Arc::clone(device_name),
                     arrival_s,
                 },
             );
@@ -1047,7 +1035,7 @@ impl Server {
         }
         self.record_recovery_event(RecoveryEvent {
             t_s: end_s,
-            subject: self.pool.devices()[b.at.device].name.clone(),
+            subject: self.pool.devices()[b.at.device].name.to_string(),
             action: action.into(),
             detail,
         });
@@ -1061,7 +1049,7 @@ impl Server {
     /// the hung device, and logs the batch's redistribution.
     fn quarantine_hung(&mut self, b: &Batch, hang_s: f64) {
         let (model, size, fail_s) = (b.model, b.size, b.end_s);
-        let device_name = self.pool.devices()[b.at.device].name.clone();
+        let device_name = Arc::clone(&self.pool.devices()[b.at.device].name);
         self.flight.trigger(
             fail_s,
             "timeout",
@@ -1090,7 +1078,7 @@ impl Server {
         }
         self.record_recovery_event(RecoveryEvent {
             t_s: fail_s,
-            subject: device_name,
+            subject: device_name.to_string(),
             action: "redistributed".into(),
             detail: format!("{size} requests re-enqueued"),
         });
@@ -1351,7 +1339,7 @@ impl Server {
             .devices()
             .iter()
             .map(|dev| DeviceSummary {
-                device: dev.name.clone(),
+                device: dev.name.to_string(),
                 health: dev.health_at(last).label(),
                 deployments: dev.deployed_models(),
             })

@@ -12,7 +12,8 @@
 //! 16-byte record per routed copy and per completion, holds full requests
 //! and completions for one shard at a time, and a timing-only request or
 //! completion carries no tensor; its flight recorders store raw fields and
-//! hand their postmortems over by move.
+//! hand their postmortems over by move, and its shard pools share each
+//! deployment's memoized batch seconds instead of simulating them again.
 //! This binary installs its own counting, peak-tracking global allocator
 //! and holds exactly one test, so no concurrently running test moves the
 //! counters.
@@ -210,9 +211,11 @@ fn executor_frees_activations_and_stays_within_its_allocation_budget() {
     // every request and completion, and a replay log on every shard; 138
     // when every shard's 48-byte requests and 64-byte completions were
     // alive at once; 110 when flight records held formatted text; 107 now.
-    // It makes at most 3,000 allocations (1,518 now; 13,963 when every
-    // flight record formatted four strings and every postmortem was copied
-    // event by event, twice).
+    // It makes at most 1,250 allocations (994 now; 1,518 when every shard
+    // pool simulated each batch size again, each simulation copied every
+    // kernel name, and each recorder attach built a device-name table;
+    // 13,963 when every flight record formatted four strings and every
+    // postmortem was copied event by event, twice).
     let rate = device_rate(&mut DeploymentCache::new(), Model::LeNet5, s10sx)
         .expect("LeNet-5 fits the S10SX");
     let spec = FleetSpec {
@@ -260,7 +263,7 @@ fn executor_frees_activations_and_stays_within_its_allocation_budget() {
         raised / offered as usize
     );
     assert!(
-        allocs <= 3_000,
+        allocs <= 1_250,
         "a fleet run made {allocs} allocations for {offered} offered requests"
     );
 }
