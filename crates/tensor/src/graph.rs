@@ -14,6 +14,7 @@
 //!   (Tables 6.8/6.16).
 
 use crate::ops::{self, Activation, ConvArgs};
+use crate::plan::{Plan, Pool};
 use crate::shape::{conv_out_shape, Shape};
 use crate::tensor::Tensor;
 use std::collections::HashMap;
@@ -458,21 +459,31 @@ impl Graph {
         uses
     }
 
-    /// The order the executors evaluate nodes in: ascending ids, except
-    /// that a node waits for a later node its fused residual add reads.
-    /// [`Graph::fuse`] can point `add_from` forward, at a projection
-    /// convolution pushed after the block's second convolution.
+    /// Fills `order` with the order the executors evaluate nodes in:
+    /// ascending ids, except that a node waits for a later node its fused
+    /// residual add reads. [`Graph::fuse`] can point `add_from` forward, at
+    /// a projection convolution pushed after the block's second
+    /// convolution. `placed` and `stack` are scratch; all three have a slot
+    /// per node.
     ///
     /// # Panics
     /// Panics if the input and residual edges form a cycle.
-    pub(crate) fn eval_order(&self) -> Vec<NodeId> {
+    pub(crate) fn eval_order(
+        &self,
+        order: &mut [NodeId],
+        placed: &mut [usize],
+        stack: &mut [NodeId],
+    ) {
         let n = self.nodes.len();
-        let (mut order, mut placed, mut stack) = (Vec::with_capacity(n), vec![false; n], vec![]);
+        placed.fill(0);
+        let mut len = 0;
         for root in 0..n {
-            stack.push(root);
-            while let Some(&id) = stack.last() {
-                if placed[id] {
-                    stack.pop();
+            stack[0] = root;
+            let mut depth = 1;
+            while depth > 0 {
+                let id = stack[depth - 1];
+                if placed[id] != 0 {
+                    depth -= 1;
                     continue;
                 }
                 let node = &self.nodes[id];
@@ -480,42 +491,59 @@ impl Graph {
                     .inputs
                     .iter()
                     .chain(&node.fused.add_from)
-                    .find(|&&d| !placed[d])
+                    .find(|&&d| placed[d] == 0)
                 {
                     Some(&d) => {
-                        assert!(stack.len() < n, "graph edges form a cycle");
-                        stack.push(d);
+                        assert!(depth < n, "graph edges form a cycle");
+                        stack[depth] = d;
+                        depth += 1;
                     }
                     None => {
-                        placed[id] = true;
-                        order.push(id);
-                        stack.pop();
+                        placed[id] = 1;
+                        order[len] = id;
+                        len += 1;
+                        depth -= 1;
                     }
                 }
             }
         }
-        order
+        debug_assert_eq!(len, n);
     }
 
     /// Executes the graph on `input`, returning the output tensor.
     ///
-    /// Handles both fused and unfused graphs. Each activation is dropped
-    /// after its last consumer, so at most the live frontier of the graph
-    /// is held at once.
+    /// Handles both fused and unfused graphs. Each call plans itself before
+    /// it evaluates anything: a pad that only unpadded convolutions read is
+    /// folded into their padding instead of evaluated, an element-wise node
+    /// or a flatten writes into an operand it reads last, and every other
+    /// output and im2col matrix takes a dead buffer of the same call when
+    /// one fits. An activation dies after its last reader, so at most the
+    /// live frontier of the graph is held at once, and only the output
+    /// outlives the call. The output is bit-identical to
+    /// [`Graph::execute_all`]'s.
     ///
     /// # Panics
     /// Panics if `input` does not match the graph input shape.
     pub fn execute(&self, input: &Tensor) -> Tensor {
-        self.run(input, true)[self.output]
-            .take()
-            .unwrap_or_else(|| input.clone())
+        let plan = Plan::reusing(self);
+        let mut pool = Pool::new(&plan);
+        let Some(out) = self.run(input, &plan, &mut pool, true)[self.output].take() else {
+            return input.clone();
+        };
+        // A recycled buffer can be up to twice the output: hand back only
+        // the output.
+        let shape = out.shape().clone();
+        let mut data = out.into_vec();
+        data.shrink_to_fit();
+        Tensor::from_vec(shape, data)
     }
 
     /// Executes the graph and returns every node's activation (per-layer
     /// activation dump, one of the host-code debugging capabilities of §5.2).
-    /// The same walk as [`Graph::execute`], with nothing dropped.
+    /// The same walk as [`Graph::execute`], with every pad evaluated, every
+    /// output in a fresh buffer and nothing dropped.
     pub fn execute_all(&self, input: &Tensor) -> HashMap<NodeId, Tensor> {
-        let mut vals = self.run(input, false);
+        let mut vals = self.run(input, &Plan::new(self), &mut ops::Fresh, false);
         vals[0] = Some(input.clone());
         vals.into_iter()
             .enumerate()
@@ -523,84 +551,119 @@ impl Graph {
             .collect()
     }
 
-    /// Evaluates every node in [`Graph::eval_order`]; `vals[id]` is node
-    /// `id`'s activation. The input node is read from `input`, never
-    /// copied. With `free_dead`, an activation is dropped once its last
-    /// consumer (residual reads included) has run.
-    fn run(&self, input: &Tensor, free_dead: bool) -> Vec<Option<Tensor>> {
+    /// Evaluates every node `plan` does not fold, in its order, with buffers
+    /// from `bufs`; `vals[id]` is node `id`'s activation. The input node is
+    /// read from `input`, never copied. With `free_dead`, an activation
+    /// goes back to `bufs` once its last reader has run.
+    fn run(
+        &self,
+        input: &Tensor,
+        plan: &Plan,
+        bufs: &mut dyn ops::Buffers,
+        free_dead: bool,
+    ) -> Vec<Option<Tensor>> {
         assert_eq!(
             input.shape(),
             self.input_shape(),
             "graph input shape mismatch"
         );
-        let mut uses = free_dead.then(|| self.reads());
         let mut vals: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
-        for id in self.eval_order().into_iter().skip(1) {
+        for &id in &plan.order()[1..] {
+            if plan.folded(id) {
+                continue;
+            }
             let node = &self.nodes[id];
-            let out = self.eval_node(node, input, &vals);
+            let owned = plan
+                .consumed(node)
+                .map(|d| vals[d].take().expect("operand evaluated and live"));
+            let out = self.eval_node(node, input, &vals, plan, owned, bufs);
             vals[id] = Some(out);
-            if let Some(uses) = uses.as_mut() {
-                for &d in node.inputs.iter().chain(&node.fused.add_from) {
-                    uses[d] -= 1;
-                    if uses[d] == 0 {
-                        vals[d] = None;
+            if free_dead {
+                for d in plan.dead_after(node) {
+                    if let Some(t) = vals[d].take() {
+                        bufs.recycle(t.into_vec());
                     }
-                }
-                if uses[id] == 0 {
-                    vals[id] = None; // nothing consumes it
                 }
             }
         }
         vals
     }
 
-    fn eval_node(&self, node: &Node, input: &Tensor, vals: &[Option<Tensor>]) -> Tensor {
-        let val = |id: NodeId| match id {
+    /// Evaluates one node with buffers from `bufs`. `owned` is the operand
+    /// the plan hands over for the node to write into; an element-wise
+    /// node or a flatten without one copies its operand first.
+    fn eval_node(
+        &self,
+        node: &Node,
+        input: &Tensor,
+        vals: &[Option<Tensor>],
+        plan: &Plan,
+        owned: Option<Tensor>,
+        bufs: &mut dyn ops::Buffers,
+    ) -> Tensor {
+        let val = |id: NodeId| match plan.source(id) {
             0 => input,
-            _ => vals[id].as_ref().expect("operand evaluated and live"),
+            src => vals[src].as_ref().expect("operand evaluated and live"),
         };
         let arg = |i: usize| val(node.inputs[i]);
+        // Operand 0 in a buffer of this node's own, for it to write into.
+        let arg0 = |bufs: &mut dyn ops::Buffers| match owned {
+            Some(t) => t,
+            None => Tensor::from_vec(arg(0).shape().clone(), bufs.copy_of(arg(0).data())),
+        };
         let mut out = match &node.op {
             Op::Input => unreachable!(),
             Op::Conv2d { depthwise, .. } => {
                 let w = node.weights.as_deref().expect("conv weights");
+                let p = plan.conv_args(self, node);
                 if *depthwise {
-                    ops::depthwise_conv2d(arg(0), w, node.conv_args())
+                    ops::depthwise_conv2d_with(arg(0), w, p, bufs)
                 } else {
                     // Algorithm choice is transparent: im2col+GEMM for
                     // reduction-heavy layers, direct otherwise.
-                    ops::conv2d_auto(arg(0), w, node.conv_args())
+                    ops::conv2d_auto_with(arg(0), w, p, bufs)
                 }
             }
-            Op::Dense { .. } => ops::dense(
+            Op::Dense { .. } => ops::dense_with(
                 arg(0),
                 node.weights.as_deref().expect("dense weights"),
                 node.bias.as_deref(),
                 node.fused.activation,
+                bufs,
             ),
             Op::MaxPool {
                 window,
                 stride,
                 pad,
-            } => ops::maxpool2d(arg(0), *window, *stride, *pad),
+            } => ops::maxpool2d_with(arg(0), *window, *stride, *pad, bufs),
             Op::AvgPool {
                 window,
                 stride,
                 pad,
-            } => ops::avgpool2d(arg(0), *window, *stride, *pad),
-            Op::Pad { pad } => ops::pad2d(arg(0), *pad),
-            Op::Flatten => arg(0).clone().flatten(),
-            Op::Relu => ops::relu(arg(0)),
-            Op::Relu6 => ops::relu6(arg(0)),
+            } => ops::avgpool2d_with(arg(0), *window, *stride, *pad, bufs),
+            Op::Pad { pad } => ops::pad2d_with(arg(0), *pad, bufs),
+            Op::Flatten => arg0(bufs).flatten(),
+            Op::Relu => ops::activate(arg0(bufs), Activation::Relu),
+            Op::Relu6 => ops::activate(arg0(bufs), Activation::Relu6),
             Op::BatchNorm => {
                 let (s, b) = node.bn.as_ref().expect("bn params");
-                ops::batchnorm(arg(0), s, b)
+                ops::batchnorm_in_place(arg0(bufs), s, b)
             }
-            Op::Add => ops::add(arg(0), arg(1)),
-            Op::Softmax => ops::softmax(arg(0)),
+            Op::Add => {
+                // Addition commutes bit for bit, so either operand can
+                // take the sum.
+                let other = match plan.consumed(node) {
+                    Some(d) if d == node.inputs[1] => arg(0),
+                    _ => arg(1),
+                };
+                let mut sum = arg0(bufs);
+                ops::add_assign(&mut sum, other, Activation::None);
+                sum
+            }
+            Op::Softmax => ops::softmax_in_place(arg0(bufs)),
         };
         if let Some(other) = node.fused.add_from {
-            add_residual(&mut out, val(other), node.fused.activation);
+            ops::add_assign(&mut out, val(other), node.fused.activation);
         }
         out
     }
@@ -895,18 +958,6 @@ fn check_dims(node: &str, w: Option<&Weights>, want: &[(&str, usize)]) {
             "{node}: weight dimension {i} ({name}) is {}, expected {n}",
             shape.dim(i)
         );
-    }
-}
-
-/// The fused residual epilogue, in place: `out = activation(out + other)`,
-/// the activation deferred past the add as the fusion pass requires.
-///
-/// # Panics
-/// Panics if the shapes differ.
-pub(crate) fn add_residual(out: &mut Tensor, other: &Tensor, activation: Activation) {
-    assert_eq!(out.shape(), other.shape(), "residual add shape mismatch");
-    for (o, &r) in out.data_mut().iter_mut().zip(other.data()) {
-        *o = activation.apply(*o + r);
     }
 }
 
@@ -1480,7 +1531,8 @@ mod tests {
         let (b, p) = (id(&fused, "conv_b"), id(&fused, "proj"));
         assert_eq!(fused.nodes[b].fused.add_from, Some(p));
         assert!(p > b);
-        let order = fused.eval_order();
+        let plan = Plan::new(&fused);
+        let order = plan.order();
         let pos = |n: NodeId| order.iter().position(|&o| o == n).unwrap();
         assert!(pos(p) < pos(b));
 
@@ -1513,10 +1565,13 @@ mod tests {
         ];
         for (g, x) in &graphs {
             assert_eq!(g.execute(x).data(), g.execute_all(x)[&g.output].data());
-            let live: Vec<NodeId> = (g.run(x, true).iter().enumerate())
+            let plan = Plan::reusing(g);
+            let mut pool = Pool::new(&plan);
+            let live: Vec<NodeId> = (g.run(x, &plan, &mut pool, true).iter().enumerate())
                 .filter_map(|(id, v)| v.as_ref().map(|_| id))
                 .collect();
             assert_eq!(live, [g.output], "{}", g.name);
+            assert!(pool.ahead.is_empty() && pool.dead.is_empty(), "{}", g.name);
         }
     }
 }

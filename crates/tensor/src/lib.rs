@@ -35,6 +35,7 @@ pub mod graph;
 pub mod models;
 pub mod ops;
 pub mod par;
+mod plan;
 pub mod quant;
 pub mod rng;
 pub mod shape;

@@ -41,17 +41,20 @@ impl Activation {
 
 /// ReLU over a whole tensor.
 pub fn relu(x: &Tensor) -> Tensor {
-    map(x, Activation::Relu)
+    activate(x.clone(), Activation::Relu)
 }
 
 /// ReLU6 over a whole tensor.
 pub fn relu6(x: &Tensor) -> Tensor {
-    map(x, Activation::Relu6)
+    activate(x.clone(), Activation::Relu6)
 }
 
-fn map(x: &Tensor, a: Activation) -> Tensor {
-    let data = x.data().iter().map(|&v| a.apply(v)).collect();
-    Tensor::from_vec(x.shape().clone(), data)
+/// Applies `a` to every element of `x`, in `x`'s own buffer.
+pub(crate) fn activate(mut x: Tensor, a: Activation) -> Tensor {
+    for v in x.data_mut() {
+        *v = a.apply(*v);
+    }
+    x
 }
 
 /// Numerically-stable softmax (Eq. 2.4 with the max-subtraction trick the
@@ -60,11 +63,22 @@ fn map(x: &Tensor, a: Activation) -> Tensor {
 /// # Panics
 /// Panics on an empty tensor.
 pub fn softmax(x: &Tensor) -> Tensor {
+    softmax_in_place(x.clone())
+}
+
+/// [`softmax`] over `x`'s own buffer: the exponentials overwrite the
+/// inputs, then their normalized values the exponentials.
+pub(crate) fn softmax_in_place(mut x: Tensor) -> Tensor {
     assert!(x.numel() > 0, "softmax of empty tensor");
     let max = x.data().iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let exps: Vec<f32> = x.data().iter().map(|&v| (v - max).exp()).collect();
-    let sum: f32 = exps.iter().sum();
-    Tensor::from_vec(x.shape().clone(), exps.iter().map(|&e| e / sum).collect())
+    for v in x.data_mut() {
+        *v = (*v - max).exp();
+    }
+    let sum: f32 = x.data().iter().sum();
+    for v in x.data_mut() {
+        *v /= sum;
+    }
+    x
 }
 
 #[cfg(test)]

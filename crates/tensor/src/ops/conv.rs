@@ -2,6 +2,7 @@
 //! §2.1.2) and depthwise convolution, NCHW with N = 1.
 
 use super::activation::Activation;
+use super::{Buffers, Fresh};
 use crate::shape::conv_out_shape;
 #[cfg(test)]
 use crate::shape::Shape;
@@ -97,7 +98,16 @@ impl<'a> From<&'a Conv2dParams> for ConvArgs<'a> {
 /// # Panics
 /// Panics on rank/shape mismatches.
 pub fn conv2d<'a>(input: &Tensor, weights: &Tensor, p: impl Into<ConvArgs<'a>>) -> Tensor {
-    let p = p.into();
+    conv2d_with(input, weights, p.into(), &mut Fresh)
+}
+
+/// [`conv2d`] into an output buffer from `bufs`.
+pub(crate) fn conv2d_with(
+    input: &Tensor,
+    weights: &Tensor,
+    p: ConvArgs<'_>,
+    bufs: &mut dyn Buffers,
+) -> Tensor {
     assert_eq!(input.shape().rank(), 3, "conv2d input must be CHW");
     assert_eq!(weights.shape().rank(), 4, "conv2d weights must be KCFF");
     let (c1, h1, w1) = (
@@ -122,7 +132,7 @@ pub fn conv2d<'a>(input: &Tensor, weights: &Tensor, p: impl Into<ConvArgs<'a>>) 
     let idata = input.data();
     let wdata = weights.data();
 
-    let mut out = vec![0.0f32; k * h2 * w2];
+    let mut out = bufs.zeroed(k * h2 * w2);
     crate::par::for_each_chunk_mut(&mut out, h2 * w2, |ax1, plane| {
         for yy in 0..h2 {
             for xx in 0..w2 {
@@ -170,7 +180,16 @@ pub fn depthwise_conv2d<'a>(
     weights: &Tensor,
     p: impl Into<ConvArgs<'a>>,
 ) -> Tensor {
-    let p = p.into();
+    depthwise_conv2d_with(input, weights, p.into(), &mut Fresh)
+}
+
+/// [`depthwise_conv2d`] into an output buffer from `bufs`.
+pub(crate) fn depthwise_conv2d_with(
+    input: &Tensor,
+    weights: &Tensor,
+    p: ConvArgs<'_>,
+    bufs: &mut dyn Buffers,
+) -> Tensor {
     assert_eq!(input.shape().rank(), 3, "depthwise input must be CHW");
     assert_eq!(weights.shape().rank(), 4, "depthwise weights must be C1FF");
     let (c, h1, w1) = (
@@ -187,7 +206,7 @@ pub fn depthwise_conv2d<'a>(
     let idata = input.data();
     let wdata = weights.data();
 
-    let mut out = vec![0.0f32; c * h2 * w2];
+    let mut out = bufs.zeroed(c * h2 * w2);
     crate::par::for_each_chunk_mut(&mut out, h2 * w2, |ch, plane| {
         let iplane = &idata[ch * h1 * w1..(ch + 1) * h1 * w1];
         let taps = &wdata[ch * f * f..(ch + 1) * f * f];

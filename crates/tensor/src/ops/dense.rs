@@ -1,6 +1,7 @@
 //! Fully-connected (dense) layers (§2.1.2, §5.1.2).
 
 use super::activation::Activation;
+use super::{Buffers, Fresh};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
@@ -16,6 +17,17 @@ pub fn dense(
     bias: Option<&[f32]>,
     activation: Activation,
 ) -> Tensor {
+    dense_with(input, weights, bias, activation, &mut Fresh)
+}
+
+/// [`dense`] into an output buffer from `bufs`.
+pub(crate) fn dense_with(
+    input: &Tensor,
+    weights: &Tensor,
+    bias: Option<&[f32]>,
+    activation: Activation,
+    bufs: &mut dyn Buffers,
+) -> Tensor {
     assert_eq!(input.shape().rank(), 1, "dense input must be a vector");
     assert_eq!(weights.shape().rank(), 2, "dense weights must be MxN");
     let n = input.shape().dim(0);
@@ -30,8 +42,8 @@ pub fn dense(
     }
     let x = input.data();
     let w = weights.data();
-    let mut out = Vec::with_capacity(m);
-    for j in 0..m {
+    let mut out = bufs.zeroed(m);
+    for (j, o) in out.iter_mut().enumerate() {
         let row = &w[j * n..(j + 1) * n];
         let mut dot = 0.0f32;
         for (a, b) in row.iter().zip(x) {
@@ -40,7 +52,7 @@ pub fn dense(
         if let Some(bv) = bias {
             dot += bv[j];
         }
-        out.push(activation.apply(dot));
+        *o = activation.apply(dot);
     }
     Tensor::from_vec(Shape::d1(m), out)
 }

@@ -7,6 +7,7 @@
 //! compare their host performance the way the TF/TVM baselines would.
 
 use super::conv::ConvArgs;
+use super::{Buffers, Fresh};
 use crate::shape::{conv_out_shape, Shape};
 use crate::tensor::Tensor;
 
@@ -21,22 +22,24 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let (m, k) = (a.shape().dim(0), a.shape().dim(1));
     let (k2, n) = (b.shape().dim(0), b.shape().dim(1));
     assert_eq!(k, k2, "matmul inner dimensions differ: {k} vs {k2}");
-    let out = gemm(a.data(), b.data(), m, n, |_, _| {});
+    let out = gemm(a.data(), b.data(), m, n, |_, _| {}, vec![0.0; m * n]);
     Tensor::from_vec(Shape::d2(m, n), out)
 }
 
-/// `A[m x k] * B[k x n]` over row-major slices, with `k` implied by
-/// `a.len() / m`, parallel over rows of `A`. Each finished output row `i`
-/// is handed to `epilogue(i, row)` on the thread that computed it.
+/// `A[m x k] * B[k x n]` over row-major slices into `out`, `m * n` zeros,
+/// with `k` implied by `a.len() / m`, parallel over rows of `A`. Each
+/// finished output row `i` is handed to `epilogue(i, row)` on the thread
+/// that computed it.
 fn gemm(
     a: &[f32],
     b: &[f32],
     m: usize,
     n: usize,
     epilogue: impl Fn(usize, &mut [f32]) + Sync,
+    mut out: Vec<f32>,
 ) -> Vec<f32> {
+    debug_assert_eq!(out.len(), m * n);
     let k = a.len().checked_div(m).unwrap_or(0);
-    let mut out = vec![0.0f32; m * n];
     crate::par::for_each_chunk_mut(&mut out, n, |i, row| {
         let arow = &a[i * k..(i + 1) * k];
         // k-outer accumulation keeps the inner loop contiguous over B.
@@ -57,6 +60,17 @@ fn gemm(
 /// # Panics
 /// Panics if the input is not CHW.
 pub fn im2col(input: &Tensor, f: usize, stride: usize, pad: usize) -> Tensor {
+    im2col_with(input, f, stride, pad, &mut Fresh)
+}
+
+/// [`im2col`] into a buffer from `bufs`.
+fn im2col_with(
+    input: &Tensor,
+    f: usize,
+    stride: usize,
+    pad: usize,
+    bufs: &mut dyn Buffers,
+) -> Tensor {
     assert_eq!(input.shape().rank(), 3, "im2col input must be CHW");
     let (c1, h1, w1) = (
         input.shape().dim(0),
@@ -68,7 +82,7 @@ pub fn im2col(input: &Tensor, f: usize, stride: usize, pad: usize) -> Tensor {
     let rows = c1 * f * f;
     let cols = h2 * w2;
     let idata = input.data();
-    let mut m = vec![0.0f32; rows * cols];
+    let mut m = bufs.zeroed(rows * cols);
     crate::par::for_each_chunk_mut(&mut m, cols, |row, dst| {
         let rc = row / (f * f);
         let ry = (row / f) % f;
@@ -101,7 +115,17 @@ pub fn im2col(input: &Tensor, f: usize, stride: usize, pad: usize) -> Tensor {
 /// # Panics
 /// Panics on shape mismatches.
 pub fn conv2d_im2col<'a>(input: &Tensor, weights: &Tensor, p: impl Into<ConvArgs<'a>>) -> Tensor {
-    let p = p.into();
+    conv2d_im2col_with(input, weights, p.into(), &mut Fresh)
+}
+
+/// [`conv2d_im2col`] with its im2col matrix, then its output, taken from
+/// `bufs`; the matrix goes back to `bufs` once the GEMM has read it.
+fn conv2d_im2col_with(
+    input: &Tensor,
+    weights: &Tensor,
+    p: ConvArgs<'_>,
+    bufs: &mut dyn Buffers,
+) -> Tensor {
     assert_eq!(weights.shape().rank(), 4, "weights must be KCFF");
     let k = weights.shape().dim(0);
     let c1 = weights.shape().dim(1);
@@ -118,13 +142,29 @@ pub fn conv2d_im2col<'a>(input: &Tensor, weights: &Tensor, p: impl Into<ConvArgs
             *v = p.epilogue(kk, *v);
         }
     };
-    let data = if f == 1 && p.stride == 1 && p.pad == 0 {
-        gemm(weights.data(), input.data(), k, plane, epilogue)
+    let data = if unfolds(f, &p) {
+        let cols = im2col_with(input, f, p.stride, p.pad, bufs);
+        let out = bufs.zeroed(k * plane);
+        let out = gemm(weights.data(), cols.data(), k, plane, epilogue, out);
+        bufs.recycle(cols.into_vec());
+        out
     } else {
-        let cols = im2col(input, f, p.stride, p.pad);
-        gemm(weights.data(), cols.data(), k, plane, epilogue)
+        let out = bufs.zeroed(k * plane);
+        gemm(weights.data(), input.data(), k, plane, epilogue, out)
     };
     Tensor::from_vec(out_shape, data)
+}
+
+/// Whether the GEMM lowering unfolds its input: every convolution but a
+/// 1×1, stride-1, unpadded one.
+fn unfolds(f: usize, p: &ConvArgs<'_>) -> bool {
+    !(f == 1 && p.stride == 1 && p.pad == 0)
+}
+
+/// Whether [`conv2d_auto`] lowers a convolution with these `[K, C1, F, F]`
+/// weights to im2col + GEMM.
+fn prefers_gemm(weights: &Shape) -> bool {
+    weights.dim(1) * weights.dim(2) * weights.dim(2) >= 8
 }
 
 /// Picks the faster convolution algorithm for the given shape: im2col+GEMM
@@ -133,13 +173,34 @@ pub fn conv2d_im2col<'a>(input: &Tensor, weights: &Tensor, p: impl Into<ConvArgs
 /// dominates. Both compute the same function (property-tested); results may
 /// differ by float reassociation only.
 pub fn conv2d_auto<'a>(input: &Tensor, weights: &Tensor, p: impl Into<ConvArgs<'a>>) -> Tensor {
-    let c1 = weights.shape().dim(1);
-    let f = weights.shape().dim(2);
-    if c1 * f * f >= 8 {
-        conv2d_im2col(input, weights, p)
+    conv2d_auto_with(input, weights, p.into(), &mut Fresh)
+}
+
+/// [`conv2d_auto`] with its buffers taken from `bufs`: the im2col matrix
+/// [`conv2d_auto_scratch`] sizes, if any, then the output.
+pub(crate) fn conv2d_auto_with(
+    input: &Tensor,
+    weights: &Tensor,
+    p: ConvArgs<'_>,
+    bufs: &mut dyn Buffers,
+) -> Tensor {
+    if prefers_gemm(weights.shape()) {
+        conv2d_im2col_with(input, weights, p, bufs)
     } else {
-        super::conv::conv2d(input, weights, p)
+        super::conv::conv2d_with(input, weights, p, bufs)
     }
+}
+
+/// The elements of the im2col matrix [`conv2d_auto`] takes before its
+/// output when it convolves an `input`-shaped tensor with `weights`-shaped
+/// weights: 0 when it convolves directly or multiplies the input as is.
+pub(crate) fn conv2d_auto_scratch(input: &Shape, weights: &Shape, p: &ConvArgs<'_>) -> usize {
+    let f = weights.dim(2);
+    if !prefers_gemm(weights) || !unfolds(f, p) {
+        return 0;
+    }
+    let out = conv_out_shape(input, weights.dim(0), f, p.stride, p.pad);
+    weights.dim(1) * f * f * out.dim(1) * out.dim(2)
 }
 
 #[cfg(test)]

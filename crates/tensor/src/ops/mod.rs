@@ -21,21 +21,82 @@ pub use gemm::{conv2d_auto, conv2d_im2col, im2col, matmul};
 pub use pad::pad2d;
 pub use pool::{avgpool2d, maxpool2d};
 
+pub(crate) use activation::{activate, softmax_in_place};
+pub(crate) use conv::depthwise_conv2d_with;
+pub(crate) use dense::dense_with;
+pub(crate) use gemm::{conv2d_auto_scratch, conv2d_auto_with};
+pub(crate) use pad::pad2d_with;
+pub(crate) use pool::{avgpool2d_with, maxpool2d_with};
+
 use crate::tensor::Tensor;
+
+/// Where an operator takes its output and scratch buffers from, and where
+/// it hands back scratch it is done with. Each operator has one body, which
+/// takes its buffers from here: the public operators pass [`Fresh`], the
+/// graph executor the buffers its per-call plan recycles.
+pub(crate) trait Buffers {
+    /// A dead buffer with room for `n` elements, emptied, if there is one
+    /// to reuse.
+    fn reuse(&mut self, n: usize) -> Option<Vec<f32>>;
+
+    /// Takes back a buffer whose values nothing reads any more.
+    fn recycle(&mut self, buf: Vec<f32>);
+
+    /// A buffer of `n` zeros.
+    fn zeroed(&mut self, n: usize) -> Vec<f32> {
+        match self.reuse(n) {
+            Some(mut buf) => {
+                buf.resize(n, 0.0);
+                buf
+            }
+            None => vec![0.0; n],
+        }
+    }
+
+    /// A buffer holding a copy of `src`.
+    fn copy_of(&mut self, src: &[f32]) -> Vec<f32> {
+        match self.reuse(src.len()) {
+            Some(mut buf) => {
+                buf.extend_from_slice(src);
+                buf
+            }
+            None => src.to_vec(),
+        }
+    }
+}
+
+/// Buffers that are always allocated fresh; a recycled one is dropped.
+pub(crate) struct Fresh;
+
+impl Buffers for Fresh {
+    fn reuse(&mut self, _: usize) -> Option<Vec<f32>> {
+        None
+    }
+
+    fn recycle(&mut self, _: Vec<f32>) {}
+}
 
 /// Element-wise addition (residual/skip connections, §2.1.5).
 ///
 /// # Panics
 /// Panics if shapes differ.
 pub fn add(a: &Tensor, b: &Tensor) -> Tensor {
-    assert_eq!(a.shape(), b.shape(), "residual add shape mismatch");
-    let data = a
-        .data()
-        .iter()
-        .zip(b.data())
-        .map(|(&x, &y)| x + y)
-        .collect();
-    Tensor::from_vec(a.shape().clone(), data)
+    let mut out = a.clone();
+    add_assign(&mut out, b, Activation::None);
+    out
+}
+
+/// `acc = activation(acc + other)`, in place: an [`add`] with no
+/// activation, or a fused residual add whose activation the fusion pass
+/// defers past the add.
+///
+/// # Panics
+/// Panics if the shapes differ.
+pub(crate) fn add_assign(acc: &mut Tensor, other: &Tensor, activation: Activation) {
+    assert_eq!(acc.shape(), other.shape(), "residual add shape mismatch");
+    for (o, &r) in acc.data_mut().iter_mut().zip(other.data()) {
+        *o = activation.apply(*o + r);
+    }
 }
 
 /// Inference-time batch normalization folded to per-channel scale and shift:
@@ -45,19 +106,23 @@ pub fn add(a: &Tensor, b: &Tensor) -> Tensor {
 /// # Panics
 /// Panics if the input is not CHW or the channel counts mismatch.
 pub fn batchnorm(x: &Tensor, scale: &[f32], shift: &[f32]) -> Tensor {
+    batchnorm_in_place(x.clone(), scale, shift)
+}
+
+/// [`batchnorm`] over `x`'s own buffer.
+pub(crate) fn batchnorm_in_place(mut x: Tensor, scale: &[f32], shift: &[f32]) -> Tensor {
     assert_eq!(x.shape().rank(), 3, "batchnorm input must be CHW");
     let (c, h, w) = (x.shape().dim(0), x.shape().dim(1), x.shape().dim(2));
     assert_eq!(scale.len(), c, "batchnorm scale channel mismatch");
     assert_eq!(shift.len(), c, "batchnorm shift channel mismatch");
-    let mut out = x.clone();
     let hw = h * w;
     for ch in 0..c {
         let (s, b) = (scale[ch], shift[ch]);
-        for v in &mut out.data_mut()[ch * hw..(ch + 1) * hw] {
+        for v in &mut x.data_mut()[ch * hw..(ch + 1) * hw] {
             *v = *v * s + b;
         }
     }
-    out
+    x
 }
 
 #[cfg(test)]

@@ -6,6 +6,7 @@
 //! addressing maps poorly to hardware. Keeping the operator separate lets the
 //! flow reproduce that cost.
 
+use super::{Buffers, Fresh};
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
@@ -14,9 +15,14 @@ use crate::tensor::Tensor;
 /// # Panics
 /// Panics if the input is not CHW.
 pub fn pad2d(input: &Tensor, pad: usize) -> Tensor {
+    pad2d_with(input, pad, &mut Fresh)
+}
+
+/// [`pad2d`] into an output buffer from `bufs`.
+pub(crate) fn pad2d_with(input: &Tensor, pad: usize, bufs: &mut dyn Buffers) -> Tensor {
     assert_eq!(input.shape().rank(), 3, "pad2d input must be CHW");
     if pad == 0 {
-        return input.clone();
+        return Tensor::from_vec(input.shape().clone(), bufs.copy_of(input.data()));
     }
     let (c, h, w) = (
         input.shape().dim(0),
@@ -24,15 +30,15 @@ pub fn pad2d(input: &Tensor, pad: usize) -> Tensor {
         input.shape().dim(2),
     );
     let (h2, w2) = (h + 2 * pad, w + 2 * pad);
-    let mut out = Tensor::zeros(Shape::chw(c, h2, w2));
+    let mut out = bufs.zeroed(c * h2 * w2);
     for ch in 0..c {
         for y in 0..h {
             let src = &input.data()[ch * h * w + y * w..ch * h * w + (y + 1) * w];
             let dst_off = ch * h2 * w2 + (y + pad) * w2 + pad;
-            out.data_mut()[dst_off..dst_off + w].copy_from_slice(src);
+            out[dst_off..dst_off + w].copy_from_slice(src);
         }
     }
-    out
+    Tensor::from_vec(Shape::chw(c, h2, w2), out)
 }
 
 #[cfg(test)]

@@ -1,17 +1,30 @@
 //! Pooling layers (§2.1.2).
 
+use super::{Buffers, Fresh};
 use crate::shape::conv_out_shape;
 #[cfg(test)]
 use crate::shape::Shape;
 use crate::tensor::Tensor;
 
-fn pool2d<F: Fn(&[f32]) -> f32>(
+/// How a pooling window reduces: `fold` over the window's taps from
+/// `start`, in `(ry, rx)` order, a padding tap reading `pad`, then
+/// `finish` on the result.
+struct Reduce<F, G> {
+    start: f32,
+    pad: f32,
+    fold: F,
+    finish: G,
+}
+
+/// Pools each window straight from the input rows into the output buffer
+/// from `bufs`.
+fn pool2d(
     input: &Tensor,
     window: usize,
     stride: usize,
     pad: usize,
-    reduce: F,
-    pad_value: f32,
+    r: Reduce<impl Fn(f32, f32) -> f32, impl Fn(f32) -> f32>,
+    bufs: &mut dyn Buffers,
 ) -> Tensor {
     assert_eq!(input.shape().rank(), 3, "pool input must be CHW");
     let (c, h1, w1) = (
@@ -21,55 +34,80 @@ fn pool2d<F: Fn(&[f32]) -> f32>(
     );
     let out_shape = conv_out_shape(input.shape(), c, window, stride, pad);
     let (h2, w2) = (out_shape.dim(1), out_shape.dim(2));
-    let mut out = Tensor::zeros(out_shape);
-    let mut patch = Vec::with_capacity(window * window);
-    for ch in 0..c {
-        for yy in 0..h2 {
-            for xx in 0..w2 {
-                patch.clear();
+    let mut out = bufs.zeroed(c * h2 * w2);
+    // The input coordinate of window offset `r` from output position `o`,
+    // if it is not padding.
+    let at = |o: usize, r: usize, n: usize| (stride * o + r).checked_sub(pad).filter(|&i| i < n);
+    for (ch, plane) in out.chunks_exact_mut(h2 * w2).enumerate() {
+        let iplane = &input.data()[ch * h1 * w1..(ch + 1) * h1 * w1];
+        for (yy, orow) in plane.chunks_exact_mut(w2).enumerate() {
+            for (xx, o) in orow.iter_mut().enumerate() {
+                let mut acc = r.start;
                 for ry in 0..window {
+                    let row = at(yy, ry, h1).map(|iy| &iplane[iy * w1..(iy + 1) * w1]);
                     for rx in 0..window {
-                        let iy = (stride * yy + ry) as isize - pad as isize;
-                        let ix = (stride * xx + rx) as isize - pad as isize;
-                        if iy < 0 || iy >= h1 as isize || ix < 0 || ix >= w1 as isize {
-                            patch.push(pad_value);
-                        } else {
-                            patch.push(input.at(&[ch, iy as usize, ix as usize]));
-                        }
+                        let v = match (row, at(xx, rx, w1)) {
+                            (Some(row), Some(ix)) => row[ix],
+                            _ => r.pad,
+                        };
+                        acc = (r.fold)(acc, v);
                     }
                 }
-                let v = reduce(&patch);
-                out.set(&[ch, yy, xx], v);
+                *o = (r.finish)(acc);
             }
         }
     }
-    out
+    Tensor::from_vec(out_shape, out)
 }
 
 /// Max pooling over an `F x F` window.
 pub fn maxpool2d(input: &Tensor, window: usize, stride: usize, pad: usize) -> Tensor {
-    pool2d(
-        input,
-        window,
-        stride,
-        pad,
-        |p| p.iter().cloned().fold(f32::NEG_INFINITY, f32::max),
-        f32::NEG_INFINITY,
-    )
+    maxpool2d_with(input, window, stride, pad, &mut Fresh)
+}
+
+/// [`maxpool2d`] into an output buffer from `bufs`. Padding reads
+/// `-inf`, so it never wins.
+pub(crate) fn maxpool2d_with(
+    input: &Tensor,
+    window: usize,
+    stride: usize,
+    pad: usize,
+    bufs: &mut dyn Buffers,
+) -> Tensor {
+    let r = Reduce {
+        start: f32::NEG_INFINITY,
+        pad: f32::NEG_INFINITY,
+        fold: f32::max,
+        finish: |m| m,
+    };
+    pool2d(input, window, stride, pad, r, bufs)
 }
 
 /// Average pooling over an `F x F` window. Padding contributes zeros to the
 /// average with the full window size as the divisor (TVM's
 /// `count_include_pad` default for the networks under study).
 pub fn avgpool2d(input: &Tensor, window: usize, stride: usize, pad: usize) -> Tensor {
-    pool2d(
-        input,
-        window,
-        stride,
-        pad,
-        |p| p.iter().sum::<f32>() / p.len() as f32,
-        0.0,
-    )
+    avgpool2d_with(input, window, stride, pad, &mut Fresh)
+}
+
+/// [`avgpool2d`] into an output buffer from `bufs`. The sum starts from
+/// -0.0, as `Iterator::sum` over floats does, so a window of -0.0 values
+/// averages to -0.0.
+pub(crate) fn avgpool2d_with(
+    input: &Tensor,
+    window: usize,
+    stride: usize,
+    pad: usize,
+    bufs: &mut dyn Buffers,
+) -> Tensor {
+    let taps = (window * window) as f32;
+    let r = Reduce {
+        start: -0.0,
+        pad: 0.0,
+        fold: |a: f32, b: f32| a + b,
+        finish: |sum| sum / taps,
+    };
+    pool2d(input, window, stride, pad, r, bufs)
 }
 
 #[cfg(test)]

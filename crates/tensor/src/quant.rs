@@ -39,8 +39,9 @@
 //! of percentile clipping on *accuracy* is a deployment concern (top-1
 //! agreement), not a per-layer verification concern.
 
-use crate::graph::{add_residual, Graph, Node, NodeId, Op};
+use crate::graph::{Graph, Node, NodeId, Op};
 use crate::ops::{self, Activation, ConvArgs};
+use crate::plan::Plan;
 use crate::shape::{conv_out_shape, Shape};
 use crate::tensor::Tensor;
 use std::collections::{BTreeMap, HashMap};
@@ -524,10 +525,12 @@ impl<'a> QuantizedGraph<'a> {
         }
     }
 
-    /// Executes the graph on `input`, returning the output tensor.
+    /// Executes the graph on `input`, returning the output tensor. Each
+    /// activation is dropped after its last reader, as [`Graph::execute`]
+    /// drops it.
     pub fn execute(&self, input: &Tensor) -> Result<Tensor, QuantError> {
         Ok(self
-            .execute_all(input)?
+            .run(input, true)?
             .remove(&self.graph.output)
             .expect("output node evaluated"))
     }
@@ -536,18 +539,31 @@ impl<'a> QuantizedGraph<'a> {
     /// keyed by node id — the quantized counterpart of
     /// [`Graph::execute_all`].
     pub fn execute_all(&self, input: &Tensor) -> Result<HashMap<NodeId, Tensor>, QuantError> {
+        self.run(input, false)
+    }
+
+    /// Evaluates every node in the graph executor's order ([`Plan::new`]);
+    /// with `free_dead`, an activation is dropped once its last reader has
+    /// run.
+    fn run(&self, input: &Tensor, free_dead: bool) -> Result<HashMap<NodeId, Tensor>, QuantError> {
         if input.shape() != self.graph.input_shape() {
             return Err(QuantError::InputShape {
                 expected: self.graph.input_shape().clone(),
                 got: input.shape().clone(),
             });
         }
+        let plan = Plan::new(self.graph);
         let mut vals: HashMap<NodeId, Tensor> = HashMap::new();
         vals.insert(0, self.requant(&self.graph.nodes[0], input.clone())?);
-        for id in self.graph.eval_order().into_iter().skip(1) {
+        for &id in &plan.order()[1..] {
             let node = &self.graph.nodes[id];
             let out = self.eval_node(node, &vals)?;
             vals.insert(id, out);
+            if free_dead {
+                for d in plan.dead_after(node) {
+                    vals.remove(&d);
+                }
+            }
         }
         Ok(vals)
     }
@@ -636,7 +652,7 @@ impl<'a> QuantizedGraph<'a> {
             Op::Softmax => return Ok(ops::softmax(arg(0))),
         };
         if let Some(other) = node.fused.add_from {
-            add_residual(&mut out, &vals[&other], node.fused.activation);
+            ops::add_assign(&mut out, &vals[&other], node.fused.activation);
         }
         self.requant(node, out)
     }

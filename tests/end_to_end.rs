@@ -258,6 +258,36 @@ fn fused_and_compiled_resnet18_match_the_unfused_graph() {
     }
 }
 
+/// `Graph::execute` folds pads into their convolutions, writes element-wise
+/// nodes into their operands and recycles dead buffers; `execute_all`
+/// evaluates every node into a fresh buffer. Their outputs agree bit for
+/// bit on every zoo model, unfused (in-place ReLU, batch norm and residual
+/// `Add` nodes) and compiled (folded pads, ResNet-18's fused residual adds,
+/// one of them reading a later node). Two inputs run in a row, so a buffer
+/// recycled with stale values shows.
+#[test]
+fn execute_matches_the_activation_dump_bit_for_bit() {
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for model in [Model::LeNet5, Model::MobileNetV1, Model::ResNet18] {
+        let inputs = match model {
+            Model::LeNet5 => [data::synthetic_digit(2, 5), data::synthetic_digit(9, 6)],
+            _ => [data::imagenet_input(4), data::imagenet_input(5)],
+        };
+        let unfused = model.build();
+        let compiled = unfused.clone().fuse().materialize_padding();
+        for (form, g) in [("unfused", &unfused), ("compiled", &compiled)] {
+            for (i, x) in inputs.iter().enumerate() {
+                assert_eq!(
+                    bits(&g.execute(x)),
+                    bits(&g.execute_all(x)[&g.output]),
+                    "{form} {} on input {i}",
+                    model.name()
+                );
+            }
+        }
+    }
+}
+
 /// The fit/fail matrix of the thesis (Tables 6.9/6.11/6.14): LeNet fits
 /// everywhere; naive MobileNet and all ResNet configs fail the Arria 10;
 /// everything else synthesizes.

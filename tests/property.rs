@@ -362,6 +362,95 @@ fn schedule_chain_preserves_semantics_at_each_step() {
     }
 }
 
+/// The pooling loop the row reduction replaced: each window's taps, a
+/// padding tap reading -inf (max) or 0 (average), gathered into a patch in
+/// `(ry, rx)` order, then folded from -inf with `f32::max` or summed.
+fn pool_patch_loop(
+    input: &Tensor,
+    window: usize,
+    stride: usize,
+    pad: usize,
+    max: bool,
+) -> Vec<f32> {
+    let (c, h1, w1) = (
+        input.shape().dim(0),
+        input.shape().dim(1),
+        input.shape().dim(2),
+    );
+    let h2 = (h1 + 2 * pad - window) / stride + 1;
+    let w2 = (w1 + 2 * pad - window) / stride + 1;
+    let pad_value = if max { f32::NEG_INFINITY } else { 0.0 };
+    let (mut out, mut patch) = (Vec::new(), Vec::new());
+    for ch in 0..c {
+        for yy in 0..h2 {
+            for xx in 0..w2 {
+                patch.clear();
+                for ry in 0..window {
+                    for rx in 0..window {
+                        let iy = (stride * yy + ry) as isize - pad as isize;
+                        let ix = (stride * xx + rx) as isize - pad as isize;
+                        if iy < 0 || iy >= h1 as isize || ix < 0 || ix >= w1 as isize {
+                            patch.push(pad_value);
+                        } else {
+                            patch.push(input.at(&[ch, iy as usize, ix as usize]));
+                        }
+                    }
+                }
+                out.push(if max {
+                    patch.iter().cloned().fold(f32::NEG_INFINITY, f32::max)
+                } else {
+                    patch.iter().sum::<f32>() / patch.len() as f32
+                });
+            }
+        }
+    }
+    out
+}
+
+/// Max and average pooling are bit-identical to the patch loop they
+/// replaced, for windows 1–4, strides 1–3 and pads 0–4 (so some windows are
+/// all padding), on ragged planes, on mixed-sign inputs with -0.0 values
+/// and on all-negative ones.
+#[test]
+fn pooling_is_bit_identical_to_the_patch_loop() {
+    let mut rng = Rng64::seed_from_u64(0xC0_440E);
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut tested = 0;
+    for window in 1..=4 {
+        for stride in 1..=3 {
+            for pad in 0..=4 {
+                for h in 1..=6 {
+                    let w = 1 + rng.below(9) as usize;
+                    if h + 2 * pad < window || w + 2 * pad < window {
+                        continue;
+                    }
+                    let shape = Shape::chw(1 + rng.below(3) as usize, h, w);
+                    let x = Tensor::random(shape.clone(), rng.next_u64() % 1000, 1.0);
+                    let zeros = x.data().iter().enumerate().map(|(i, &v)| match i % 3 {
+                        0 => -0.0,
+                        _ => v,
+                    });
+                    let signed = Tensor::from_vec(shape.clone(), zeros.collect());
+                    let negative = x.data().iter().map(|v| -v.abs() - 0.01).collect();
+                    let negative = Tensor::from_vec(shape, negative);
+                    for x in [&signed, &negative] {
+                        let max = ops::maxpool2d(x, window, stride, pad);
+                        let avg = ops::avgpool2d(x, window, stride, pad);
+                        let case =
+                            format!("window={window} stride={stride} pad={pad} {:?}", x.shape());
+                        let want = pool_patch_loop(x, window, stride, pad, true);
+                        assert_eq!(bits(max.data()), bits(&want), "max {case}");
+                        let want = pool_patch_loop(x, window, stride, pad, false);
+                        assert_eq!(bits(avg.data()), bits(&want), "avg {case}");
+                    }
+                    tested += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(tested, 333, "every shape that fits its window runs");
+}
+
 /// Fusion + padding materialization preserve network semantics on
 /// randomized small conv networks.
 #[test]
@@ -427,6 +516,82 @@ fn graph_passes_preserve_semantics() {
             "case {case}: channels={channels} pad={pad} bn={use_bn}"
         );
     }
+
+    // `execute` folds a pad into its readers only when they are all
+    // unpadded convolutions; `execute_all` evaluates every pad. The two
+    // agree bit for bit on each graph as built and fused, for a mixed-sign
+    // input and then an all-negative one, on which a pad folded into a max
+    // pool would pad with -inf instead of zeros.
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    for (case, g) in pad_reader_graphs() {
+        let x = Tensor::random(g.input_shape().clone(), 31, 1.0);
+        let negative: Vec<f32> = x.data().iter().map(|v| -v.abs() - 0.05).collect();
+        let negative = Tensor::from_vec(x.shape().clone(), negative);
+        for (form, g) in [("built", g.clone()), ("fused", g.fuse())] {
+            for x in [&x, &negative] {
+                assert_eq!(
+                    bits(&g.execute(x)),
+                    bits(&g.execute_all(x)[&g.output]),
+                    "a pad read by {case}, {form}"
+                );
+            }
+        }
+    }
+}
+
+/// Graphs whose explicit pad is read by one unpadded convolution, by two
+/// (a standard and a depthwise one, summed), by a max pool, by a
+/// convolution and the add that fuses into it, or by nothing: the pad is
+/// the graph's output.
+fn pad_reader_graphs() -> Vec<(&'static str, fpgaccel::tensor::Graph)> {
+    use fpgaccel::tensor::graph::{Graph, Op};
+    let conv = |g: &mut Graph, name: &str, x, kernel, depthwise, seed| {
+        let op = Op::Conv2d {
+            out_channels: 2,
+            kernel,
+            stride: 1,
+            pad: 0,
+            depthwise,
+        };
+        let w = Tensor::random(
+            Shape::kcff(2, if depthwise { 1 } else { 2 }, kernel),
+            seed,
+            0.5,
+        );
+        let bias = Some(vec![0.1, -0.2]);
+        g.push_with_params(name, op, vec![x], Some(w), bias, None)
+    };
+    let padded = || {
+        let mut g = Graph::new("pads", Shape::chw(2, 6, 5));
+        let p = g.push("pad", Op::Pad { pad: 1 }, vec![0]);
+        (g, p)
+    };
+    let (mut one, p) = padded();
+    conv(&mut one, "conv", p, 3, false, 1);
+    let (mut two, p) = padded();
+    let a = conv(&mut two, "conv", p, 3, false, 2);
+    let b = conv(&mut two, "conv_dw", p, 3, true, 3);
+    two.push("add", Op::Add, vec![a, b]);
+    let (mut pool, p) = padded();
+    let op = Op::MaxPool {
+        window: 3,
+        stride: 2,
+        pad: 0,
+    };
+    pool.push("pool", op, vec![p]);
+    let (mut residual, p) = padded();
+    let c = conv(&mut residual, "conv", p, 1, false, 4);
+    residual.push("add", Op::Add, vec![c, p]);
+    let mut output = Graph::new("pads", Shape::chw(2, 6, 5));
+    let c = conv(&mut output, "conv", 0, 3, false, 5);
+    output.push("pad", Op::Pad { pad: 1 }, vec![c]);
+    vec![
+        ("one convolution", one),
+        ("two convolutions", two),
+        ("a max pool", pool),
+        ("a fused add", residual),
+        ("nothing, as the output", output),
+    ]
 }
 
 /// The im2col + GEMM convolution computes the same function as the direct

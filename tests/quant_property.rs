@@ -10,7 +10,9 @@
 //! and ResNet-18 differentials at fp16/int8 — host-side 224x224 execution).
 
 use fpgaccel::tensor::models::Model;
-use fpgaccel::tensor::quant::{calibrate, differential, QuantError, QuantPrecision};
+use fpgaccel::tensor::quant::{
+    calibrate, differential, QuantError, QuantPrecision, QuantizedGraph,
+};
 use fpgaccel::tensor::rng::Rng64;
 use fpgaccel::tensor::{Graph, Op, Shape, Tensor};
 
@@ -185,6 +187,47 @@ fn layer_diff_failures_render_like_verify_mismatches() {
             rendered.contains(piece),
             "missing {piece:?} in {rendered:?}"
         );
+    }
+}
+
+/// `QuantizedGraph::execute` drops each activation after its last reader;
+/// `execute_all` keeps them all. Their outputs agree bit for bit at every
+/// precision and under a mixed assignment that leaves some layers in f32,
+/// on random networks and on compiled LeNet-5, each on two inputs in a row.
+#[test]
+fn quantized_execute_matches_the_dump_bit_for_bit() {
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let mut rng = Rng64::seed_from_u64(0xD1FF_0002);
+    let mut graphs: Vec<Graph> = (0..8).map(|case| random_network(&mut rng, case)).collect();
+    graphs.push(Model::LeNet5.build().fuse().materialize_padding());
+    for g in &graphs {
+        let batch: Vec<Tensor> = (0..CALIB_SAMPLES)
+            .map(|i| Tensor::random(g.input_shape().clone(), 41 + i as u64, 1.0))
+            .collect();
+        let calib = calibrate(g, &batch, 1.0).expect("every network calibrates");
+        // Every other layer quantized, alternating between the rungs.
+        let mixed = (g
+            .nodes
+            .iter()
+            .skip(1)
+            .step_by(2)
+            .zip(QuantPrecision::ALL.iter().cycle()))
+        .map(|(n, &p)| (n.name.clone(), p))
+        .collect();
+        let uniform = QuantPrecision::ALL.map(|p| (p.name(), QuantizedGraph::new(g, &calib, p)));
+        let runs = uniform
+            .into_iter()
+            .chain([("mixed", QuantizedGraph::mixed(g, &calib, &mixed))]);
+        for (rung, qg) in runs {
+            for x in &batch[..2] {
+                assert_eq!(
+                    bits(&qg.execute(x).unwrap()),
+                    bits(&qg.execute_all(x).unwrap()[&g.output]),
+                    "{} at {rung}",
+                    g.name
+                );
+            }
+        }
     }
 }
 
